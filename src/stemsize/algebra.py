@@ -4,12 +4,14 @@ An `AlgebraSpec` describes a free graded-commutative algebra over F_p as a
 list of generator families (polynomial / exterior / truncated species, a
 degree expression, an optional multiplicity expression, and index ranges).
 `hilbert` folds single-generator Hilbert factors over the instantiated
-generator list; `oracle_hilbert` recounts monomials by brute-force multiset
-enumeration as an independent check.
+generator list, largest degree first, on the lattice of multiples of the gcd
+of the degrees folded so far; `oracle_hilbert` recounts monomials by
+brute-force multiset enumeration as an independent check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -26,7 +28,7 @@ from .dsl import (
     expr_to_text,
     parse_expr,
 )
-from .series import EXTERIOR, POLYNOMIAL, GeneratorKind, TruncatedSeries
+from .series import EXTERIOR, POLYNOMIAL, GeneratorKind, TruncatedSeries, _spread
 
 __all__ = [
     "AlgebraError",
@@ -341,12 +343,27 @@ def _family_generators(
 
 def hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
     """Monomial counts per degree of the free graded algebra on the
-    instantiated generators."""
-    series = TruncatedSeries.unit(trunc)
-    for kind, deg, mult in instantiate(spec, trunc):
+    instantiated generators.
+
+    Generators are folded from the largest degree down.  While g divides
+    every degree folded so far, the series is supported on the multiples of
+    g and is kept as a series in t^g with trunc // g + 1 coefficients; a
+    generator of degree d folds in as one of degree d // g.  When a degree
+    lowers the gcd, the series is spread onto the finer lattice.  Degrees
+    that form a divisibility chain (the p-power presets) therefore fold each
+    generator on trunc // d + 1 coefficients.
+    """
+    gens = instantiate(spec, trunc)
+    g = gens[-1].degree if gens else 1
+    series = TruncatedSeries.unit(trunc // g)
+    for kind, deg, mult in reversed(gens):
+        step = g // math.gcd(g, deg)
+        if step > 1:
+            g //= step
+            series = _spread(series, step, trunc // g)
         for _ in range(mult):
-            series = series.mul_factor(kind, deg)
-    return series
+            series = series.mul_factor(kind, deg // g)
+    return _spread(series, g, trunc)
 
 
 def hilbert_cumulative(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:

@@ -221,7 +221,13 @@ def unstable_ext_bound(
 ) -> TruncatedSeries:
     """P(A;t) * varpi_A(t) * P(M;t): an upper bound for the unstable Ext rank
     series of the module M.  varpi_a must be a caller-declared upper bound
-    for the stable Ext rank series."""
+    for the stable Ext rank series.
+
+    At p = 2 the factor P(A;t) dominates the census A(n;t) for n >= 2.  At
+    odd p, under this module's grading, it does not: at p = 3 the census
+    exceeds it by 1 in degrees 7, 11, 15 and 19 (see the module docstring).
+    There the result is not known to be an upper bound.
+    """
     return admissible_series(p, trunc).mul(varpi_a).mul(m_series)
 
 
@@ -229,7 +235,12 @@ def unstable_rank_bound(
     p: int, loops_homology: TruncatedSeries, varpi_a: TruncatedSeries, trunc: int
 ) -> TruncatedSeries:
     """2 * P(A;t) * varpi_A(t) * h(Omega X;t); coefficient n bounds the rank
-    of pi_{n+1} X for a simply-connected finite-type X."""
+    of pi_{n+1} X for a simply-connected finite-type X.
+
+    The odd-p caveat of `unstable_ext_bound` applies: at odd p, P(A;t) does
+    not dominate A(n;t) under this module's grading, and the result is not
+    known to be an upper bound.
+    """
     if loops_homology[0] != 1:
         raise SeriesError(
             "loop-space homology must have coefficient 1 in degree 0 "

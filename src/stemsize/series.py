@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -155,17 +155,33 @@ class TruncatedSeries:
         return TruncatedSeries(c * a for a in self._coeffs)
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Convolution product, truncated at the shorter operand."""
+        """Convolution product, truncated at the shorter operand.
+
+        Both operands live on the multiples of g, the gcd of the degrees
+        where either has a nonzero coefficient, and so does the product: it
+        is convolved on their N // g + 1 lattice coefficients and spread
+        back.  g = 1 is the dense case.
+        """
         n = min(self.trunc, other.trunc)
         a = self._coeffs
         b = other._coeffs
-        out = [0] * (n + 1)
-        for i in range(n + 1):
+        degrees = range(n + 1)
+        g = 0
+        for d in chain(compress(degrees, a), compress(degrees, b)):
+            g = math.gcd(g, d)
+            if g == 1:
+                break
+        step = g or n + 1  # only c_0 can be nonzero: keep degree 0 alone
+        a = a[: n + 1 : step]
+        b = b[: n + 1 : step]
+        m = len(a)
+        out = [0] * m
+        for i in range(m):
             ai = a[i]
             if ai:
-                for j in range(n + 1 - i):
+                for j in range(m - i):
                     out[i + j] += ai * b[j]
-        return TruncatedSeries(out)
+        return _spread(TruncatedSeries(out), step, n)
 
     __mul__ = mul
 
@@ -260,6 +276,19 @@ class TruncatedSeries:
     def csv_rows(self) -> Iterator[tuple[int, str]]:
         for n, c in enumerate(self._coeffs):
             yield n, str(c)
+
+
+def _spread(series: TruncatedSeries, step: int, trunc: int) -> TruncatedSeries:
+    """The series with t replaced by t^step, truncated at degree trunc.
+
+    `series` must have trunc // step + 1 coefficients; they land on the
+    multiples of step, with zeros between.
+    """
+    if step == 1:
+        return series
+    out = [0] * (trunc + 1)
+    out[::step] = series.coeffs
+    return TruncatedSeries(out)
 
 
 def factor_series(kind: GeneratorKind, d: int, trunc: int) -> TruncatedSeries:

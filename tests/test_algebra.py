@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stemsize.algebra import (
@@ -114,6 +114,57 @@ class TestHilbert:
     def test_multiplicity(self):
         spec = parse_spec("p = 2\ngen poly deg = 1 mult = 2\n")
         assert hilbert(spec, 3) == TruncatedSeries([1, 2, 3, 4])
+
+
+def ascending_fold(spec, trunc):
+    """Reference engine: fold every generator over all trunc + 1
+    coefficients, smallest degree first."""
+    series = TruncatedSeries.unit(trunc)
+    for kind, deg, mult in instantiate(spec, trunc):
+        for _ in range(mult):
+            series = series.mul_factor(kind, deg)
+    return series
+
+
+KIND_WORDS = ("poly", "ext", "trunc(2)", "trunc(3)", "trunc(5)")
+
+
+@st.composite
+def lattice_spec_texts(draw):
+    """DSL text whose degrees share a factor c >= 2, form a chain of powers
+    of p, or are unrelated; kinds and multiplicities are mixed, and degrees
+    may exceed the truncation."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    shape = draw(st.sampled_from(["scaled", "chain", "plain"]))
+    if shape == "chain":
+        exponents = st.lists(st.integers(min_value=0, max_value=4), max_size=6)
+        degrees = [p**e for e in draw(exponents)]
+    else:
+        scale = draw(st.integers(min_value=2, max_value=6)) if shape == "scaled" else 1
+        bases = st.lists(st.integers(min_value=1, max_value=12), max_size=6)
+        degrees = [scale * d for d in draw(bases)]
+    lines = [f"p = {p}"]
+    for deg in degrees:
+        kind = draw(st.sampled_from(KIND_WORDS))
+        mult = draw(st.integers(min_value=1, max_value=3))
+        lines.append(f"gen {kind} deg = {deg} mult = {mult}")
+    return "\n".join(lines) + "\n"
+
+
+class TestLatticeFold:
+    """`hilbert` folds largest degree first on the gcd lattice; the plain
+    ascending fold over every coefficient is the reference."""
+
+    @given(lattice_spec_texts(), st.integers(min_value=0, max_value=90))
+    @example("p = 2\n", 0)
+    @example("p = 2\n", 7)
+    @example("p = 3\ngen poly deg = 6 mult = 2\ngen ext deg = 9\n", 0)
+    @example("p = 3\ngen trunc(3) deg = 4\ngen poly deg = 6 mult = 2\n", 40)
+    @example("p = 2\ngen poly deg = 50\n", 30)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_ascending_fold(self, text, trunc):
+        spec = parse_spec(text)
+        assert hilbert(spec, trunc) == ascending_fold(spec, trunc)
 
 
 class TestOracle:

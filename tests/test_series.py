@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stemsize.series import (
@@ -75,6 +75,73 @@ class TestMul:
         lhs = a.mul(b.add(c))
         rhs = a.mul(b).add(a.mul(c))
         assert lhs.coeffs[: n + 1] == rhs.coeffs[: n + 1]
+
+
+def naive_mul(a, b):
+    """Reference convolution: every pair of coefficients, no lattice."""
+    n = min(a.trunc, b.trunc)
+    return TruncatedSeries(
+        sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)
+    )
+
+
+@st.composite
+def lattice_series(draw):
+    """A series supported on the multiples of a drawn step >= 2."""
+    step = draw(st.integers(min_value=2, max_value=7))
+    trunc = draw(st.integers(min_value=0, max_value=40))
+    values = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=50),
+            min_size=trunc // step + 1,
+            max_size=trunc // step + 1,
+        )
+    )
+    out = [0] * (trunc + 1)
+    out[::step] = values
+    return TruncatedSeries(out)
+
+
+constant_series = st.tuples(
+    st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=30)
+).map(lambda c: TruncatedSeries((c[0],) + (0,) * c[1]))
+
+zero_series = st.integers(min_value=0, max_value=30).map(TruncatedSeries.zero)
+
+
+class TestMulLattice:
+    """`mul` convolves on the operands' common support lattice; these compare
+    it with the plain convolution on operands of every support shape."""
+
+    @given(lattice_series(), lattice_series())
+    @example(S(1, 0, 2, 0, 3), S(4, 0, 0, 5))  # steps 2 and 3: the lattice is 1
+    @example(S(1, 0, 0, 0, 2, 0, 0), S(3, 0, 0, 0, 0, 0, 4, 0))  # gcd 2
+    @settings(max_examples=200)
+    def test_lattice_operands(self, a, b):
+        assert a.mul(b) == naive_mul(a, b)
+
+    @given(
+        constant_series,
+        st.one_of(series_strategy, lattice_series(), constant_series),
+    )
+    @example(S(7), S(1, 2, 3))
+    def test_constant_operand(self, a, b):
+        assert a.mul(b) == naive_mul(a, b)
+        assert b.mul(a) == naive_mul(b, a)
+
+    @given(zero_series, st.one_of(series_strategy, lattice_series(), zero_series))
+    def test_zero_operand(self, a, b):
+        assert a.mul(b) == TruncatedSeries.zero(min(a.trunc, b.trunc))
+        assert b.mul(a) == naive_mul(b, a)
+
+    @given(
+        st.one_of(series_strategy, lattice_series()),
+        st.one_of(series_strategy, lattice_series()),
+    )
+    @settings(max_examples=200)
+    def test_unequal_truncations(self, a, b):
+        assert a.mul(b) == naive_mul(a, b)
+        assert a.mul(b).trunc == min(a.trunc, b.trunc)
 
 
 class TestMulFactor:
