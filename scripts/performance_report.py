@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Time cumulative rank series at large truncations in both fold regimes.
+"""Time cumulative rank series at large truncations in three fold regimes.
 
 `hilbert` folds each generator on the multiples of the gcd of the degrees
-folded so far, largest degree first, so its cost depends on the degrees:
+folded so far, largest degree first, so its cost depends on the degrees and
+on the generator kinds:
 
-- generic: the May E1 model (p = 2) at N = 2^18.  Its degrees have gcd 1 and
-  form no chain, so nearly every generator folds over all N + 1
-  coefficients.  This is the gate case (under five minutes in
-  `tests/test_acceptance.py`); N = 2^20 is a stretch measurement, reported
-  with --stretch but not gated.
+- generic: the May E1 model (p = 2) at N = 2^18.  Its polynomial degrees
+  have gcd 1 and form no chain, so nearly every generator folds over all
+  N + 1 coefficients, by blocked or strided running sums.  This is the gate
+  case (under five minutes in `tests/test_acceptance.py`); N = 2^20 is a
+  stretch measurement, reported with --stretch but not gated.
+- trunc: a DSL spec of exterior and truncated(3), truncated(5) families in
+  degrees from 301 to 2296, all well above sqrt(N), at N = 2^16.  Every
+  generator folds over all N + 1 coefficients through the exterior and
+  truncated kernels of `TruncatedSeries.mul_factor`.
 - chain: the may_model algebra (p = 2), whose degrees 2^n form a
   divisibility chain, so a generator of degree d folds on N // d + 1
   coefficients.  Measured at N = 2^18 - 1 (the m = 18 upper bracketing
@@ -18,21 +23,32 @@ folded so far, largest degree first, so its cost depends on the degrees:
 import argparse
 import time
 
-from stemsize.algebra import hilbert_cumulative
+from stemsize.algebra import AlgebraSpec, hilbert_cumulative, parse_spec
 from stemsize.presets import preset
 
+TRUNC_SPEC = """\
+p = 3
+gen ext deg = 301 + 7*i for i = 0..199
+gen trunc(3) deg = 302 + 11*i for i = 0..149
+gen trunc(5) deg = 1009 + 13*i for i = 0..99
+"""
 
-def measure(regime: str, name: str, trunc: int, **kwargs) -> None:
-    spec = preset(name, 2, **kwargs)
+
+def measure(regime: str, label: str, spec: AlgebraSpec, trunc: int) -> None:
     start = time.monotonic()
     series = hilbert_cumulative(spec, trunc)
     elapsed = time.monotonic() - start
     top = series[trunc]
     print(
-        f"{regime:8} {spec.label}, N = {trunc}: {elapsed:.2f} s, "
+        f"{regime:8} {label}, N = {trunc}: {elapsed:.2f} s, "
         f"top coefficient {top.bit_length()} bits "
         f"(~10^{len(str(top)) - 1})"
     )
+
+
+def measure_preset(regime: str, name: str, trunc: int, **kwargs) -> None:
+    spec = preset(name, 2, **kwargs)
+    measure(regime, spec.label, spec, trunc)
 
 
 def main() -> None:
@@ -40,11 +56,12 @@ def main() -> None:
     parser.add_argument("--stretch", action="store_true",
                         help="also measure may_e1 at N = 2^20 (several minutes)")
     args = parser.parse_args()
-    measure("generic", "may_e1", 2**18, drop_q0=True)
+    measure_preset("generic", "may_e1", 2**18, drop_q0=True)
     if args.stretch:
-        measure("generic", "may_e1", 2**20, drop_q0=True)
-    measure("chain", "may_model", 2**18 - 1)
-    measure("chain", "may_model", 14 * 13 // 2 * (2**14 - 1))
+        measure_preset("generic", "may_e1", 2**20, drop_q0=True)
+    measure("trunc", "ext/trunc(3)/trunc(5) families, p = 3", parse_spec(TRUNC_SPEC), 2**16)
+    measure_preset("chain", "may_model", 2**18 - 1)
+    measure_preset("chain", "may_model", 14 * 13 // 2 * (2**14 - 1))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,14 @@ from .dsl import (
     expr_to_text,
     parse_expr,
 )
-from .series import EXTERIOR, POLYNOMIAL, GeneratorKind, TruncatedSeries, _spread
+from .series import (
+    EXTERIOR,
+    POLYNOMIAL,
+    GeneratorKind,
+    TruncatedSeries,
+    _spread,
+    factor_series,
+)
 
 __all__ = [
     "AlgebraError",
@@ -351,7 +358,10 @@ def hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
     generator of degree d folds in as one of degree d // g.  When a degree
     lowers the gcd, the series is spread onto the finer lattice.  Degrees
     that form a divisibility chain (the p-power presets) therefore fold each
-    generator on trunc // d + 1 coefficients.
+    generator on trunc // d + 1 coefficients.  A generator of multiplicity
+    m folds in m unit passes, or, when m is large next to the trunc // d + 1
+    lattice coefficients of its factor, in one `mul` by the exact factor
+    F^m from `factor_series`.
     """
     gens = instantiate(spec, trunc)
     g = gens[-1].degree if gens else 1
@@ -361,8 +371,17 @@ def hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
         if step > 1:
             g //= step
             series = _spread(series, step, trunc // g)
-        for _ in range(mult):
-            series = series.mul_factor(kind, deg // g)
+        n, d = trunc // g, deg // g
+        # mult unit folds cost mult * (n + 1) coefficient additions.  The
+        # product with F^mult, the left operand so that `mul` skips its zero
+        # coefficients, costs about (n // d + 1) * (n + 1) / 2 multiply-adds
+        # in an interpreted loop, each worth about four additions: it wins
+        # once mult exceeds twice n // d + 1.
+        if mult > 2 * (n // d + 1):
+            series = factor_series(kind, d, n, mult).mul(series)
+        else:
+            for _ in range(mult):
+                series = series.mul_factor(kind, d)
     return _spread(series, g, trunc)
 
 
@@ -383,12 +402,8 @@ def oracle_hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
         )
     gens: list[tuple[int, int]] = []  # (degree, max exponent)
     for kind, deg, mult in instantiate(spec, trunc):
-        if kind.name == "poly":
-            cap = trunc // deg
-        elif kind.name == "ext":
-            cap = 1
-        else:
-            cap = kind.order - 1  # type: ignore[operator]
+        k = kind.nilpotence
+        cap = trunc // deg if k is None else k - 1
         gens.extend([(deg, cap)] * mult)
     counts = [0] * (trunc + 1)
     total_gens = len(gens)

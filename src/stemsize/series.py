@@ -2,8 +2,10 @@
 coefficients.
 
 A series carries coefficients c_0..c_N for a fixed truncation N.  All rank
-and cell-count bookkeeping in this package is done with these; there is no
-subtraction and no negative coefficient anywhere.  Binary operations align
+and cell-count bookkeeping in this package is done with these, and no
+negative coefficient ever enters a series: the truncated-generator fold
+subtracts only terms it has just added, and the signed sums behind
+`factor_series` are finished as plain ints first.  Binary operations align
 to the minimum truncation of their operands.
 """
 
@@ -13,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -63,6 +66,13 @@ class GeneratorKind:
     def truncated(cls, k: int) -> "GeneratorKind":
         return cls("trunc", k)
 
+    @property
+    def nilpotence(self) -> int | None:
+        """The k with x^k = 0: ``order`` for a truncated generator, 2 for an
+        exterior one (1 + t^d is the truncated(2) factor), None for a
+        polynomial one."""
+        return 2 if self.name == "ext" else self.order
+
     def __str__(self) -> str:
         return f"trunc({self.order})" if self.name == "trunc" else self.name
 
@@ -86,6 +96,18 @@ class TruncatedSeries:
             if c < 0:
                 raise SeriesError(f"negative coefficient {c}")
         self._coeffs = tup
+
+    @classmethod
+    def _of(cls, coeffs: Iterable[int]) -> "TruncatedSeries":
+        """Unchecked constructor for results computed inside this module.
+
+        Every coefficient must already be a nonnegative int obtained by int
+        arithmetic from validated series; input from a caller goes through
+        the checking constructor.
+        """
+        series = object.__new__(cls)
+        series._coeffs = tuple(coeffs)
+        return series
 
     # -- construction helpers ------------------------------------------------
 
@@ -139,13 +161,13 @@ class TruncatedSeries:
     def truncate(self, trunc: int) -> "TruncatedSeries":
         if trunc >= self.trunc:
             return self
-        return TruncatedSeries(self._coeffs[: trunc + 1])
+        return TruncatedSeries._of(self._coeffs[: trunc + 1])
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.trunc, other.trunc)
-        return TruncatedSeries(
+        return TruncatedSeries._of(
             a + b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1])
         )
 
@@ -181,7 +203,7 @@ class TruncatedSeries:
             if ai:
                 for j in range(m - i):
                     out[i + j] += ai * b[j]
-        return _spread(TruncatedSeries(out), step, n)
+        return _spread(TruncatedSeries._of(out), step, n)
 
     __mul__ = mul
 
@@ -189,33 +211,38 @@ class TruncatedSeries:
         """Multiply by the Hilbert factor of one generator in degree d.
 
         polynomial -> 1/(1-t^d), exterior -> 1+t^d,
-        truncated(k) -> 1+t^d+...+t^(d(k-1)).
-        The polynomial case runs in O(N) coefficient additions.
+        truncated(k) -> 1+t^d+...+t^(d(k-1)) = (1-t^(kd))/(1-t^d).
+
+        Every kind is one or two passes of N + 1 coefficient additions done
+        by `map`/`accumulate`.  The polynomial fold adds out[n-d] into
+        out[n] in ascending n: when d^2 > N it runs as N // d contiguous
+        blocks of d coefficients, otherwise as d strided running sums of
+        about N // d coefficients, so each fold makes at most about sqrt(N)
+        slice operations.  A truncated factor is the polynomial fold
+        followed by one subtraction of the series shifted by kd.  The
+        exterior factor is a single shifted addition.
         """
         if d < 1:
             raise SeriesError("generator degree must be >= 1")
-        n = self.trunc
-        if kind.name == "poly":
-            out = list(self._coeffs)
-            for r in range(min(d, n + 1)):
-                out[r::d] = accumulate(out[r::d])
-            return TruncatedSeries(out)
-        if kind.name == "ext":
-            c = self._coeffs
-            return TruncatedSeries(c[:d] + tuple(x + y for x, y in zip(c[d:], c)))
-        # truncated(k): out[n] = sum_{j<k} c[n-jd] via out[n] = out[n-d]+c[n]-c[n-kd]
-        k = kind.order
-        assert k is not None
         c = self._coeffs
-        kd = k * d
+        if kind.name == "ext":
+            return TruncatedSeries._of(c[:d] + tuple(map(add, c[d:], c)))
+        n = self.trunc
         out = list(c)
-        for m in range(d, n + 1):
-            out[m] = out[m - d] + c[m] - (c[m - kd] if m >= kd else 0)
-        return TruncatedSeries(out)
+        if d * d > n:
+            for s in range(d, n + 1, d):
+                out[s : s + d] = map(add, out[s : s + d], out[s - d : s])
+        else:
+            for r in range(d):
+                out[r::d] = accumulate(out[r::d])
+        if kind.name == "trunc":
+            kd = kind.order * d  # type: ignore[operator]
+            out[kd:] = map(sub, out[kd:], out)
+        return TruncatedSeries._of(out)
 
     def cumulative(self) -> "TruncatedSeries":
         """Running sum: c'_n = sum_{k <= n} c_k."""
-        return TruncatedSeries(accumulate(self._coeffs))
+        return TruncatedSeries._of(accumulate(self._coeffs))
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k; truncation unchanged, high coefficients fall off."""
@@ -224,11 +251,11 @@ class TruncatedSeries:
         if k == 0:
             return self
         n = self.trunc
-        return TruncatedSeries((0,) * min(k, n + 1) + self._coeffs[: n + 1 - k])
+        return TruncatedSeries._of((0,) * min(k, n + 1) + self._coeffs[: n + 1 - k])
 
     def hadamard(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.trunc, other.trunc)
-        return TruncatedSeries(
+        return TruncatedSeries._of(
             a * b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1])
         )
 
@@ -288,23 +315,40 @@ def _spread(series: TruncatedSeries, step: int, trunc: int) -> TruncatedSeries:
         return series
     out = [0] * (trunc + 1)
     out[::step] = series.coeffs
-    return TruncatedSeries(out)
+    return TruncatedSeries._of(out)
 
 
-def factor_series(kind: GeneratorKind, d: int, trunc: int) -> TruncatedSeries:
-    """Explicit Hilbert factor of a single generator, for cross-checks."""
+def factor_series(
+    kind: GeneratorKind, d: int, trunc: int, mult: int = 1
+) -> TruncatedSeries:
+    """Explicit Hilbert factor F^mult of `mult` generators of one kind in
+    degree d, truncated at degree trunc.
+
+    F^m is a series in t^d.  Its coefficient f_j of t^(jd) is C(m-1+j, j)
+    for a polynomial generator and sum_i (-1)^i C(m, i) C(m-1+j-ik, j-ik)
+    for a truncated(k) one, (1 + t + ... + t^(k-1))^m; an exterior
+    generator is truncated(2), where f_j = C(m, j).  The truncated
+    coefficients come from Q F' = m Q' F with Q = 1 + ... + t^(k-1), which
+    gives (j+1) f_(j+1) = sum_{1 <= i < k} (m i - j + i - 1) f_(j+1-i):
+    k products per coefficient in place of the alternating sum's j/k.  The
+    signed terms are summed as plain ints, so only the nonnegative f_j
+    reach the series.
+    """
     if d < 1:
         raise SeriesError("generator degree must be >= 1")
+    if trunc < 0:
+        raise SeriesError("truncation must be nonnegative")
+    if mult < 0:
+        raise SeriesError("negative multiplicity")
+    size = trunc // d + 1
+    k = kind.nilpotence
+    f = [1]
+    for j in range(size - 1):
+        if k is None:
+            f.append(f[j] * (mult + j) // (j + 1))
+        else:
+            terms = range(1, min(k, j + 2))
+            f.append(sum((mult * i - j + i - 1) * f[j + 1 - i] for i in terms) // (j + 1))
     out = [0] * (trunc + 1)
-    if kind.name == "poly":
-        out[::d] = [1] * len(out[::d])
-    elif kind.name == "ext":
-        out[0] = 1
-        if d <= trunc:
-            out[d] = 1
-    else:
-        assert kind.order is not None
-        for j in range(kind.order):
-            if j * d <= trunc:
-                out[j * d] = 1
+    out[::d] = f
     return TruncatedSeries(out)

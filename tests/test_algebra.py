@@ -17,6 +17,7 @@ from stemsize.dsl import DslError
 from stemsize.series import TruncatedSeries
 from stemsize.verify import random_spec
 
+import math
 import random
 
 
@@ -115,6 +116,11 @@ class TestHilbert:
         spec = parse_spec("p = 2\ngen poly deg = 1 mult = 2\n")
         assert hilbert(spec, 3) == TruncatedSeries([1, 2, 3, 4])
 
+    def test_huge_multiplicity(self):
+        m = 10**8
+        spec = parse_spec(f"p = 2\ngen poly deg = 1 mult = {m}\n")
+        assert list(hilbert(spec, 5)) == [math.comb(m - 1 + j, j) for j in range(6)]
+
 
 def ascending_fold(spec, trunc):
     """Reference engine: fold every generator over all trunc + 1
@@ -146,7 +152,7 @@ def lattice_spec_texts(draw):
     lines = [f"p = {p}"]
     for deg in degrees:
         kind = draw(st.sampled_from(KIND_WORDS))
-        mult = draw(st.integers(min_value=1, max_value=3))
+        mult = draw(st.integers(min_value=1, max_value=7))
         lines.append(f"gen {kind} deg = {deg} mult = {mult}")
     return "\n".join(lines) + "\n"
 
@@ -161,10 +167,17 @@ class TestLatticeFold:
     @example("p = 3\ngen poly deg = 6 mult = 2\ngen ext deg = 9\n", 0)
     @example("p = 3\ngen trunc(3) deg = 4\ngen poly deg = 6 mult = 2\n", 40)
     @example("p = 2\ngen poly deg = 50\n", 30)
+    @example("p = 2\ngen poly deg = 5 mult = 7\ngen trunc(3) deg = 9 mult = 5\n", 14)
+    @example("p = 5\ngen ext deg = 7 mult = 7\ngen poly deg = 3 mult = 2\n", 20)
     @settings(max_examples=200, deadline=None)
     def test_matches_ascending_fold(self, text, trunc):
         spec = parse_spec(text)
         assert hilbert(spec, trunc) == ascending_fold(spec, trunc)
+
+    @given(lattice_spec_texts(), st.integers(min_value=0, max_value=90))
+    @settings(max_examples=50, deadline=None)
+    def test_coefficients_are_exact_ints(self, text, trunc):
+        assert all(type(c) is int for c in hilbert(parse_spec(text), trunc))
 
 
 class TestOracle:

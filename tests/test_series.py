@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,8 @@ series_strategy = st.lists(
     st.integers(min_value=0, max_value=50), min_size=1, max_size=24
 ).map(TruncatedSeries)
 
+KINDS = [POLYNOMIAL, EXTERIOR] + [GeneratorKind.truncated(k) for k in range(2, 7)]
+
 
 class TestConstruction:
     def test_coeffs_and_trunc(self):
@@ -42,6 +45,24 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(SeriesError):
             TruncatedSeries([])
+
+    def test_bool_rejected(self):
+        with pytest.raises(SeriesError):
+            TruncatedSeries([1, True])
+
+    def test_json_negative_rejected(self):
+        with pytest.raises(SeriesError):
+            TruncatedSeries.from_json('{"trunc": 1, "coeffs": ["1", "-1"]}')
+
+    @given(
+        series_strategy,
+        series_strategy,
+        st.sampled_from(KINDS),
+        st.integers(min_value=1, max_value=30),
+    )
+    def test_results_hold_exact_ints(self, a, b, kind, d):
+        for result in (a.mul(b), a.mul_factor(kind, d)):
+            assert all(type(c) is int for c in result)
 
 
 class TestMul:
@@ -173,6 +194,145 @@ class TestMulFactor:
         else:
             kind = GeneratorKind.truncated(order)
         assert a.mul_factor(kind, d) == a.mul(factor_series(kind, d, a.trunc))
+
+
+def strided_poly_fold(coeffs, d):
+    """Reference 1/(1-t^d) kernel: one running sum per residue class mod d."""
+    out = list(coeffs)
+    for r in range(min(d, len(out))):
+        out[r::d] = accumulate(out[r::d])
+    return TruncatedSeries(out)
+
+
+def trunc_loop(coeffs, k, d):
+    """Reference truncated(k) kernel, one coefficient at a time:
+    out[n] = out[n-d] + c[n] - c[n-kd]."""
+    c = list(coeffs)
+    out = list(c)
+    for n in range(d, len(c)):
+        out[n] = out[n - d] + c[n] - (c[n - k * d] if n >= k * d else 0)
+    return TruncatedSeries(out)
+
+
+def big_series(trunc):
+    return st.lists(
+        st.integers(min_value=0, max_value=2**70),
+        min_size=trunc + 1,
+        max_size=trunc + 1,
+    ).map(TruncatedSeries)
+
+
+@st.composite
+def poly_fold_cases(draw):
+    """A series of truncation N <= 300 and a degree d around sqrt(N), at N,
+    above N, or anywhere in between."""
+    n = draw(st.integers(min_value=0, max_value=300))
+    root = math.isqrt(n)
+    ceil_root = root + (root * root < n)
+    d = draw(
+        st.one_of(
+            st.sampled_from([max(root, 1), max(ceil_root, 1), root + 1, max(n, 1), n + 1]),
+            st.integers(min_value=1, max_value=n + 5),
+        )
+    )
+    return draw(big_series(n)), d
+
+
+@st.composite
+def trunc_fold_cases(draw):
+    """k = 2..6 and a degree d with kd below, at or above the truncation."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=300 // k))
+    n = k * d + draw(
+        st.one_of(
+            st.sampled_from([-1, 0, 1]),
+            st.integers(min_value=-k * d, max_value=300 - k * d),
+        )
+    )
+    return draw(big_series(n)), k, d
+
+
+class TestFoldKernels:
+    """The blocked/strided `mul_factor` kernels against the plain strided
+    fold and the per-coefficient truncated loop."""
+
+    @given(poly_fold_cases())
+    @example((S(1, 2, 3, 4, 5, 6, 7, 8, 9), 3))  # d^2 = N: strided
+    @example((S(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), 4))  # d^2 > N: blocked
+    @example((S(5), 1))  # N = 0
+    @example((S(1, 1, 1), 3))  # d = N + 1
+    @settings(max_examples=300, deadline=None)
+    def test_polynomial(self, case):
+        a, d = case
+        assert a.mul_factor(POLYNOMIAL, d) == strided_poly_fold(a.coeffs, d)
+
+    @given(trunc_fold_cases())
+    @example((S(*range(1, 13)), 3, 4))  # kd = N - 1
+    @example((S(*range(1, 14)), 3, 4))  # kd = N
+    @example((S(*range(1, 12)), 3, 4))  # kd = N + 1
+    @example((S(2, 3, 5, 7, 11, 13, 17), 2, 4))  # d^2 > N, kd > N
+    @settings(max_examples=300, deadline=None)
+    def test_truncated(self, case):
+        a, k, d = case
+        kind = GeneratorKind.truncated(k)
+        assert a.mul_factor(kind, d) == trunc_loop(a.coeffs, k, d)
+
+    @given(poly_fold_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_exterior_is_truncated_two(self, case):
+        a, d = case
+        assert a.mul_factor(EXTERIOR, d) == trunc_loop(a.coeffs, 2, d)
+
+
+def alternating_sum(k, m, j):
+    """Coefficient of t^j in (1 + t + ... + t^(k-1))^m by inclusion-exclusion."""
+    return sum(
+        (-1) ** i * math.comb(m, i) * math.comb(m - 1 + j - i * k, j - i * k)
+        for i in range(min(m, j // k) + 1)
+    )
+
+
+class TestFactorPower:
+    """`factor_series(kind, d, trunc, m)` is the factor of m generators."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_matches_repeated_folding(self, kind, m):
+        for d, trunc in ((1, 20), (3, 31), (7, 20), (9, 8)):
+            folded = TruncatedSeries.unit(trunc)
+            for _ in range(m):
+                folded = folded.mul_factor(kind, d)
+            assert factor_series(kind, d, trunc, m) == folded
+
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=10**9),
+        st.integers(min_value=0, max_value=40),
+    )
+    @example(2, 7, 40)
+    @example(6, 1, 5)
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_matches_alternating_sum(self, k, m, trunc):
+        got = factor_series(GeneratorKind.truncated(k), 1, trunc, m)
+        assert list(got) == [alternating_sum(k, m, j) for j in range(trunc + 1)]
+
+    def test_polynomial_binomials(self):
+        m = 10**8
+        got = factor_series(POLYNOMIAL, 2, 10, m)
+        want = [0] * 11
+        want[::2] = [math.comb(m - 1 + j, j) for j in range(6)]
+        assert list(got) == want
+
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    def test_bad_arguments_rejected(self, kind):
+        for d, trunc, m in ((0, 5, 1), (2, -1, 1), (2, 5, -1)):
+            with pytest.raises(SeriesError):
+                factor_series(kind, d, trunc, m)
+
+    def test_exterior_binomials(self):
+        assert list(factor_series(EXTERIOR, 1, 9, 6)) == [
+            math.comb(6, j) for j in range(10)
+        ]
 
 
 class TestCumulativeShiftHadamard:
