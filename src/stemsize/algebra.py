@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .dsl import (
-    BinOp,
     DegreeExpr,
     DslError,
     Lit,
-    Min,
     Tokenizer,
-    Var,
     eval_expr,
     expr_free_vars,
     expr_to_text,

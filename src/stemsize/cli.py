@@ -15,7 +15,7 @@ import sys
 
 from . import algebra, asymptotics, ehp, presets, torsion, verify
 from .dsl import DslError
-from .series import SeriesError, TruncatedSeries
+from .series import SeriesError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -101,11 +101,10 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _emit_series(series: TruncatedSeries, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _emit(series.to_json(), out)
-    else:
-        _emit(_csv_text(series.csv_rows()), out)
+def _emit_as(fmt: str, out: str | None, json_text, rows) -> None:
+    """Emit json_text() as JSON or rows() as CSV; both are thunks, so only
+    the requested form is built."""
+    _emit(json_text() if fmt == "json" else _csv_text(rows()), out)
 
 
 def _cmd_hilbert(args) -> int:
@@ -115,7 +114,8 @@ def _cmd_hilbert(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot read spec {args.spec!r}: {exc}") from None
     fn = algebra.hilbert_cumulative if args.cumulative else algebra.hilbert
-    _emit_series(fn(spec, args.max_degree), args.format, args.out)
+    series = fn(spec, args.max_degree)
+    _emit_as(args.format, args.out, series.to_json, series.csv_rows)
     return EXIT_OK
 
 
@@ -129,42 +129,34 @@ def _cmd_preset(args) -> int:
         simplify_odd=args.simplify_odd,
     )
     fn = algebra.hilbert_cumulative if args.cumulative else algebra.hilbert
-    _emit_series(fn(spec, args.max_degree), args.format, args.out)
+    series = fn(spec, args.max_degree)
+    _emit_as(args.format, args.out, series.to_json, series.csv_rows)
     return EXIT_OK
 
 
 def _cmd_torsion(args) -> int:
     curve = _load_curve(args.curve)
     report = torsion.stable_torsion_bound(args.p, args.n, curve)
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    else:
-        rows = [
-            ("p", "n", "exact_sum", "closed_form", "curve"),
-            (
-                str(report.p),
-                str(report.n),
-                str(report.exact_sum),
-                repr(report.closed_form),
-                report.curve["model"],
-            ),
-        ]
-        _emit(_csv_text(rows), args.out)
+    _emit_as(args.format, args.out, report.to_json, lambda: [
+        ("p", "n", "exact_sum", "closed_form", "curve"),
+        (str(report.p), str(report.n), str(report.exact_sum),
+         repr(report.closed_form), report.curve["model"]),
+    ])
     return EXIT_OK
 
 
 def _cmd_ehp(args) -> int:
     if args.max_dim is not None:
         seqs = ehp.enumerate_I(args.p, args.excess, args.max_dim)
-        if args.format == "json":
-            _emit(json.dumps([J.to_json_obj() for J in seqs], indent=2), args.out)
-        else:
-            rows = [("entries", "dim")]
-            rows += [(repr(list(J.entries)), str(J.dim)) for J in seqs]
-            _emit(_csv_text(rows), args.out)
+        _emit_as(
+            args.format, args.out,
+            lambda: json.dumps([J.to_json_obj() for J in seqs], indent=2),
+            lambda: [("entries", "dim"),
+                     *((repr(list(J.entries)), str(J.dim)) for J in seqs)],
+        )
         return EXIT_OK
     series = ehp.a_series(args.p, args.excess, args.max_degree)
-    _emit_series(series, args.format, args.out)
+    _emit_as(args.format, args.out, series.to_json, series.csv_rows)
     return EXIT_OK
 
 
@@ -182,38 +174,29 @@ def _cmd_asymptotics(args) -> int:
             drop_q0=args.drop_q0,
             simplify_odd=args.simplify_odd,
         )
-        if args.format == "json":
-            _emit(json.dumps(profile.to_json_obj(), indent=2), args.out)
-        else:
-            _emit(_csv_text(profile.csv_rows()), args.out)
+        _emit_as(args.format, args.out,
+                 lambda: json.dumps(profile.to_json_obj(), indent=2), profile.csv_rows)
         return EXIT_OK
     if args.name in asymptotics.BRACKET_MODELS:
         if args.n is None:
             raise CliError("bracketing checks need --n <scale m>")
-        if args.lower_ceiling is not None:
-            report = asymptotics.bracketing_check(
-                args.p,
-                args.n,
-                args.name,
-                lower_ceiling=args.lower_ceiling,
-                require_lower=True,
-            )
-        else:
-            report = asymptotics.bracketing_check(args.p, args.n, args.name)
-        if args.format == "json":
-            _emit(json.dumps(report.to_json_obj(), indent=2), args.out)
-        else:
-            rows = [("check", "ok", "detail")]
-            rows += [(c.name, str(c.ok), c.detail) for c in report.checks]
-            _emit(_csv_text(rows), args.out)
+        forced = {} if args.lower_ceiling is None else {
+            "lower_ceiling": args.lower_ceiling, "require_lower": True}
+        report = asymptotics.bracketing_check(args.p, args.n, args.name, **forced)
+        _emit_as(
+            args.format, args.out,
+            lambda: json.dumps(report.to_json_obj(), indent=2),
+            lambda: [("check", "ok", "detail"),
+                     *((c.name, str(c.ok), c.detail) for c in report.checks)],
+        )
         return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
     consts = asymptotics.constants(args.p)
-    if args.format == "json":
-        _emit(json.dumps(consts.to_json_obj(), indent=2), args.out)
-    else:
-        rows = [("p", "K1", "K2", "K3"),
-                (str(consts.p), repr(consts.k1), repr(consts.k2), repr(consts.k3))]
-        _emit(_csv_text(rows), args.out)
+    _emit_as(
+        args.format, args.out,
+        lambda: json.dumps(consts.to_json_obj(), indent=2),
+        lambda: [("p", "K1", "K2", "K3"),
+                 (str(consts.p), repr(consts.k1), repr(consts.k2), repr(consts.k3))],
+    )
     return EXIT_OK
 
 

@@ -11,10 +11,9 @@ generators without degrees): odd-p dual Steenrod degrees |xi_n| = 2(p^n - 1),
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, AlgebraSpec, hilbert_cumulative, is_prime, parse_spec
+from .algebra import AlgebraSpec, hilbert_cumulative, is_prime, parse_spec
 from .series import TruncatedSeries
 
 __all__ = ["PRESET_NAMES", "PresetError", "preset", "max_over_h", "MaxOverH"]

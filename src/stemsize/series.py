@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 __all__ = [
     "GeneratorKind",

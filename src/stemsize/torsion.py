@@ -194,17 +194,15 @@ def counting_lemma(p: int, a: int, b: int) -> tuple[int, float]:
     return exact, bound
 
 
-def _e2_term(p: int, i: int) -> int:
-    if p == 2:
-        return 1 + val_p(2, i) + (1 if i % 2 == 0 else 0)
-    return 1 + val_p(p, i)
-
-
 def stable_torsion_bound(p: int, n: int, curve: VanishingCurve) -> TorsionReport:
     """Torsion exponent bound for the degree-n stable stem.
 
-    exact_sum amalgamates the per-column exponents over the window of
-    columns reachable below the vanishing curve; closed_form is
+    exact_sum amalgamates the per-column exponents 1 + |i|_p (plus 1 for
+    even i at p = 2) over the window lo <= i <= hi of columns reachable
+    below the vanishing curve.  By Legendre's identity the window sum is
+    hi - lo + 1 + sum_val_p(p, hi) - sum_val_p(p, lo - 1), plus
+    hi // 2 - (lo - 1) // 2 at p = 2, so it costs O(log n); g(n) >= 1 gives
+    hi >= lo - 1, and the empty window sums to 0.  closed_form is
     (5/4)g(n) + log_2(n) + 2 at p = 2 and p/(2(p-1)^2) g(n) + log_p(n) + 1
     at odd p.  exact_sum <= closed_form.
     """
@@ -212,10 +210,11 @@ def stable_torsion_bound(p: int, n: int, curve: VanishingCurve) -> TorsionReport
         raise TorsionError("degree must be >= 1")
     g = curve(n)
     span = 2 if p == 2 else 2 * p - 2
-    lo = n // span + 1
+    below = n // span  # lo - 1
     hi = (n + g) // span
-    exact = sum(_e2_term(p, i) for i in range(lo, hi + 1))
+    exact = hi - below + sum_val_p(p, hi) - sum_val_p(p, below)
     if p == 2:
+        exact += hi // 2 - below // 2
         closed = 1.25 * g + math.log2(n) + 2
     else:
         closed = p / (2 * (p - 1) ** 2) * g + math.log(n, p) + 1

@@ -6,7 +6,7 @@ deterministic PASS/FAIL lines.  Randomized checks draw from a seeded RNG
 header alone.
 
 The two exhaustive scans over all degrees up to 10^4 (counting-lemma pairs
-and stable torsion bounds) are vectorised with integer prefix arrays; float
+and stable torsion bounds) run on exact integer prefix sums; float
 near-ties in the counting-lemma scan are settled by exact big-integer
 comparison, so the scans are as exact as the direct per-call formulas they
 cross-check.
@@ -14,12 +14,11 @@ cross-check.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
+from itertools import accumulate
 
 from . import algebra, asymptotics, ehp, presets, series, torsion
 
@@ -333,29 +332,35 @@ def _counting_scan(p: int) -> tuple[bool, str]:
     p^q against b^(p-1) in exact integer arithmetic.
     """
     n = SCAN_LIMIT
-    vals = np.zeros(n + 1, dtype=np.int64)
+    vals = [0] * (n + 1)  # vals[x] = |x|_p by sieving the powers of p
     power = p
     while power <= n:
-        vals[power::power] += 1
+        for x in range(power, n + 1, power):
+            vals[x] += 1
         power *= p
-    t = np.cumsum(vals[1:] + 1)  # t[x-1] = T(x)
-    g = np.empty(n + 1, dtype=np.int64)
-    g[0] = 0
-    g[1:] = (p - 1) * t - p * np.arange(1, n + 1, dtype=np.int64)
-    prefix_min = np.minimum.accumulate(g)  # over a <= x
-    q = g[1:] - prefix_min[:-1]  # b = 1..n, min over a < b
-    worst_q = int(q.max())
-    for b in np.nonzero(q > 0)[0] + 1:
-        b = int(b)
-        if p ** int(q[b - 1]) > b ** (p - 1):
+    # g(x) - g(x-1) = (p-1)(1 + |x|_p) - p
+    g = list(accumulate(((p - 1) * v - 1 for v in vals[1:]), initial=0))
+    prefix_min = list(accumulate(g, min))  # over a <= x
+    q = [gb - m for gb, m in zip(g[1:], prefix_min)]  # q[b-1]: min over a < b
+    for b, qb in enumerate(q, 1):
+        if qb > 0 and p**qb > b ** (p - 1):
             return False, f"violation at p={p}, b={b}"
     # cross-check the closed-form function itself on the extremal b
-    b_star = int(np.argmax(q)) + 1
-    a_star = int(np.argmin(g[:b_star]))
+    worst_q = max(q)
+    b_star = q.index(worst_q) + 1
+    a_star = g.index(prefix_min[b_star - 1])
     exact, bound = torsion.counting_lemma(p, a_star, b_star)
     if exact > bound:
         return False, f"direct call violation at p={p}, a={a_star}, b={b_star}"
     return True, f"p={p}: all pairs <= {n}, tightest slack q = {worst_q}"
+
+
+def _e2_term(p: int, i: int) -> int:
+    """Column i's exponent, the reference kernel for the Legendre window sum
+    in `torsion.stable_torsion_bound`."""
+    if p == 2:
+        return 1 + torsion.val_p(2, i) + (1 if i % 2 == 0 else 0)
+    return 1 + torsion.val_p(p, i)
 
 
 def _stable_scan(p: int, curve: torsion.VanishingCurve) -> tuple[bool, str]:
@@ -364,36 +369,27 @@ def _stable_scan(p: int, curve: torsion.VanishingCurve) -> tuple[bool, str]:
     n_max = SCAN_LIMIT
     span = 2 if p == 2 else 2 * p - 2
     hi_cap = (2 * n_max) // span + 1
-    terms = np.array(
-        [torsion._e2_term(p, i) for i in range(1, hi_cap + 1)], dtype=np.int64
+    prefix = list(  # prefix[k] = sum of i <= k
+        accumulate((_e2_term(p, i) for i in range(1, hi_cap + 1)), initial=0)
     )
-    prefix = np.concatenate(([0], np.cumsum(terms)))  # prefix[k] = sum of i<=k
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    gs = np.array([curve(int(n)) for n in ns], dtype=np.int64)
-    lo = ns // span + 1
-    hi = (ns + gs) // span
-    exact = np.where(hi >= lo, prefix[np.maximum(hi, 0)] - prefix[lo - 1], 0)
-    if p == 2:
-        closed = 1.25 * gs + np.log2(ns.astype(float)) + 2
-    else:
-        closed = (
-            p / (2 * (p - 1) ** 2) * gs
-            + np.log(ns.astype(float)) / math.log(p)
-            + 1
-        )
-    bad = np.nonzero(exact > closed + 1e-9)[0]
-    if bad.size:
-        n_bad = int(bad[0]) + 1
-        return False, f"violation at p={p}, n={n_bad}"
+    slope, const = (1.25, 2) if p == 2 else (p / (2 * (p - 1) ** 2), 1)
+    exact, margins = [], []
+    for n in range(1, n_max + 1):
+        g = curve(n)
+        e = prefix[(n + g) // span] - prefix[n // span]  # g >= 1: hi >= lo - 1
+        closed = slope * g + (math.log2(n) if p == 2 else math.log(n, p)) + const
+        if e > closed + 1e-9:
+            return False, f"violation at p={p}, n={n}"
+        exact.append(e)
+        margins.append(closed - e)
     # near-ties and a sample settled by the direct function
-    margins = closed - exact
-    sample = set(int(i) + 1 for i in np.argsort(margins)[:5])
+    sample = set(heapq.nsmallest(5, range(1, n_max + 1), key=lambda n: margins[n - 1]))
     sample.update((1, 2, 3, n_max))
     for n in sorted(sample):
         rep = torsion.stable_torsion_bound(p, n, curve)
-        if rep.exact_sum != int(exact[n - 1]) or rep.exact_sum > rep.closed_form:
+        if rep.exact_sum != exact[n - 1] or rep.exact_sum > rep.closed_form:
             return False, f"direct call mismatch at p={p}, n={n}"
-    return True, f"p={p}: all n <= {n_max}, min margin {float(margins.min()):.4f}"
+    return True, f"p={p}: all n <= {n_max}, min margin {min(margins):.4f}"
 
 
 def _suite_torsion(rng: random.Random) -> list[CheckResult]:

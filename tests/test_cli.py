@@ -111,6 +111,23 @@ class TestTorsion:
         assert obj["exact_sum"] == 17
 
 
+class TestImport:
+    def test_standard_library_only(self):
+        # in a fresh interpreter, the CLI's import loads no third-party module
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import stemsize.cli\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names) - {'stemsize'}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestEhp:
     def test_sequence_listing(self):
         code, out, _ = run_cli(

@@ -1,19 +1,25 @@
 """Golden SHA-256 digests of the engine's exact outputs.
 
-The digests were computed before the Hilbert fold and `TruncatedSeries.mul`
-moved onto the gcd lattice, so any change of an output byte under a later
-kernel change fails here.  Each digest covers one configuration over all of
-its truncations.  To print the table for the code on the path (only when an
-output is meant to change), run ``python tests/test_golden.py``.
+The series and report digests were computed before the Hilbert fold and
+`TruncatedSeries.mul` moved onto the gcd lattice, and the digest of the
+`stemsize verify --suite torsion` stdout before its exhaustive scans moved
+to pure-Python integer prefix sums, so any change of an output byte under
+a later kernel change fails here.  Each series digest covers one
+configuration over all of its truncations.  To print the table for the
+code on the path (only when an output is meant to change), run
+``python tests/test_golden.py``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
 from stemsize.algebra import hilbert, hilbert_cumulative
 from stemsize.asymptotics import bracketing_check
+from stemsize.cli import main
 from stemsize.presets import max_over_h, preset
 
 PRIMES = (2, 3, 5)
@@ -92,8 +98,18 @@ def _max_over_h_digest(family, p):
     return f"max_over_h {family} p={p}", _digest(parts)
 
 
+def _verify_digest(suite, seed):
+    """SHA-256 of the `stemsize verify` stdout, as `sha256sum` prints it."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["verify", "--suite", suite, "--seed", str(seed)])
+    label = f"verify --suite {suite} --seed {seed}"
+    return label, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 PRESET_PARAMS = [(name, p, kw) for name, kw in PRESET_CASES for p in PRIMES]
 MAX_OVER_H_PARAMS = [(f, p) for f in ("r_h_e2", "r_h_einf") for p in PRIMES]
+VERIFY_CASES = (("torsion", 1729),)
 
 
 def _id(value):
@@ -181,6 +197,7 @@ GOLDEN = {
     "max_over_h r_h_einf p=2": "5d95dfdab873822088d397f912d7a1271df0087b61ec677c8609f6b0d07014f3",
     "max_over_h r_h_einf p=3": "9ec9355d50555dcb23add044954a98a01753cd3a91d7fb5eb32af35c7974aa15",
     "max_over_h r_h_einf p=5": "4ab9be895625f3a4c0dee3493565f14239efe96c6c799cd16408d3d7fafc8787",
+    "verify --suite torsion --seed 1729": "09afce0b636fd30027c4773c012e2c540df77edca76745b736cee14742bb9cad",
 }
 
 
@@ -202,10 +219,17 @@ def test_max_over_h(family, p):
     assert digest == GOLDEN[label]
 
 
+@pytest.mark.parametrize("suite,seed", VERIFY_CASES, ids=_id)
+def test_verify_report(suite, seed):
+    label, digest = _verify_digest(suite, seed)
+    assert digest == GOLDEN[label]
+
+
 if __name__ == "__main__":
     rows = [_preset_digest(name, p, kw) for name, p, kw in PRESET_PARAMS]
     rows += [_bracket_digest(*case) for case in BRACKET_CASES]
     rows += [_max_over_h_digest(*case) for case in MAX_OVER_H_PARAMS]
+    rows += [_verify_digest(*case) for case in VERIFY_CASES]
     print("GOLDEN = {")
     for label, digest in rows:
         print(f"    {label!r}: {digest!r},")

@@ -24,6 +24,16 @@ from stemsize.torsion import (
 
 primes = st.sampled_from([2, 3, 5, 7])
 
+WINDOW_MAX_N = 3000
+WINDOW_CURVES = {
+    "linear": LinearCurve(),
+    "sqrt": PowerLawCurve(0.5, 1.0),
+    "pow0.3": PowerLawCurve(0.3),
+    "table": TableCurve(
+        tuple(min(n, math.isqrt(5 * n) + n // 50) for n in range(1, WINDOW_MAX_N + 1))
+    ),
+}
+
 
 class TestValuations:
     def test_val_p(self):
@@ -118,6 +128,20 @@ class TestStableBound:
     def test_exact_below_closed_form(self, p, n):
         rep = stable_torsion_bound(p, n, LinearCurve())
         assert rep.exact_sum <= rep.closed_form
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("curve", WINDOW_CURVES.values(), ids=WINDOW_CURVES.keys())
+    def test_window_sum_matches_columns(self, p, curve):
+        # the Legendre form against the window sum of per-column exponents
+        span = 2 if p == 2 else 2 * p - 2
+        top = 2 * WINDOW_MAX_N // span
+        column = [0] + [
+            1 + val_p(p, i) + (1 if p == 2 and i % 2 == 0 else 0)
+            for i in range(1, top + 1)
+        ]
+        for n in range(1, WINDOW_MAX_N + 1):
+            lo, hi = n // span + 1, (n + curve(n)) // span
+            assert stable_torsion_bound(p, n, curve).exact_sum == sum(column[lo : hi + 1]), n
 
 
 class TestImJ:
