@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time cumulative rank series at large truncations in three fold regimes.
+"""Time cumulative rank series at large truncations in three fold regimes,
+and the EHP census series.
 
 `hilbert` folds each generator on the multiples of the gcd of the degrees
 folded so far, largest degree first, so its cost depends on the degrees and
@@ -18,12 +19,17 @@ on the generator kinds:
   divisibility chain, so a generator of degree d folds on N // d + 1
   coefficients.  Measured at N = 2^18 - 1 (the m = 18 upper bracketing
   check) and at N = 1,490,853 = C(14, 2) (2^14 - 1) (the m = 14 lower check).
+- ehp: A(1;t) at p = 2, N = 300 (3.0M sequences) and P(A;t) at p = 2,
+  N = 400 (24M admissible monomials).  Both are counted by the prefix-sum
+  census of `stemsize.ehp`, so the time grows with N, not with the counts;
+  the enumerators it replaced took seconds here.
 """
 
 import argparse
 import time
 
 from stemsize.algebra import AlgebraSpec, hilbert_cumulative, parse_spec
+from stemsize.ehp import a_series, admissible_series
 from stemsize.presets import preset
 
 TRUNC_SPEC = """\
@@ -51,6 +57,13 @@ def measure_preset(regime: str, name: str, trunc: int, **kwargs) -> None:
     measure(regime, spec.label, spec, trunc)
 
 
+def measure_census(label: str, series_fn, *args) -> None:
+    start = time.monotonic()
+    series = series_fn(*args)
+    elapsed = time.monotonic() - start
+    print(f"{'ehp':8} {label}: {elapsed * 1000:.1f} ms, {sum(series)} counted")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--stretch", action="store_true",
@@ -62,6 +75,8 @@ def main() -> None:
     measure("trunc", "ext/trunc(3)/trunc(5) families, p = 3", parse_spec(TRUNC_SPEC), 2**16)
     measure_preset("chain", "may_model", 2**18 - 1)
     measure_preset("chain", "may_model", 14 * 13 // 2 * (2**14 - 1))
+    measure_census("A(1;t), p = 2, N = 300", a_series, 2, 1, 300)
+    measure_census("P(A;t), p = 2, N = 400", admissible_series, 2, 400)
 
 
 if __name__ == "__main__":

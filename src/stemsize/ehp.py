@@ -6,9 +6,9 @@ i_s > 2 i_{s+1}; dim(J) = sum (i_s - 1).  At odd p the entries are pairs
 (eps_s, i_s) with eps_s in {0,1}, 2 i_k >= n and i_s > p i_{s+1} - eps_{s+1};
 dim(J) = sum (2(p-1) i_s - eps_s - 1).
 
-The A-series are computed by direct enumeration with dimension pruning; the
-EHP recurrences do not ground out (they refer to larger excess), so they are
-kept as verification oracles instead.
+A(n;t) and P(A;t) are counted by one prefix-sum chain census, whose oracle
+is the listing `enumerate_I`; the EHP recurrences do not ground out (they
+refer to larger excess), so they are kept as verification oracles instead.
 
 Where A(n;t) <= P(A;t) holds:
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .series import TruncatedSeries, SeriesError
 
@@ -84,8 +85,7 @@ def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:
     if p == 2:
         # Build right to left: last entry i_k >= n, each prepend i > 2 * head.
         def grow(suffix: tuple[int, ...], dim: int) -> None:
-            lo = 2 * suffix[0] + 1
-            i = lo
+            i = 2 * suffix[0] + 1
             while dim + (i - 1) <= max_dim:
                 seq = (i,) + suffix
                 out.append(CUSeq(p, n, seq))
@@ -120,12 +120,39 @@ def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:
     return out
 
 
+def _count_chains(trunc: int, entries) -> list[int]:
+    """Count chains of entries by total dimension through trunc, in O(N^2).
+
+    Entries (dim, k) come in nondecreasing dim, and each may stand left of
+    exactly the first k entries.  sums[j] is 1 plus the rows of the first j
+    entries, where an entry's row t^dim * sums[k] counts the chains it starts.
+    """
+    sums = [[1] + [0] * trunc]
+    for dim, k in entries:
+        if dim > trunc:
+            break
+        sums.append(sums[-1][:dim] + list(map(add, sums[-1][dim:], sums[k])))
+    return sums[-1]
+
+
 @lru_cache(maxsize=4096)
 def _a_counts(p: int, n: int, max_dim: int) -> tuple[int, ...]:
-    counts = [0] * (max_dim + 1)
-    for J in enumerate_I(p, n, max_dim):
-        counts[J.dim] += 1
-    return tuple(counts)
+    if n < 1:
+        raise ValueError("excess must be >= 1")
+    if max_dim < 0:
+        raise ValueError("dimension cap must be >= 0")
+    if p == 2:
+        # entry i >= n may precede j >= n iff j <= (i - 1) // 2
+        entries = ((i - 1, max(0, (i - 1) // 2 - n + 1)) for i in range(n, max_dim + 2))
+        return tuple(_count_chains(max_dim, entries))
+    # (eps, i) may precede (eps', j) iff j <= (i - 1 + eps') // p: both
+    # entries of every j <= (i - 1) // p, and (1, i // p) when p | i
+    w, lo = 2 * (p - 1), (n + 1) // 2
+    entries = []
+    for i in range(lo, (max_dim + 2) // w + 1):
+        k = 2 * max(0, (i - 1) // p - lo + 1) + (i % p == 0 and i // p >= lo)
+        entries += [(w * i - 2, k), (w * i - 1, k)]  # (1, i), then (0, i)
+    return tuple(_count_chains(max_dim, entries))
 
 
 def a_series(p: int, n: int, trunc: int) -> TruncatedSeries:
@@ -161,43 +188,15 @@ def verify_ehp_recurrence(p: int, n: int, trunc: int) -> bool:
 
 @lru_cache(maxsize=64)
 def _admissible_counts(p: int, trunc: int) -> tuple[int, ...]:
-    counts = [0] * (trunc + 1)
-    if p == 2:
-        # Admissible sequences i_s >= 2 i_{s+1}, i_k >= 1, graded by sum i_s.
-        def grow(head: int, total: int) -> None:
-            counts[total] += 1
-            i = 2 * head
-            while total + i <= trunc:
-                grow(i, total + i)
-                i += 1
-
-        counts[0] += 1  # empty monomial
-        for i in range(1, trunc + 1):
-            grow(i, i)
-    else:
-        # Admissible monomials b^e0 P^{i_1} b^e1 ... P^{i_k} b^ek with
-        # i_s >= p i_{s+1} + eps_s, graded by e0 + sum (2(p-1) i_s + eps_s).
-        w = 2 * (p - 1)
-
-        def grow_odd(head_i: int, head_eps: int, total: int) -> None:
-            # sequence finished: both choices of the leading Bockstein e0
-            counts[total] += 1
-            if total + 1 <= trunc:
-                counts[total + 1] += 1
-            for eps in (0, 1):
-                i = p * head_i + eps
-                while total + w * i + eps <= trunc:
-                    grow_odd(i, eps, total + w * i + eps)
-                    i += 1
-
-        counts[0] += 1  # empty monomial
-        if trunc >= 1:
-            counts[1] += 1  # the bare Bockstein
-        for eps in (0, 1):
-            i = 1
-            while w * i + eps <= trunc:
-                grow_odd(i, eps, w * i + eps)
-                i += 1
+    if p == 2:  # admissible i_s >= 2 i_{s+1}, i_k >= 1, graded by sum i_s
+        return tuple(_count_chains(trunc, ((i, i // 2) for i in range(1, trunc + 1))))
+    # b^e0 P^{i_1} b^e1 ... P^{i_k} b^ek, graded by e0 + sum (2(p-1) i_s + e_s):
+    # (e, i) may precede both entries of every j with i >= p j + e
+    w = 2 * (p - 1)
+    entries = [(w * i + e, 2 * ((i - e) // p))
+               for i in range(1, trunc // w + 1) for e in (0, 1)]
+    counts = _count_chains(trunc, entries)
+    counts[1:] = map(add, counts[1:], counts)  # the leading Bockstein e0
     return tuple(counts)
 
 

@@ -206,6 +206,8 @@ def stable_torsion_bound(p: int, n: int, curve: VanishingCurve) -> TorsionReport
     (5/4)g(n) + log_2(n) + 2 at p = 2 and p/(2(p-1)^2) g(n) + log_p(n) + 1
     at odd p.  exact_sum <= closed_form.
     """
+    if not is_prime(p):
+        raise TorsionError(f"p = {p} is not prime")
     if n < 1:
         raise TorsionError("degree must be >= 1")
     g = curve(n)

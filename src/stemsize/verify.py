@@ -466,10 +466,9 @@ def _suite_torsion(rng: random.Random) -> list[CheckResult]:
             a = torsion.stable_torsion_bound(p, n, torsion.LinearCurve()).exact_sum
             b = torsion.stable_torsion_bound(p, n + span, torsion.LinearCurve()).exact_sum
             hi = (2 * (n + span)) // span
-            cap = 1 + max(
-                (torsion.val_p(p, i) for i in range(1, hi + 1)), default=0
-            ) + (1 if p == 2 else 0)
-            if a > b + cap:
+            # the largest valuation in 1..hi is the largest k with p^k <= hi
+            top = max(k for k in range(hi.bit_length()) if p**k <= hi)
+            if a > b + 1 + top + (1 if p == 2 else 0):
                 ok = False
     out.append(
         _result(

@@ -110,6 +110,13 @@ class TestTorsion:
         obj = json.loads(out)
         assert obj["exact_sum"] == 17
 
+    @pytest.mark.parametrize("p", ["1", "4"])
+    def test_non_prime_exits_one(self, p):
+        code, out, err = run_cli("torsion", "--p", p, "--n", "5")
+        assert code == 1
+        assert out == ""
+        assert err == f"stemsize: error: p = {p} is not prime\n"
+
 
 class TestImport:
     def test_standard_library_only(self):

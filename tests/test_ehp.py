@@ -17,6 +17,56 @@ from stemsize.algebra import hilbert
 from stemsize.series import SeriesError, TruncatedSeries
 
 
+def census(p, n, trunc):
+    """Degree histogram of the listed sequences: the oracle for A(n;t)."""
+    counts = [0] * (trunc + 1)
+    for J in enumerate_I(p, n, trunc):
+        counts[J.dim] += 1
+    return TruncatedSeries(counts)
+
+
+def admissible_counts_reference(p: int, trunc: int) -> tuple[int, ...]:
+    """Reference kernel for P(A;t): one recursive step per admissible monomial."""
+    counts = [0] * (trunc + 1)
+    if p == 2:
+        # Admissible sequences i_s >= 2 i_{s+1}, i_k >= 1, graded by sum i_s.
+        def grow(head: int, total: int) -> None:
+            counts[total] += 1
+            i = 2 * head
+            while total + i <= trunc:
+                grow(i, total + i)
+                i += 1
+
+        counts[0] += 1  # empty monomial
+        for i in range(1, trunc + 1):
+            grow(i, i)
+    else:
+        # Admissible monomials b^e0 P^{i_1} b^e1 ... P^{i_k} b^ek with
+        # i_s >= p i_{s+1} + eps_s, graded by e0 + sum (2(p-1) i_s + eps_s).
+        w = 2 * (p - 1)
+
+        def grow_odd(head_i: int, head_eps: int, total: int) -> None:
+            # sequence finished: both choices of the leading Bockstein e0
+            counts[total] += 1
+            if total + 1 <= trunc:
+                counts[total + 1] += 1
+            for eps in (0, 1):
+                i = p * head_i + eps
+                while total + w * i + eps <= trunc:
+                    grow_odd(i, eps, total + w * i + eps)
+                    i += 1
+
+        counts[0] += 1  # empty monomial
+        if trunc >= 1:
+            counts[1] += 1  # the bare Bockstein
+        for eps in (0, 1):
+            i = 1
+            while w * i + eps <= trunc:
+                grow_odd(i, eps, w * i + eps)
+                i += 1
+    return tuple(counts)
+
+
 class TestEnumerate:
     def test_p2_example(self):
         seqs = enumerate_I(2, 1, 2)
@@ -89,6 +139,33 @@ class TestASeries:
             a_series(2, 2 * n + 1, trunc).shift(n - 1)
         )
         assert lhs == rhs
+
+
+class TestCensusKernel:
+    """The prefix-sum census against the enumerators it replaced."""
+
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=0, max_value=80),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_series_matches_enumeration(self, p, n, trunc):
+        assert a_series(p, n, trunc) == census(p, n, trunc)
+
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=120))
+    @settings(max_examples=100, deadline=None)
+    def test_admissible_matches_reference(self, p, trunc):
+        assert admissible_series(p, trunc) == TruncatedSeries(
+            admissible_counts_reference(p, trunc)
+        )
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_large_degree(self, p):
+        # out of reach for the enumerators: P(A;t) at p = 2 has 24M monomials
+        assert admissible_series(p, 400) == hilbert(preset("dual_steenrod", p), 400)
+        for n in range(1, 4):
+            assert verify_ehp_recurrence(p, n, 400)
 
 
 class TestAdmissible:

@@ -1,10 +1,11 @@
 """Golden SHA-256 digests of the engine's exact outputs.
 
 The series and report digests were computed before the Hilbert fold and
-`TruncatedSeries.mul` moved onto the gcd lattice, and the digest of the
+`TruncatedSeries.mul` moved onto the gcd lattice, the digest of the
 `stemsize verify --suite torsion` stdout before its exhaustive scans moved
-to pure-Python integer prefix sums, so any change of an output byte under
-a later kernel change fails here.  Each series digest covers one
+to pure-Python integer prefix sums, and the A(n;t) and P(A;t) digests while
+`ehp` still counted by listing every sequence, so any change of an output
+byte under a later kernel change fails here.  Each series digest covers one
 configuration over all of its truncations.  To print the table for the
 code on the path (only when an output is meant to change), run
 ``python tests/test_golden.py``.
@@ -20,11 +21,14 @@ import pytest
 from stemsize.algebra import hilbert, hilbert_cumulative
 from stemsize.asymptotics import bracketing_check
 from stemsize.cli import main
+from stemsize.ehp import a_series, admissible_series
 from stemsize.presets import max_over_h, preset
 
 PRIMES = (2, 3, 5)
 TRUNCS = (0, 1, 2, 97, 4096)
 MAX_OVER_H_TRUNCS = (0, 1, 2, 97)
+A_TRUNCS = (0, 1, 2, 97, 150)
+ADMISSIBLE_TRUNCS = (0, 1, 2, 97, 250)
 
 # (preset name, keyword arguments): every preset with valid parameters.
 PRESET_CASES = (
@@ -98,6 +102,18 @@ def _max_over_h_digest(family, p):
     return f"max_over_h {family} p={p}", _digest(parts)
 
 
+def _a_series_digest(p, n):
+    return f"a_series p={p} n={n}", _digest(
+        a_series(p, n, trunc).to_json() for trunc in A_TRUNCS
+    )
+
+
+def _admissible_digest(p):
+    return f"admissible_series p={p}", _digest(
+        admissible_series(p, trunc).to_json() for trunc in ADMISSIBLE_TRUNCS
+    )
+
+
 def _verify_digest(suite, seed):
     """SHA-256 of the `stemsize verify` stdout, as `sha256sum` prints it."""
     buf = io.StringIO()
@@ -110,6 +126,8 @@ def _verify_digest(suite, seed):
 PRESET_PARAMS = [(name, p, kw) for name, kw in PRESET_CASES for p in PRIMES]
 MAX_OVER_H_PARAMS = [(f, p) for f in ("r_h_e2", "r_h_einf") for p in PRIMES]
 VERIFY_CASES = (("torsion", 1729),)
+A_CASES = ((2, 1), (2, 2), (2, 5), (3, 1), (3, 4), (5, 2), (7, 3))
+ADMISSIBLE_PRIMES = (2, 3, 5, 7)
 
 
 def _id(value):
@@ -198,6 +216,17 @@ GOLDEN = {
     "max_over_h r_h_einf p=3": "9ec9355d50555dcb23add044954a98a01753cd3a91d7fb5eb32af35c7974aa15",
     "max_over_h r_h_einf p=5": "4ab9be895625f3a4c0dee3493565f14239efe96c6c799cd16408d3d7fafc8787",
     "verify --suite torsion --seed 1729": "09afce0b636fd30027c4773c012e2c540df77edca76745b736cee14742bb9cad",
+    "a_series p=2 n=1": "4fc5490d694a79106023740968b69b3baa1b7c21f91c60294c2b777c968d6a1a",
+    "a_series p=2 n=2": "c412e98ba5c05e4a9055f96463c54bb36b76e101547dd53048dc4d5c3713eed4",
+    "a_series p=2 n=5": "894d037a0a68fd38876cc59eab692daf851ed5738930b817d950759e6a3feb01",
+    "a_series p=3 n=1": "3ae335cf5b8d9d6409ea6efc709ac4e5d5aeb429d1649bb6a80056a7754ab6a0",
+    "a_series p=3 n=4": "b613a47dc1d931236ed7a7035f5c1b2da15cb1437690d6ec41a4db02443500b0",
+    "a_series p=5 n=2": "8d6a99cd93ad721068103c5527f355e490de2e9d84db727996ac7d758f909f59",
+    "a_series p=7 n=3": "994c24467b004be7433822a1a0230eef81ebcc4d6dd4ad12323551007ab838b9",
+    "admissible_series p=2": "bc7c5427a4b465dc0b2d2acf22d55992c0f9061d346e7d06fd0d8fd5af1a0936",
+    "admissible_series p=3": "638c15e288a76672d52fc9c43203f5271c40bd8b36edc0721c5e2a46686754fd",
+    "admissible_series p=5": "8cc8a22b12d42d9b43b6862185a25843912e182c6d5eee81d9ebf6e256664fb4",
+    "admissible_series p=7": "ad908f1d2e59becbf3a59fa7f8f3a4170a179da46902168cddb5c895ff5f94b4",
 }
 
 
@@ -225,11 +254,25 @@ def test_verify_report(suite, seed):
     assert digest == GOLDEN[label]
 
 
+@pytest.mark.parametrize("p,n", A_CASES, ids=_id)
+def test_a_series(p, n):
+    label, digest = _a_series_digest(p, n)
+    assert digest == GOLDEN[label]
+
+
+@pytest.mark.parametrize("p", ADMISSIBLE_PRIMES, ids=_id)
+def test_admissible_series(p):
+    label, digest = _admissible_digest(p)
+    assert digest == GOLDEN[label]
+
+
 if __name__ == "__main__":
     rows = [_preset_digest(name, p, kw) for name, p, kw in PRESET_PARAMS]
     rows += [_bracket_digest(*case) for case in BRACKET_CASES]
     rows += [_max_over_h_digest(*case) for case in MAX_OVER_H_PARAMS]
     rows += [_verify_digest(*case) for case in VERIFY_CASES]
+    rows += [_a_series_digest(*case) for case in A_CASES]
+    rows += [_admissible_digest(p) for p in ADMISSIBLE_PRIMES]
     print("GOLDEN = {")
     for label, digest in rows:
         print(f"    {label!r}: {digest!r},")

@@ -123,6 +123,11 @@ class TestStableBound:
         with pytest.raises(TorsionError):
             stable_torsion_bound(2, 0, LinearCurve())
 
+    @pytest.mark.parametrize("p", [-5, -1, 0, 1, 4, 6, 9])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(TorsionError, match=f"p = {p} is not prime"):
+            stable_torsion_bound(p, 5, LinearCurve())
+
     @given(primes, st.integers(min_value=1, max_value=3000))
     @settings(max_examples=200)
     def test_exact_below_closed_form(self, p, n):
