@@ -12,6 +12,7 @@ brute-force multiset enumeration as an independent check.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -86,6 +87,12 @@ class GeneratorFamily:
     degree expression must evaluate to a positive integer on every admissible
     index tuple and, for unbounded indices, be eventually strictly increasing
     so that only finitely many generators land below any truncation.
+
+    `instantiate` walks the ranges in order.  Bounded ranges are walked in
+    full.  An unbounded index stops once the least degree over the ranges
+    after it exceeds the truncation and has risen `_INCREASE_STREAK` times in
+    a row; if that has not happened within max(`_WALK_BUDGET_FLOOR`,
+    4 * truncation) values, the family is rejected with `AlgebraError`.
     """
 
     kind: GeneratorKind
@@ -255,87 +262,56 @@ def _family_label(fam: GeneratorFamily) -> str:
     return f"gen {fam.kind} deg = {expr_to_text(fam.degree)}"
 
 
-def _family_generators(
-    spec: AlgebraSpec, fam: GeneratorFamily, trunc: int
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
+_Row = tuple[tuple[int, ...], int, int]  # (index tuple, degree, multiplicity)
+
+
+def _family_generators(spec: AlgebraSpec, fam: GeneratorFamily, trunc: int) -> Iterator[_Row]:
     env = {"p": spec.p}
     budget = max(_WALK_BUDGET_FLOOR, 4 * trunc)
 
-    def eval_at_floor(level: int) -> int | None:
-        """Smallest degree over the subtree below `level`: bounded indices are
-        enumerated exactly, unbounded ones sit at their lower bound (the spec
-        requires degrees to increase in unbounded indices).  None for an
-        empty subtree."""
-        deeper = fam.ranges[level:]
-        best: int | None = None
+    def walk(level: int, indices: tuple[int, ...]) -> typing.Generator[_Row, None, int | None]:
+        """Yield the generators of degree <= trunc below `level` and return the
+        least degree evaluated there, None for an empty subtree.
 
-        def go(k: int) -> None:
-            nonlocal best
-            if k == len(deeper):
-                d = eval_expr(fam.degree, env)
-                if best is None or d < best:
-                    best = d
-                return
-            name, lo, hi = deeper[k]
-            if hi is None:
-                env[name] = lo
-                go(k + 1)
-            else:
-                for v in range(lo, hi + 1):
-                    env[name] = v
-                    go(k + 1)
-
-        go(0)
-        return best
-
-    def emit(indices: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        deg = eval_expr(fam.degree, env)
-        if deg < 1:
-            raise AlgebraError(
-                f"{_family_label(fam)}: degree {deg} at indices {indices} is not positive"
-            )
-        mult = eval_expr(fam.multiplicity, env)
-        if mult < 0:
-            raise AlgebraError(
-                f"{_family_label(fam)}: negative multiplicity at indices {indices}"
-            )
-        if deg <= trunc and mult > 0:
-            yield indices, deg, mult
-
-    def walk(level: int, indices: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        Bounded indices are walked in full.  An unbounded index stops once the
+        least degree of its subtree exceeds trunc and has risen
+        `_INCREASE_STREAK` times in a row; it fails after `budget` values.
+        """
         if level == len(fam.ranges):
-            yield from emit(indices)
-            return
+            deg = eval_expr(fam.degree, env)
+            if deg < 1:
+                raise AlgebraError(
+                    f"{_family_label(fam)}: degree {deg} at indices {indices} is not positive"
+                )
+            mult = eval_expr(fam.multiplicity, env)
+            if mult < 0:
+                raise AlgebraError(
+                    f"{_family_label(fam)}: negative multiplicity at indices {indices}"
+                )
+            if deg <= trunc and mult > 0:
+                yield indices, deg, mult
+            return deg
         name, lo, hi = fam.ranges[level]
-        if hi is not None:
-            for v in range(lo, hi + 1):
-                env[name] = v
-                yield from walk(level + 1, indices + (v,))
-            return
-        prev_floor: int | None = None
+        least = prev = None
         streak = 0
         v = lo
-        while True:
-            if v - lo > budget:
+        while hi is None or v <= hi:
+            if hi is None and v - lo > budget:
                 raise AlgebraError(
                     f"{_family_label(fam)}: index {name!r} is not eventually "
                     f"increasing within the window [1, {trunc}]"
                 )
             env[name] = v
-            floor_deg = eval_at_floor(level + 1)
-            if floor_deg is None:
-                return  # an empty bounded range below: no generators at all
-            if prev_floor is not None and floor_deg > prev_floor:
-                streak += 1
-            elif prev_floor is not None:
-                streak = 0
-            if floor_deg > trunc and streak >= _INCREASE_STREAK:
-                return
-            if floor_deg <= trunc:
-                env[name] = v  # eval_at_floor clobbered deeper vars only
-                yield from walk(level + 1, indices + (v,))
-            prev_floor = floor_deg
+            floor = yield from walk(level + 1, indices + (v,))
+            if floor is None:
+                return None  # an empty bounded range below: no generators at all
+            least = floor if least is None else min(least, floor)
+            streak = streak + 1 if prev is not None and floor > prev else 0
+            if hi is None and floor > trunc and streak >= _INCREASE_STREAK:
+                break
+            prev = floor
             v += 1
+        return least
 
     yield from walk(0, ())
 

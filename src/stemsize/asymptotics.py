@@ -108,22 +108,6 @@ class RatioProfile:
         }
 
 
-def _resolve_spec(
-    spec_or_preset,
-    p: int,
-    *,
-    h: int | None = None,
-    k: int | None = None,
-    drop_q0: bool = False,
-    simplify_odd: bool = False,
-) -> AlgebraSpec:
-    if isinstance(spec_or_preset, AlgebraSpec):
-        return spec_or_preset
-    return preset(
-        spec_or_preset, p, h=h, k=k, drop_q0=drop_q0, simplify_odd=simplify_odd
-    )
-
-
 def ratio_profile(
     spec_or_preset,
     p: int,
@@ -143,7 +127,11 @@ def ratio_profile(
     pts = sorted(set(points))
     if pts[0] < 2:
         raise ValueError("sample points must be >= 2")
-    spec = _resolve_spec(spec_or_preset, p, **preset_kwargs)
+    spec = (
+        spec_or_preset
+        if isinstance(spec_or_preset, AlgebraSpec)
+        else preset(spec_or_preset, p, **preset_kwargs)
+    )
     label = spec.label or "spec"
     series = hilbert_cumulative(spec, pts[-1])
     rows = []

@@ -14,8 +14,6 @@ import json
 import sys
 
 from . import algebra, asymptotics, ehp, presets, torsion, verify
-from .dsl import DslError
-from .series import SeriesError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -284,15 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     except asymptotics.ResourceLimitError as exc:
         print(f"stemsize: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (
-        CliError,
-        DslError,
-        SeriesError,
-        algebra.AlgebraError,
-        presets.PresetError,
-        torsion.TorsionError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"stemsize: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

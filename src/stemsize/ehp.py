@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
+from .algebra import is_prime
 from .series import TruncatedSeries, SeriesError
 
 __all__ = [
@@ -75,8 +76,14 @@ class CUSeq:
         }
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:
     """Every J in I(n) with dim(J) <= max_dim, exactly once, lexicographically."""
+    _require_prime(p)
     if n < 1:
         raise ValueError("excess must be >= 1")
     if max_dim < 0:
@@ -137,6 +144,7 @@ def _count_chains(trunc: int, entries) -> list[int]:
 
 @lru_cache(maxsize=4096)
 def _a_counts(p: int, n: int, max_dim: int) -> tuple[int, ...]:
+    _require_prime(p)
     if n < 1:
         raise ValueError("excess must be >= 1")
     if max_dim < 0:
@@ -188,6 +196,7 @@ def verify_ehp_recurrence(p: int, n: int, trunc: int) -> bool:
 
 @lru_cache(maxsize=64)
 def _admissible_counts(p: int, trunc: int) -> tuple[int, ...]:
+    _require_prime(p)
     if p == 2:  # admissible i_s >= 2 i_{s+1}, i_k >= 1, graded by sum i_s
         return tuple(_count_chains(trunc, ((i, i // 2) for i in range(1, trunc + 1))))
     # b^e0 P^{i_1} b^e1 ... P^{i_k} b^ek, graded by e0 + sum (2(p-1) i_s + e_s):

@@ -158,11 +158,6 @@ class TruncatedSeries:
         head = ", ".join(map(str, self._coeffs[:10]))
         return f"TruncatedSeries([{head}, ...], trunc={self.trunc})"
 
-    def truncate(self, trunc: int) -> "TruncatedSeries":
-        if trunc >= self.trunc:
-            return self
-        return TruncatedSeries._of(self._coeffs[: trunc + 1])
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":

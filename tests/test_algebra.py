@@ -87,6 +87,43 @@ class TestInstantiate:
     def test_empty_spec(self):
         assert instantiate(AlgebraSpec(2, ()), 10) == []
 
+    @pytest.mark.parametrize("ranges", ["i = 0..inf, j = 0..inf", "j = 0..inf, i = 0..inf"])
+    def test_nested_floor_is_exact(self, ranges):
+        # at j = 0 the degree is i + 10, far above the least degree i + 1
+        spec = parse_spec(f"p = 2\ngen poly deg = (j - 3)*(j - 3) + 1 + i for {ranges}\n")
+        assert len(instantiate(spec, 5)) == 15
+        assert list(hilbert(spec, 5)) == [1, 1, 4, 7, 16, 30]
+        assert len(instantiate(spec, 30)) == 201
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.integers(0, 3),
+        b=st.integers(0, 3),
+        c=st.integers(0, 10),
+        e=st.integers(0, 10),
+        trunc=st.integers(0, 30),
+    )
+    @example(a=0, b=1, c=0, e=3, trunc=5)
+    def test_two_unbounded_indices_match_bounded_walk(self, a, b, c, e, trunc):
+        # deg > i + j, so no generator of degree <= trunc has an index above
+        # trunc, and the bounded ranges are walked in full
+        deg = f"{a}*(i - {c})*(i - {c}) + {b}*(j - {e})*(j - {e}) + i + j + 1"
+
+        def gens(ranges):
+            spec = parse_spec(f"p = 2\ngen poly deg = {deg} for {ranges}\n")
+            return sorted((g.degree, g.multiplicity) for g in instantiate(spec, trunc))
+
+        expected = gens(f"i = 0..{trunc}, j = 0..{trunc}")
+        assert gens("i = 0..inf, j = 0..inf") == expected
+        assert gens("j = 0..inf, i = 0..inf") == expected
+
+    @pytest.mark.parametrize("trunc", [0, 1, 5])
+    def test_unconfirmed_inner_index_rejected(self, trunc):
+        # infinitely many generators of degree 2: j never raises the degree
+        spec = parse_spec("p = 2\ngen poly deg = 2^i for i = 1..inf, j = 0..inf\n")
+        with pytest.raises(AlgebraError, match="index 'j' is not eventually increasing"):
+            instantiate(spec, trunc)
+
 
 class TestHilbert:
     def test_exterior_times_polynomial(self):

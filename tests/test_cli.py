@@ -153,6 +153,13 @@ class TestEhp:
         assert code == 0
         assert out.splitlines() == ["0,2", "1,1", "2,2", "3,2"]
 
+    @pytest.mark.parametrize("p", ["1", "4"])
+    def test_non_prime_exits_one(self, p):
+        code, out, err = run_cli("ehp", "--p", p, "--excess", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"stemsize: error: p = {p} is not prime\n"
+
 
 class TestAsymptotics:
     def test_constants(self):

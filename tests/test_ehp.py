@@ -115,6 +115,20 @@ class TestEnumerate:
                 assert 2 * seq[-1][1] >= 1
 
 
+NON_PRIME_CALLS = {
+    "enumerate_I": lambda p: enumerate_I(p, 1, 10),
+    "a_series": lambda p: a_series(p, 1, 10),
+    "admissible_series": lambda p: admissible_series(p, 10),
+}
+
+
+@pytest.mark.parametrize("name", NON_PRIME_CALLS)
+@pytest.mark.parametrize("p", [-3, 0, 1, 4])
+def test_non_prime_rejected(name, p):
+    with pytest.raises(ValueError, match=f"^p = {p} is not prime$"):
+        NON_PRIME_CALLS[name](p)
+
+
 class TestASeries:
     def test_a1_initial_coefficients_p2(self):
         assert a_series(2, 1, 3) == TruncatedSeries([2, 1, 2, 2])

@@ -3,8 +3,10 @@
 The series and report digests were computed before the Hilbert fold and
 `TruncatedSeries.mul` moved onto the gcd lattice, the digest of the
 `stemsize verify --suite torsion` stdout before its exhaustive scans moved
-to pure-Python integer prefix sums, and the A(n;t) and P(A;t) digests while
-`ehp` still counted by listing every sequence, so any change of an output
+to pure-Python integer prefix sums, the A(n;t) and P(A;t) digests while
+`ehp` still counted by listing every sequence, and the digest of the whole
+`stemsize verify --suite all` stdout before `instantiate` took each subtree's
+degree floor from its own walk, so any change of an output
 byte under a later kernel change fails here.  Each series digest covers one
 configuration over all of its truncations.  To print the table for the
 code on the path (only when an output is meant to change), run
@@ -125,7 +127,7 @@ def _verify_digest(suite, seed):
 
 PRESET_PARAMS = [(name, p, kw) for name, kw in PRESET_CASES for p in PRIMES]
 MAX_OVER_H_PARAMS = [(f, p) for f in ("r_h_e2", "r_h_einf") for p in PRIMES]
-VERIFY_CASES = (("torsion", 1729),)
+VERIFY_CASES = (("torsion", 1729), ("all", 1729))
 A_CASES = ((2, 1), (2, 2), (2, 5), (3, 1), (3, 4), (5, 2), (7, 3))
 ADMISSIBLE_PRIMES = (2, 3, 5, 7)
 
@@ -216,6 +218,7 @@ GOLDEN = {
     "max_over_h r_h_einf p=3": "9ec9355d50555dcb23add044954a98a01753cd3a91d7fb5eb32af35c7974aa15",
     "max_over_h r_h_einf p=5": "4ab9be895625f3a4c0dee3493565f14239efe96c6c799cd16408d3d7fafc8787",
     "verify --suite torsion --seed 1729": "09afce0b636fd30027c4773c012e2c540df77edca76745b736cee14742bb9cad",
+    "verify --suite all --seed 1729": "04ff473ac4905e63032d68533c55f3750fbf55fe63a1edce95d892cbb1089001",
     "a_series p=2 n=1": "4fc5490d694a79106023740968b69b3baa1b7c21f91c60294c2b777c968d6a1a",
     "a_series p=2 n=2": "c412e98ba5c05e4a9055f96463c54bb36b76e101547dd53048dc4d5c3713eed4",
     "a_series p=2 n=5": "894d037a0a68fd38876cc59eab692daf851ed5738930b817d950759e6a3feb01",
