@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
-"""Time cumulative rank series at large truncations in three fold regimes,
-and the EHP census series.
+"""Time the per-request fixed cost of the CLI, cumulative rank series at
+large truncations in three fold regimes, and the EHP census series.
+
+- cli: 300 in-process `stemsize.cli.main` calls of
+  `torsion --p 3 --n 100` (one parser serves them all; the parser and the
+  Python import are the fixed costs of a request) and one
+  `verify --suite torsion` run, stdout discarded.
 
 `hilbert` folds each generator on the multiples of the gcd of the degrees
 folded so far, largest degree first, so its cost depends on the degrees and
@@ -26,8 +31,11 @@ on the generator kinds:
 """
 
 import argparse
+import contextlib
+import io
 import time
 
+from stemsize import cli
 from stemsize.algebra import AlgebraSpec, hilbert_cumulative, parse_spec
 from stemsize.ehp import a_series, admissible_series
 from stemsize.presets import preset
@@ -64,11 +72,26 @@ def measure_census(label: str, series_fn, *args) -> None:
     print(f"{'ehp':8} {label}: {elapsed * 1000:.1f} ms, {sum(series)} counted")
 
 
+def measure_cli(calls: int = 300) -> None:
+    argv = ["torsion", "--p", "3", "--n", "100"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        start = time.monotonic()
+        for _ in range(calls):
+            cli.main(argv)
+        per_call = (time.monotonic() - start) / calls
+        start = time.monotonic()
+        code = cli.main(["verify", "--suite", "torsion"])
+        suite = time.monotonic() - start
+    print(f"{'cli':8} {' '.join(argv)}: {per_call * 1000:.3f} ms per call over {calls}")
+    print(f"{'cli':8} verify --suite torsion: {suite * 1000:.1f} ms, exit {code}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--stretch", action="store_true",
                         help="also measure may_e1 at N = 2^20 (several minutes)")
     args = parser.parse_args()
+    measure_cli()
     measure_preset("generic", "may_e1", 2**18, drop_q0=True)
     if args.stretch:
         measure_preset("generic", "may_e1", 2**20, drop_q0=True)

@@ -141,7 +141,15 @@ class TensorBracket(NamedTuple):
 
 
 def parse_spec(text: str) -> AlgebraSpec:
-    """Parse DSL text (see `stemsize.dsl` for the grammar)."""
+    """Parse DSL text (see `stemsize.dsl` for the grammar).  Expressions
+    nested beyond the interpreter's recursion limit raise DslError too."""
+    try:
+        return _parse_spec(text)
+    except RecursionError:
+        raise DslError("degree expression too deeply nested or too long") from None
+
+
+def _parse_spec(text: str) -> AlgebraSpec:
     lines = text.splitlines()
     header_no = None
     p = None
@@ -247,13 +255,21 @@ def spec_to_text(spec: AlgebraSpec) -> str:
 
 def instantiate(spec: AlgebraSpec, trunc: int) -> list[Generator]:
     """All generators of degree <= trunc, each once, in deterministic order
-    (degree, then family position, then index tuple)."""
+    (degree, then family position, then index tuple).  A family whose ranges
+    or expressions nest beyond the interpreter's recursion limit raises
+    AlgebraError."""
     if trunc < 0:
         raise AlgebraError("truncation must be nonnegative")
     out: list[tuple[int, int, tuple[int, ...], Generator]] = []
     for fam_idx, fam in enumerate(spec.families):
-        for indices, deg, mult in _family_generators(spec, fam, trunc):
-            out.append((deg, fam_idx, indices, Generator(fam.kind, deg, mult)))
+        try:
+            for indices, deg, mult in _family_generators(spec, fam, trunc):
+                out.append((deg, fam_idx, indices, Generator(fam.kind, deg, mult)))
+        except RecursionError:
+            raise AlgebraError(
+                f"family {fam_idx + 1}: index ranges or degree expression "
+                f"nested too deeply"
+            ) from None
     out.sort(key=lambda row: row[:3])
     return [row[3] for row in out]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -274,10 +275,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+# One parser serves every `main` call in a process: building it costs more
+# than a small request, and `parse_args` leaves it unchanged (each call makes
+# a fresh Namespace; `_Parser.error` raises without keeping state).
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.fn(args)
     except asymptotics.ResourceLimitError as exc:
         print(f"stemsize: resource guard: {exc}", file=sys.stderr)

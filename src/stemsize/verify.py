@@ -323,23 +323,66 @@ def _suite_presets(rng: random.Random) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _counting_scan(p: int) -> tuple[bool, str]:
+def _span(p: int) -> int:
+    """Column width 2p - 2 of the stable window (2 at p = 2)."""
+    return 2 if p == 2 else 2 * p - 2
+
+
+def _top_column(p: int) -> int:
+    """Top column of the stable-scan prefix, one past the last column that a
+    window at n <= SCAN_LIMIT reaches."""
+    return 2 * SCAN_LIMIT // _span(p) + 1
+
+
+def _valuation_sieve(p: int) -> list[int]:
+    """vals[x] = |x|_p for 1 <= x <= max(SCAN_LIMIT, _top_column(p)), and
+    vals[0] = 0: each power p^k overwrites its multiples with k, so the last
+    write to x is its valuation."""
+    n = max(SCAN_LIMIT, _top_column(p))
+    vals = [0] * (n + 1)
+    k, power = 1, p
+    while power <= n:
+        vals[power::power] = [k] * (n // power)
+        k, power = k + 1, power * p
+    return vals
+
+
+def _column_prefix(p: int, vals: list[int], top: int) -> list[int]:
+    """prefix[k] = sum of the column exponents 1 + |i|_p, plus 1 for even i
+    at p = 2, over 1 <= i <= k <= top; vals is a valuation sieve to top."""
+    cols = vals[1 : top + 1]
+    if p == 2:  # i is even exactly when |i|_2 > 0
+        return list(accumulate((2 + v if v else 1 for v in cols), initial=0))
+    return list(accumulate((1 + v for v in cols), initial=0))
+
+
+def _log_table(p: int) -> list[float]:
+    """log_p(n) for 1 <= n <= SCAN_LIMIT, computed as `stable_torsion_bound`
+    computes it."""
+    if p == 2:
+        return [math.log2(n) for n in range(1, SCAN_LIMIT + 1)]
+    return [math.log(n, p) for n in range(1, SCAN_LIMIT + 1)]
+
+
+def _curve_table(curve: torsion.VanishingCurve) -> list[int]:
+    """g(n) for 1 <= n <= SCAN_LIMIT; each call checks 1 <= g(n) <= n."""
+    return [curve(n) for n in range(1, SCAN_LIMIT + 1)]
+
+
+def _counting_scan(p: int, vals: list[int] | None = None) -> tuple[bool, str]:
     """exact <= bound for every 0 <= a < b <= SCAN_LIMIT, settled exactly.
 
     With T(x) = x + sum of valuations and c = p/(p-1), the claim over all a
     reduces to g(b) - min_{a<b} g(a) <= (p-1) log_p(b) for the integer
     g(x) = (p-1) T(x) - p x, and each candidate is settled by comparing
-    p^q against b^(p-1) in exact integer arithmetic.
+    p^q against b^(p-1) in exact integer arithmetic.  vals is the run's
+    valuation sieve for p, built here when not given.
     """
     n = SCAN_LIMIT
-    vals = [0] * (n + 1)  # vals[x] = |x|_p by sieving the powers of p
-    power = p
-    while power <= n:
-        for x in range(power, n + 1, power):
-            vals[x] += 1
-        power *= p
+    if vals is None:
+        vals = _valuation_sieve(p)
     # g(x) - g(x-1) = (p-1)(1 + |x|_p) - p
-    g = list(accumulate(((p - 1) * v - 1 for v in vals[1:]), initial=0))
+    g = list(accumulate(((p - 1) * v - 1 for v in vals[1 : n + 1]), initial=0))
     prefix_min = list(accumulate(g, min))  # over a <= x
     q = [gb - m for gb, m in zip(g[1:], prefix_min)]  # q[b-1]: min over a < b
     for b, qb in enumerate(q, 1):
@@ -355,54 +398,72 @@ def _counting_scan(p: int) -> tuple[bool, str]:
     return True, f"p={p}: all pairs <= {n}, tightest slack q = {worst_q}"
 
 
-def _e2_term(p: int, i: int) -> int:
-    """Column i's exponent, the reference kernel for the Legendre window sum
-    in `torsion.stable_torsion_bound`."""
-    if p == 2:
-        return 1 + torsion.val_p(2, i) + (1 if i % 2 == 0 else 0)
-    return 1 + torsion.val_p(p, i)
-
-
-def _stable_scan(p: int, curve: torsion.VanishingCurve) -> tuple[bool, str]:
+def _stable_scan(
+    p: int,
+    curve: torsion.VanishingCurve,
+    prefix: list[int] | None = None,
+    logs: list[float] | None = None,
+    gs: list[int] | None = None,
+) -> tuple[bool, str]:
     """exact_sum <= closed_form for all 1 <= n <= SCAN_LIMIT via prefix sums
-    of the per-column term, cross-checked against direct calls."""
+    of the per-column term, cross-checked against direct calls.
+
+    The run's tables (the column prefix and log_p table of p, the g(n) table
+    of the curve) are built here when not given.
+    """
     n_max = SCAN_LIMIT
-    span = 2 if p == 2 else 2 * p - 2
-    hi_cap = (2 * n_max) // span + 1
-    prefix = list(  # prefix[k] = sum of i <= k
-        accumulate((_e2_term(p, i) for i in range(1, hi_cap + 1)), initial=0)
-    )
+    span = _span(p)
+    if prefix is None:
+        prefix = _column_prefix(p, _valuation_sieve(p), _top_column(p))
+    if logs is None:
+        logs = _log_table(p)
+    if gs is None:
+        gs = _curve_table(curve)
     slope, const = (1.25, 2) if p == 2 else (p / (2 * (p - 1) ** 2), 1)
-    exact, margins = [], []
-    for n in range(1, n_max + 1):
-        g = curve(n)
-        e = prefix[(n + g) // span] - prefix[n // span]  # g >= 1: hi >= lo - 1
-        closed = slope * g + (math.log2(n) if p == 2 else math.log(n, p)) + const
-        if e > closed + 1e-9:
-            return False, f"violation at p={p}, n={n}"
-        exact.append(e)
-        margins.append(closed - e)
+
+    def exact(n: int) -> int:  # g >= 1, so hi >= lo - 1
+        return prefix[(n + gs[n - 1]) // span] - prefix[n // span]
+
+    def closed(n: int) -> float:  # added in stable_torsion_bound's order
+        return slope * gs[n - 1] + logs[n - 1] + const
+
+    # margins[n - 1] = closed(n) - exact(n), inlined for speed
+    margins = [
+        slope * g + lg + const - (prefix[(n + g) // span] - prefix[n // span])
+        for n, g, lg in zip(range(1, n_max + 1), gs, logs)
+    ]
+    least = min(margins)
+    if least < 0:  # exact > closed + 1e-9 needs a negative margin
+        for n in range(1, n_max + 1):
+            if exact(n) > closed(n) + 1e-9:
+                return False, f"violation at p={p}, n={n}"
     # near-ties and a sample settled by the direct function
-    sample = set(heapq.nsmallest(5, range(1, n_max + 1), key=lambda n: margins[n - 1]))
+    sample = {i + 1 for i in heapq.nsmallest(5, range(n_max), key=margins.__getitem__)}
     sample.update((1, 2, 3, n_max))
     for n in sorted(sample):
         rep = torsion.stable_torsion_bound(p, n, curve)
-        if rep.exact_sum != exact[n - 1] or rep.exact_sum > rep.closed_form:
+        if rep.exact_sum != exact(n) or rep.exact_sum > rep.closed_form:
             return False, f"direct call mismatch at p={p}, n={n}"
-    return True, f"p={p}: all n <= {n_max}, min margin {min(margins):.4f}"
+    return True, f"p={p}: all n <= {n_max}, min margin {least:.4f}"
 
 
 def _suite_torsion(rng: random.Random) -> list[CheckResult]:
     out = []
+    # each table is built once in this run and shared by the scans using it
+    sieves = {p: _valuation_sieve(p) for p in (2, 3, 5)}
     for p in (2, 3, 5):
-        ok, detail = _counting_scan(p)
+        ok, detail = _counting_scan(p, sieves[p])
         out.append(_result("torsion", f"counting_lemma_exhaustive_p{p}", ok, detail))
+    curves = (
+        ("linear", torsion.LinearCurve()),
+        ("sqrt", torsion.PowerLawCurve(0.5, 1.0)),
+    )
+    g_tables = {label: _curve_table(curve) for label, curve in curves}
     for p in (2, 3, 5):
-        for label, curve in (
-            ("linear", torsion.LinearCurve()),
-            ("sqrt", torsion.PowerLawCurve(0.5, 1.0)),
-        ):
-            ok, detail = _stable_scan(p, curve)
+        prefix = _column_prefix(p, sieves[p], _top_column(p))
+        logs = _log_table(p)
+        for label, curve in curves:
+            ok, detail = _stable_scan(p, curve, prefix, logs, g_tables[label])
             out.append(
                 _result("torsion", f"stable_bound_exhaustive_p{p}_{label}", ok, detail)
             )

@@ -46,6 +46,14 @@ class TestParsing:
         with pytest.raises((AlgebraError, DslError)):
             parse_spec("p = 2\ngen poly deg = 2^j for i = 1..inf\n")
 
+    @pytest.mark.parametrize("degree", [
+        "(" * 3000 + "1" + ")" * 3000,
+        " + ".join(["1"] * 3000),
+    ], ids=["parentheses", "sum"])
+    def test_deep_expression_rejected(self, degree):
+        with pytest.raises(DslError, match="too deeply nested or too long"):
+            parse_spec(f"p = 2\ngen poly deg = {degree}\n")
+
     def test_blank_lines_ignored(self):
         spec = parse_spec("p = 3\n\ngen ext deg = 1\n\n")
         assert spec.p == 3
@@ -116,6 +124,12 @@ class TestInstantiate:
         expected = gens(f"i = 0..{trunc}, j = 0..{trunc}")
         assert gens("i = 0..inf, j = 0..inf") == expected
         assert gens("j = 0..inf, i = 0..inf") == expected
+
+    def test_deep_index_ranges_rejected(self):
+        ranges = ", ".join(f"i{k} = 0..0" for k in range(1200))
+        spec = parse_spec(f"p = 2\ngen poly deg = 1 for {ranges}\n")
+        with pytest.raises(AlgebraError, match="family 1: .* nested too deeply"):
+            instantiate(spec, 3)
 
     @pytest.mark.parametrize("trunc", [0, 1, 5])
     def test_unconfirmed_inner_index_rejected(self, trunc):

@@ -16,6 +16,15 @@ def run_cli(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+DEEP_RANGES = ", ".join(f"i{k} = 0..0" for k in range(1200))
+DEEP_GEN_LINES = {
+    "parentheses": "gen poly deg = " + "(" * 3000 + "1" + ")" * 3000,
+    "degree_sum": "gen poly deg = 1 + "
+    + " + ".join(f"i{k}" for k in range(1200)) + f" for {DEEP_RANGES}",
+    "index_ranges": f"gen poly deg = 1 for {DEEP_RANGES}",
+}
+
+
 class TestParsePoints:
     def test_power_range(self):
         assert parse_points("2^3..2^6") == [8, 16, 32, 64]
@@ -86,6 +95,17 @@ class TestHilbert:
         code, _, err = run_cli("hilbert", "--spec", str(spec), "--max-degree", "5")
         assert code == 1
         assert err.strip()
+
+    @pytest.mark.parametrize("gen_line", DEEP_GEN_LINES.values(), ids=DEEP_GEN_LINES.keys())
+    def test_deep_input_exits_one(self, tmp_path, gen_line):
+        # each overflows the recursion limit somewhere between parsing and
+        # instantiation; the library turns that into DslError/AlgebraError
+        spec = tmp_path / "deep.txt"
+        spec.write_text(f"p = 2\n{gen_line}\n")
+        code, out, err = run_cli("hilbert", "--spec", str(spec), "--max-degree", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("stemsize: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestTorsion:
@@ -222,3 +242,35 @@ class TestMainEntry:
         ])
         assert rc == 0
         assert out.read_text().splitlines()[0] == "0,1"
+
+
+class TestSharedParser:
+    def test_repeated_requests_leak_no_state(self, capsys, tmp_path):
+        # every main() call in a process parses with the same parser, so a
+        # second round of the same requests must repeat the first exactly
+        out = tmp_path / "series.csv"
+        requests = (
+            ["torsion", "--p", "3", "--n", "48", "--format", "csv"],
+            ["torsion", "--p", "3"],  # argparse error: --n is required
+            ["asymptotics", "--p", "2", "--name", "may_model", "--n", "12",
+             "--lower-ceiling", "10"],
+            ["preset", "--name", "dual_steenrod", "--p", "2", "--max-degree", "9",
+             "--format", "csv", "--out", str(out)],
+            ["verify", "--suite", "series"],
+        )
+
+        def run_round():
+            out.unlink(missing_ok=True)
+            results = []
+            for argv in requests:
+                code = main(argv)
+                captured = capsys.readouterr()
+                written = out.read_text() if out.exists() else None
+                results.append((code, captured.out, captured.err, written))
+            return results
+
+        first = run_round()
+        assert [r[0] for r in first] == [0, 1, 3, 0, 0]
+        assert first[1][2].startswith("stemsize: error: ")
+        assert first[3][3].splitlines()[:3] == ["0,1", "1,1", "2,1"]
+        assert run_round() == first

@@ -2,12 +2,13 @@
 
 The series and report digests were computed before the Hilbert fold and
 `TruncatedSeries.mul` moved onto the gcd lattice, the digest of the
-`stemsize verify --suite torsion` stdout before its exhaustive scans moved
-to pure-Python integer prefix sums, the A(n;t) and P(A;t) digests while
-`ehp` still counted by listing every sequence, and the digest of the whole
-`stemsize verify --suite all` stdout before `instantiate` took each subtree's
-degree floor from its own walk, so any change of an output
-byte under a later kernel change fails here.  Each series digest covers one
+`stemsize verify --suite torsion` stdout (seed 1729) before its exhaustive
+scans moved to pure-Python integer prefix sums, the torsion digests for
+seeds 1720-1723 before those scans shared one table of each kind per run,
+the A(n;t) and P(A;t) digests while `ehp` still counted by listing every
+sequence, and the digest of the whole `stemsize verify --suite all` stdout
+before `instantiate` took each subtree's degree floor from its own walk, so
+any change of an output byte under a later kernel change fails here.  Each series digest covers one
 configuration over all of its truncations.  To print the table for the
 code on the path (only when an output is meant to change), run
 ``python tests/test_golden.py``.
@@ -127,7 +128,10 @@ def _verify_digest(suite, seed):
 
 PRESET_PARAMS = [(name, p, kw) for name, kw in PRESET_CASES for p in PRIMES]
 MAX_OVER_H_PARAMS = [(f, p) for f in ("r_h_e2", "r_h_einf") for p in PRIMES]
-VERIFY_CASES = (("torsion", 1729), ("all", 1729))
+VERIFY_CASES = (
+    ("torsion", 1720), ("torsion", 1721), ("torsion", 1722), ("torsion", 1723),
+    ("torsion", 1729), ("all", 1729),
+)
 A_CASES = ((2, 1), (2, 2), (2, 5), (3, 1), (3, 4), (5, 2), (7, 3))
 ADMISSIBLE_PRIMES = (2, 3, 5, 7)
 
@@ -217,6 +221,10 @@ GOLDEN = {
     "max_over_h r_h_einf p=2": "5d95dfdab873822088d397f912d7a1271df0087b61ec677c8609f6b0d07014f3",
     "max_over_h r_h_einf p=3": "9ec9355d50555dcb23add044954a98a01753cd3a91d7fb5eb32af35c7974aa15",
     "max_over_h r_h_einf p=5": "4ab9be895625f3a4c0dee3493565f14239efe96c6c799cd16408d3d7fafc8787",
+    "verify --suite torsion --seed 1720": "74f4bbfcfa3dc03fa4794c43ccbf17b6ff977b7a58ac953038f4bf839cc4191a",
+    "verify --suite torsion --seed 1721": "a3f8eee286f567a8ecf33332c983e399181e80cc4d02ddb8be59dc2fb7b98a5e",
+    "verify --suite torsion --seed 1722": "ef19117ddef81a73a6ca9cf3f64c25db27ab4a9a191d1dbabbc98189fb8c4432",
+    "verify --suite torsion --seed 1723": "c7c6ae61730c4bac8c0ead403078e4d0031e9b6be3b5cb7a7f276d4eb7a0c9e2",
     "verify --suite torsion --seed 1729": "09afce0b636fd30027c4773c012e2c540df77edca76745b736cee14742bb9cad",
     "verify --suite all --seed 1729": "04ff473ac4905e63032d68533c55f3750fbf55fe63a1edce95d892cbb1089001",
     "a_series p=2 n=1": "4fc5490d694a79106023740968b69b3baa1b7c21f91c60294c2b777c968d6a1a",

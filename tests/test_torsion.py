@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemsize import verify
 from stemsize.torsion import (
     LinearCurve,
     PowerLawCurve,
@@ -33,6 +34,14 @@ WINDOW_CURVES = {
         tuple(min(n, math.isqrt(5 * n) + n // 50) for n in range(1, WINDOW_MAX_N + 1))
     ),
 }
+
+
+def _e2_term(p, i):
+    """Column i's exponent: the reference kernel for the stable window sums
+    and for the torsion suite's column prefix."""
+    if p == 2:
+        return 1 + val_p(2, i) + (1 if i % 2 == 0 else 0)
+    return 1 + val_p(p, i)
 
 
 class TestValuations:
@@ -140,13 +149,38 @@ class TestStableBound:
         # the Legendre form against the window sum of per-column exponents
         span = 2 if p == 2 else 2 * p - 2
         top = 2 * WINDOW_MAX_N // span
-        column = [0] + [
-            1 + val_p(p, i) + (1 if p == 2 and i % 2 == 0 else 0)
-            for i in range(1, top + 1)
-        ]
+        column = [0] + [_e2_term(p, i) for i in range(1, top + 1)]
         for n in range(1, WINDOW_MAX_N + 1):
             lo, hi = n // span + 1, (n + curve(n)) // span
             assert stable_torsion_bound(p, n, curve).exact_sum == sum(column[lo : hi + 1]), n
+
+
+class TestScanTables:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_valuation_sieve(self, p):
+        vals = verify._valuation_sieve(p)
+        span = 2 if p == 2 else 2 * p - 2
+        assert len(vals) == max(verify.SCAN_LIMIT, 2 * verify.SCAN_LIMIT // span + 1) + 1
+        assert vals[0] == 0
+        assert vals[1:] == [val_p(p, x) for x in range(1, len(vals))]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_column_prefix_matches_reference(self, p):
+        top = 3000
+        prefix = verify._column_prefix(p, verify._valuation_sieve(p), top)
+        total = 0
+        assert len(prefix) == top + 1 and prefix[0] == 0
+        for hi in range(1, top + 1):
+            total += _e2_term(p, hi)
+            assert prefix[hi] == total, hi
+
+    def test_stable_scan_reports_first_violation(self):
+        # a log table pushed far down from n = 100 on makes the closed form
+        # fall below the exact sum there and nowhere before
+        logs = verify._log_table(3)
+        logs[99:] = [-50.0] * (len(logs) - 99)
+        assert verify._stable_scan(3, LinearCurve(), logs=logs) == (
+            False, "violation at p=3, n=100")
 
 
 class TestImJ:
