@@ -4,8 +4,10 @@ large truncations in three fold regimes, and the EHP census series.
 
 - cli: 300 in-process `stemsize.cli.main` calls of
   `torsion --p 3 --n 100` (one parser serves them all; the parser and the
-  Python import are the fixed costs of a request) and one
-  `verify --suite torsion` run, stdout discarded.
+  Python import are the fixed costs of a request), then one `verify` run of
+  each suite the `cli_mix` benchmark workload runs (series, algebra,
+  presets, torsion, ehp), stdout discarded, so the report shows where that
+  workload's verify time goes.
 
 `hilbert` folds each generator on the multiples of the gcd of the degrees
 folded so far, largest degree first, so its cost depends on the degrees and
@@ -72,6 +74,9 @@ def measure_census(label: str, series_fn, *args) -> None:
     print(f"{'ehp':8} {label}: {elapsed * 1000:.1f} ms, {sum(series)} counted")
 
 
+VERIFY_SUITES = ("series", "algebra", "presets", "torsion", "ehp")
+
+
 def measure_cli(calls: int = 300) -> None:
     argv = ["torsion", "--p", "3", "--n", "100"]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -79,11 +84,13 @@ def measure_cli(calls: int = 300) -> None:
         for _ in range(calls):
             cli.main(argv)
         per_call = (time.monotonic() - start) / calls
-        start = time.monotonic()
-        code = cli.main(["verify", "--suite", "torsion"])
-        suite = time.monotonic() - start
     print(f"{'cli':8} {' '.join(argv)}: {per_call * 1000:.3f} ms per call over {calls}")
-    print(f"{'cli':8} verify --suite torsion: {suite * 1000:.1f} ms, exit {code}")
+    for suite in VERIFY_SUITES:
+        with contextlib.redirect_stdout(io.StringIO()):
+            start = time.monotonic()
+            code = cli.main(["verify", "--suite", suite])
+            elapsed = time.monotonic() - start
+        print(f"{'cli':8} verify --suite {suite}: {elapsed * 1000:.1f} ms, exit {code}")
 
 
 def main() -> None:

@@ -73,12 +73,22 @@ def _load_curve(arg: str) -> torsion.VanishingCurve:
         return torsion.PowerLawCurve(0.5, 1.0)
     if arg.startswith("table:"):
         path = arg[len("table:"):]
+        values = []
         try:
             with open(path, encoding="utf-8") as fh:
-                values = tuple(int(line) for line in fh if line.strip())
+                for line_no, line in enumerate(fh, 1):
+                    if not line.strip():
+                        continue
+                    try:
+                        values.append(int(line))
+                    except ValueError:
+                        raise CliError(
+                            f"curve table {path!r}, line {line_no}: "
+                            f"expected an integer, got {line.strip()!r}"
+                        ) from None
         except OSError as exc:
             raise CliError(f"cannot read curve table {path!r}: {exc}") from None
-        return torsion.TableCurve(values)
+        return torsion.TableCurve(tuple(values))
     raise CliError(f"unknown curve {arg!r}: expected linear, sqrt, or table:<path>")
 
 

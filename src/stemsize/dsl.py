@@ -91,11 +91,10 @@ class Tokenizer:
         if self.pos >= len(self.text) or self.text[self.pos :].isspace():
             return ("eof", "", len(self.text))
         m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None or m.end() == self.pos:
+        if m is None:  # report the first character after the blanks
+            bad = len(self.text) - len(self.text[self.pos :].lstrip())
             raise DslError(
-                f"unexpected character {self.text[self.pos]!r}",
-                self.line_no,
-                self.pos + 1,
+                f"unexpected character {self.text[bad]!r}", self.line_no, bad + 1
             )
         start = m.start(m.lastgroup)  # type: ignore[arg-type]
         self.pos = m.end()

@@ -5,11 +5,16 @@ deterministic PASS/FAIL lines.  Randomized checks draw from a seeded RNG
 (default seed DEFAULT_SEED) so any failure reproduces from the report
 header alone.
 
-The two exhaustive scans over all degrees up to 10^4 (counting-lemma pairs
-and stable torsion bounds) run on exact integer prefix sums; float
-near-ties in the counting-lemma scan are settled by exact big-integer
-comparison, so the scans are as exact as the direct per-call formulas they
-cross-check.
+The torsion suite decides its exhaustive grids from exact tables that each
+run builds once: a valuation sieve per p, and from it Legendre prefix sums.
+The counting-lemma scan over all pairs up to 10^4 settles each b by one
+integer comparison against a table of the least b with b^(p-1) >= p^q,
+computed by an exact integer root.  The stable-bound scan to 10^4 runs on
+prefix sums of the column exponents.  The Goodwillie scan (s <= 8,
+n <= 2000) uses that its exact sum is constant on each block of n with the
+same (n - 1) // s while the linear envelope rises, so the first n of a
+block decides the block.  Each scan still cross-checks its tables against
+direct calls of the formula it covers.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ __all__ = ["DEFAULT_SEED", "SUITES", "CheckResult", "run_suite", "run", "format_
 
 DEFAULT_SEED = 1729
 SCAN_LIMIT = 10**4
+GOODWILLIE_S = 8  # grid of the Goodwillie envelope check: s <= 8, n <= 2000
+GOODWILLIE_N = 2000
 
 
 @dataclass(frozen=True)
@@ -369,14 +376,29 @@ def _curve_table(curve: torsion.VanishingCurve) -> list[int]:
     return [curve(n) for n in range(1, SCAN_LIMIT + 1)]
 
 
+def _root_ceil(x: int, k: int) -> int:
+    """The least b >= 0 with b^k >= x, for x >= 0 and k >= 1, in exact
+    integer arithmetic."""
+    if x <= 1:
+        return x
+    r = 1 << -(-x.bit_length() // k)  # r^k >= 2^bit_length > x
+    while True:  # Newton's step from above descends to floor(x^(1/k))
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            break
+        r = y
+    return r if r**k == x else r + 1
+
+
 def _counting_scan(p: int, vals: list[int] | None = None) -> tuple[bool, str]:
     """exact <= bound for every 0 <= a < b <= SCAN_LIMIT, settled exactly.
 
     With T(x) = x + sum of valuations and c = p/(p-1), the claim over all a
     reduces to g(b) - min_{a<b} g(a) <= (p-1) log_p(b) for the integer
-    g(x) = (p-1) T(x) - p x, and each candidate is settled by comparing
-    p^q against b^(p-1) in exact integer arithmetic.  vals is the run's
-    valuation sieve for p, built here when not given.
+    g(x) = (p-1) T(x) - p x, that is to p^q <= b^(p-1) for the slack q of b.
+    The least b with b^(p-1) >= p^q is tabled once per q by an exact integer
+    root, so each b is settled by comparing it with its q's entry.  vals is
+    the run's valuation sieve for p, built here when not given.
     """
     n = SCAN_LIMIT
     if vals is None:
@@ -385,17 +407,54 @@ def _counting_scan(p: int, vals: list[int] | None = None) -> tuple[bool, str]:
     g = list(accumulate(((p - 1) * v - 1 for v in vals[1 : n + 1]), initial=0))
     prefix_min = list(accumulate(g, min))  # over a <= x
     q = [gb - m for gb, m in zip(g[1:], prefix_min)]  # q[b-1]: min over a < b
+    worst_q = max(q)
+    # least[k] = the least b with b^(p-1) >= p^k, so p^k > b^(p-1) exactly
+    # when b < least[k]; tabled up to the first entry past n, which makes
+    # every larger q a violation at every b <= n
+    least = [1]
+    while len(least) <= worst_q and least[-1] <= n:
+        least.append(_root_ceil(p ** len(least), p - 1))
+    cap = len(least) - 1
     for b, qb in enumerate(q, 1):
-        if qb > 0 and p**qb > b ** (p - 1):
+        if qb > 0 and (qb > cap or b < least[qb]):
             return False, f"violation at p={p}, b={b}"
     # cross-check the closed-form function itself on the extremal b
-    worst_q = max(q)
     b_star = q.index(worst_q) + 1
     a_star = g.index(prefix_min[b_star - 1])
     exact, bound = torsion.counting_lemma(p, a_star, b_star)
     if exact > bound:
         return False, f"direct call violation at p={p}, a={a_star}, b={b_star}"
     return True, f"p={p}: all pairs <= {n}, tightest slack q = {worst_q}"
+
+
+def _goodwillie_scan(p: int, vals: list[int] | None = None) -> tuple[int, int] | None:
+    """The first (s, n), s <= GOODWILLIE_S and n <= GOODWILLIE_N in that
+    order, at which the m = 1 Goodwillie bound read off the table breaks its
+    linear envelope 2n/s; failing none, the first s at which
+    `goodwillie_bound(s, 1, GOODWILLIE_N, p)` differs from the table, as
+    (s, GOODWILLIE_N); else None.
+
+    With legendre[k] the sum of |i|_p over 1 <= i <= k, read off the
+    valuation sieve vals (the run's, built here when not given), the exact
+    sum top + legendre[top], top = (n - 1) // s, is constant on the block
+    s*top < n <= s*(top + 1) for fixed s while 2n/s rises across it, so the
+    block's first n decides the block; top = 0 sums to 0.
+    """
+    n_max = GOODWILLIE_N
+    if vals is None:
+        vals = _valuation_sieve(p)
+    legendre = list(accumulate(vals[1 : n_max + 1], initial=0))
+    for s in range(1, GOODWILLIE_S + 1):
+        for top in range(1, (n_max - 1) // s + 1):
+            if top + legendre[top] > 2 * (s * top + 1) / s:
+                return s, s * top + 1
+    for s in range(1, GOODWILLIE_S + 1):
+        top = (n_max - 1) // s
+        if torsion.goodwillie_bound(s, 1, n_max, p) != (
+            top + legendre[top], 2 * n_max / s
+        ):
+            return s, n_max
+    return None
 
 
 def _stable_scan(
@@ -468,19 +527,13 @@ def _suite_torsion(rng: random.Random) -> list[CheckResult]:
                 _result("torsion", f"stable_bound_exhaustive_p{p}_{label}", ok, detail)
             )
 
-    ok = True
-    for p in (2, 3, 5):
-        for s in range(1, 9):
-            for n in range(1, 2001):
-                exact, linear = torsion.goodwillie_bound(s, 1, n, p)
-                if exact > linear:
-                    ok = False
+    ok = all(_goodwillie_scan(p, sieves[p]) is None for p in (2, 3, 5))
     out.append(
         _result(
             "torsion",
             "goodwillie_linear_envelope",
             ok,
-            "s <= 8, n <= 2000, p in {2, 3, 5}, m = 1",
+            f"s <= {GOODWILLIE_S}, n <= {GOODWILLIE_N}, p in {{2, 3, 5}}, m = 1",
         )
     )
 

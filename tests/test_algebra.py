@@ -54,6 +54,19 @@ class TestParsing:
         with pytest.raises(DslError, match="too deeply nested or too long"):
             parse_spec(f"p = 2\ngen poly deg = {degree}\n")
 
+    @pytest.mark.parametrize("gap", [" ", "\t\t", "   "])
+    def test_bad_character_position_skips_blanks(self, gap):
+        # the column names the bad character, not the blanks before it
+        col = len("gen poly deg = 2") + len(gap) + 1
+        with pytest.raises(DslError) as exc:
+            parse_spec(f"p = 2\ngen poly deg = 2{gap}$ 3\n")
+        assert str(exc.value) == f"line 2, col {col}: unexpected character '$'"
+        assert (exc.value.line, exc.value.col) == (2, col)
+
+    def test_bad_character_position_without_blanks(self):
+        with pytest.raises(DslError, match=r"^line 2, col 15: unexpected character '\$'$"):
+            parse_spec("p = 2\ngen poly deg =$ 3\n")
+
     def test_blank_lines_ignored(self):
         spec = parse_spec("p = 3\n\ngen ext deg = 1\n\n")
         assert spec.p == 3

@@ -130,6 +130,28 @@ class TestTorsion:
         obj = json.loads(out)
         assert obj["exact_sum"] == 17
 
+    def test_table_curve_bad_line_exits_one(self, tmp_path):
+        table = tmp_path / "curve.txt"
+        table.write_text("1\n2\n\nx\n4\n")
+        code, out, err = run_cli(
+            "torsion", "--p", "2", "--n", "3", "--curve", f"table:{table}"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"stemsize: error: curve table {str(table)!r}, line 4: "
+            f"expected an integer, got 'x'\n"
+        )
+
+    def test_table_curve_file(self, tmp_path):
+        table = tmp_path / "curve.txt"
+        table.write_text("1\n2\n\n3\n")
+        code, out, _ = run_cli(
+            "torsion", "--p", "2", "--n", "3", "--curve", f"table:{table}",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines()[1].split(",")[:3] == ["2", "3", "4"]
+
     @pytest.mark.parametrize("p", ["1", "4"])
     def test_non_prime_exits_one(self, p):
         code, out, err = run_cli("torsion", "--p", p, "--n", "5")

@@ -1,11 +1,13 @@
 import json
 import math
+import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stemsize import verify
+from stemsize import torsion, verify
 from stemsize.torsion import (
     LinearCurve,
     PowerLawCurve,
@@ -181,6 +183,232 @@ class TestScanTables:
         logs[99:] = [-50.0] * (len(logs) - 99)
         assert verify._stable_scan(3, LinearCurve(), logs=logs) == (
             False, "violation at p=3, n=100")
+
+
+def _counting_oracle(p, vals):
+    """The counting-lemma scan with one big-integer comparison
+    p**q > b**(p-1) per b, as the suite ran it before the threshold table."""
+    n = verify.SCAN_LIMIT
+    g = list(accumulate(((p - 1) * v - 1 for v in vals[1 : n + 1]), initial=0))
+    prefix_min = list(accumulate(g, min))
+    q = [gb - m for gb, m in zip(g[1:], prefix_min)]
+    for b, qb in enumerate(q, 1):
+        if qb > 0 and p**qb > b ** (p - 1):
+            return False, f"violation at p={p}, b={b}"
+    worst_q = max(q)
+    b_star = q.index(worst_q) + 1
+    a_star = g.index(prefix_min[b_star - 1])
+    exact, bound = torsion.counting_lemma(p, a_star, b_star)
+    if exact > bound:
+        return False, f"direct call violation at p={p}, a={a_star}, b={b_star}"
+    return True, f"p={p}: all pairs <= {n}, tightest slack q = {worst_q}"
+
+
+def _goodwillie_oracle(p, bound=None):
+    """The Goodwillie envelope check with one bound call per grid point, as
+    the suite ran it before the block scan: the first (s, n) with
+    exact > linear, or None.  bound defaults to torsion.goodwillie_bound as
+    looked up at call time, so a monkeypatch reaches it."""
+    bound = bound or torsion.goodwillie_bound
+    for s in range(1, verify.GOODWILLIE_S + 1):
+        for n in range(1, verify.GOODWILLIE_N + 1):
+            exact, linear = bound(s, 1, n, p)
+            if exact > linear:
+                return s, n
+    return None
+
+
+def _legendre(vals):
+    return list(accumulate(vals[1 : verify.GOODWILLIE_N + 1], initial=0))
+
+
+def _table_bound(legendre):
+    """goodwillie_bound read off a (possibly perturbed) Legendre list."""
+
+    def bound(s, m, n, p):
+        top = (n - 1) // s
+        return (m * top + legendre[top] if top >= 1 else 0), (m + 1) * n / s
+
+    return bound
+
+
+class TestRootCeil:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_thresholds_against_brute_force(self, p):
+        k = p - 1
+        b = 0  # linear search, carried from one q to the next
+        for q in range(26):
+            x = p**q
+            least = verify._root_ceil(x, k)
+            assert least**k >= x and (least == 0 or (least - 1) ** k < x), q
+            if least <= 10**5:
+                while b**k < x:
+                    b += 1
+                assert least == b, q
+
+    @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=300)
+    def test_least_root(self, x, k):
+        b = verify._root_ceil(x, k)
+        assert b >= 0 and b**k >= x
+        assert b == 0 or (b - 1) ** k < x
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+    def test_exact_powers_and_neighbours(self, k):
+        for r in range(0, 200):
+            assert verify._root_ceil(r**k, k) == r
+            assert verify._root_ceil(r**k + 1, k) == r + 1
+
+
+class TestExactScans:
+    """The table-driven scans against the per-point loops they replaced."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_counting_scan_matches_oracle(self, p):
+        vals = verify._valuation_sieve(p)
+        assert verify._counting_scan(p, vals) == _counting_oracle(p, vals)
+        assert verify._counting_scan(p)[0]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_counting_scan_perturbed_sieve(self, p):
+        rng = random.Random(p)
+        fails = 0
+        for _ in range(25):
+            vals = verify._valuation_sieve(p)
+            for _ in range(rng.randint(1, 3)):
+                vals[rng.randint(1, verify.SCAN_LIMIT)] += rng.randint(-4, 30)
+            got = verify._counting_scan(p, vals)
+            assert got == _counting_oracle(p, vals)
+            fails += not got[0]
+        assert fails >= 5  # the perturbations do reach the FAIL branch
+
+    def test_counting_scan_first_violation(self):
+        vals = verify._valuation_sieve(2)
+        vals[5000] += 20
+        vals[7000] += 40
+        assert verify._counting_scan(2, vals) == (False, "violation at p=2, b=5000")
+        assert _counting_oracle(2, vals) == (False, "violation at p=2, b=5000")
+
+    @pytest.mark.parametrize("b, worst_q", [(1024, 12), (8192, 13)])
+    def test_counting_scan_tie_is_no_violation(self, b, worst_q):
+        # one more valuation at b = 2^k lifts its slack to q = k, where
+        # p^q == b^(p-1) exactly: a tie, which the claim allows
+        vals = verify._valuation_sieve(2)
+        vals[b] += 1
+        want = (True, f"p=2: all pairs <= 10000, tightest slack q = {worst_q}")
+        assert verify._counting_scan(2, vals) == _counting_oracle(2, vals) == want
+
+    def test_counting_scan_monkeypatched_counting_lemma(self, monkeypatch):
+        monkeypatch.setattr(torsion, "counting_lemma", lambda p, a, b: (b + 1, 0.0))
+        for p in (2, 3, 5):
+            vals = verify._valuation_sieve(p)
+            got = verify._counting_scan(p, vals)
+            assert got == _counting_oracle(p, vals)
+            assert got[1].startswith(f"direct call violation at p={p}, a=")
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_goodwillie_scan_matches_oracle(self, p):
+        assert verify._goodwillie_scan(p) is None
+        assert verify._goodwillie_scan(p, verify._valuation_sieve(p)) is None
+        assert _goodwillie_oracle(p) is None
+
+    def test_goodwillie_table_matches_bound(self):
+        for p in (2, 3, 5):
+            bound = _table_bound(_legendre(verify._valuation_sieve(p)))
+            for s in range(1, verify.GOODWILLIE_S + 1):
+                for n in range(1, verify.GOODWILLIE_N + 1, 7):
+                    assert bound(s, 1, n, p) == goodwillie_bound(s, 1, n, p)
+
+    @pytest.mark.parametrize(
+        "p, x, bump",
+        [(2, 1000, 600), (3, 700, 500), (5, 1, 3), (5, 1500, 1200), (3, 1999, 2000),
+         (2, 40, 50)],
+    )
+    def test_goodwillie_scan_perturbed_sieve(self, p, x, bump):
+        # raising |x|_p by bump raises every Legendre prefix from x on
+        vals = verify._valuation_sieve(p)
+        vals[x] += bump
+        got = verify._goodwillie_scan(p, vals)
+        assert got is not None
+        assert got == _goodwillie_oracle(p, _table_bound(_legendre(vals)))
+
+    @pytest.mark.parametrize(
+        "k, d, want",
+        [
+            # one wrong prefix entry below the envelope's reach is still
+            # caught where it meets the direct call at n = GOODWILLIE_N
+            (1999, 1, (1, 2000)),
+            (300, 1000, (1, 301)),
+            # legendre[666] = 330 + 337 = 667 makes exact = 2*666 + 1, within
+            # 2n/s for s <= 2; it first breaks it at s = 3, in the last block
+            (666, 337, (3, 1999)),
+        ],
+    )
+    def test_goodwillie_scan_perturbed_legendre_entry(self, k, d, want):
+        # only legendre[k] moves by d: |k|_p moves by d and |k + 1|_p by -d
+        vals = verify._valuation_sieve(3)
+        legendre = _legendre(vals)
+        vals[k] += d
+        vals[k + 1] -= d
+        legendre[k] += d
+        assert _legendre(vals) == legendre
+        assert verify._goodwillie_scan(3, vals) == want
+        oracle = _goodwillie_oracle(3, _table_bound(legendre))
+        assert oracle == (None if want == (1, verify.GOODWILLIE_N) else want)
+
+    def test_goodwillie_scan_monkeypatched_bound(self, monkeypatch):
+        real = torsion.goodwillie_bound
+
+        def wrong_at_top(s, m, n, p):
+            exact, linear = real(s, m, n, p)
+            if (s, n, p) == (5, verify.GOODWILLIE_N, 3):
+                exact += 10**6
+            return exact, linear
+
+        monkeypatch.setattr(torsion, "goodwillie_bound", wrong_at_top)
+        assert verify._goodwillie_scan(2) is None
+        assert verify._goodwillie_scan(3) == (5, verify.GOODWILLIE_N)
+        assert _goodwillie_oracle(3) == (5, verify.GOODWILLIE_N)
+
+    def test_goodwillie_scan_monkeypatched_everywhere(self, monkeypatch):
+        real = torsion.goodwillie_bound
+        monkeypatch.setattr(
+            torsion, "goodwillie_bound", lambda s, m, n, p: (real(s, m, n, p)[0] + 5, (m + 1) * n / s)
+        )
+        for p in (2, 3, 5):
+            assert _goodwillie_oracle(p) == (1, 1)
+            # the table scan meets the wrong function at its one direct call
+            assert verify._goodwillie_scan(p) == (1, verify.GOODWILLIE_N)
+
+    def test_suite_lines_fail_on_perturbed_sieve(self, monkeypatch):
+        real = verify._valuation_sieve
+
+        def perturbed(p):
+            vals = real(p)
+            vals[900] += 2000
+            return vals
+
+        monkeypatch.setattr(verify, "_valuation_sieve", perturbed)
+        lines = {r.name: r for r in verify.run_suite("torsion")}
+        for p in (2, 3, 5):
+            vals = perturbed(p)
+            rep = lines[f"counting_lemma_exhaustive_p{p}"]
+            assert (rep.ok, rep.detail) == _counting_oracle(p, vals)
+            assert not rep.ok
+        rep = lines["goodwillie_linear_envelope"]
+        assert not rep.ok
+        assert rep.detail == "s <= 8, n <= 2000, p in {2, 3, 5}, m = 1"
+
+    def test_suite_line_fails_on_monkeypatched_bound(self, monkeypatch):
+        real = torsion.goodwillie_bound
+        monkeypatch.setattr(
+            torsion, "goodwillie_bound",
+            lambda s, m, n, p: (real(s, m, n, p)[0] + (n == 2000 and s == 8), (m + 1) * n / s),
+        )
+        rep = {r.name: r for r in verify.run_suite("torsion")}["goodwillie_linear_envelope"]
+        assert rep.line() == (
+            "FAIL torsion.goodwillie_linear_envelope: s <= 8, n <= 2000, p in {2, 3, 5}, m = 1"
+        )
 
 
 class TestImJ:
