@@ -21,7 +21,8 @@ on the generator kinds:
 - trunc: a DSL spec of exterior and truncated(3), truncated(5) families in
   degrees from 301 to 2296, all well above sqrt(N), at N = 2^16.  Every
   generator folds over all N + 1 coefficients through the exterior and
-  truncated kernels of `TruncatedSeries.mul_factor`.
+  truncated branches of the in-place kernel `series._fold`, run on the
+  working list that `hilbert` keeps for the whole fold.
 - chain: the may_model algebra (p = 2), whose degrees 2^n form a
   divisibility chain, so a generator of degree d folds on N // d + 1
   coefficients.  Measured at N = 2^18 - 1 (the m = 18 upper bracketing

@@ -31,6 +31,7 @@ from .series import (
     POLYNOMIAL,
     GeneratorKind,
     TruncatedSeries,
+    _fold,
     _spread,
     factor_series,
 )
@@ -351,15 +352,22 @@ def hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
     m folds in m unit passes, or, when m is large next to the trunc // d + 1
     lattice coefficients of its factor, in one `mul` by the exact factor
     F^m from `factor_series`.
+
+    The coefficients live in one working list: each unit pass runs the
+    in-place kernel `series._fold` on it, so no pass copies the series.  A
+    gcd drop, at most log2 of the largest degree times per call, spreads
+    the coefficients onto a new list of the finer lattice, built once at
+    its exact length.  Only the finished list is frozen into the returned
+    series, which shares no storage with any other call's.
     """
     gens = instantiate(spec, trunc)
     g = gens[-1].degree if gens else 1
-    series = TruncatedSeries.unit(trunc // g)
+    out = [1] + [0] * (trunc // g)
     for kind, deg, mult in reversed(gens):
         step = g // math.gcd(g, deg)
         if step > 1:
             g //= step
-            series = _spread(series, step, trunc // g)
+            out = _spread(out, step, trunc // g)
         n, d = trunc // g, deg // g
         # mult unit folds cost mult * (n + 1) coefficient additions.  The
         # product with F^mult, the left operand so that `mul` skips its zero
@@ -367,11 +375,12 @@ def hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
         # in an interpreted loop, each worth about four additions: it wins
         # once mult exceeds twice n // d + 1.
         if mult > 2 * (n // d + 1):
-            series = factor_series(kind, d, n, mult).mul(series)
+            power = factor_series(kind, d, n, mult)
+            out[:] = power.mul(TruncatedSeries._of(out))
         else:
             for _ in range(mult):
-                series = series.mul_factor(kind, d)
-    return _spread(series, g, trunc)
+                _fold(out, kind, d)
+    return TruncatedSeries._of(_spread(out, g, trunc))
 
 
 def hilbert_cumulative(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:

@@ -114,16 +114,19 @@ class TruncatedSeries:
     @classmethod
     def unit(cls, trunc: int) -> "TruncatedSeries":
         """The series 1 (multiplicative identity)."""
-        return cls((1,) + (0,) * trunc)
+        _check_trunc(trunc)
+        return cls._of((1,) + (0,) * trunc)
 
     @classmethod
     def zero(cls, trunc: int) -> "TruncatedSeries":
-        return cls((0,) * (trunc + 1))
+        _check_trunc(trunc)
+        return cls._of((0,) * (trunc + 1))
 
     @classmethod
     def ones(cls, trunc: int) -> "TruncatedSeries":
         """The series 1/(1-t)."""
-        return cls((1,) * (trunc + 1))
+        _check_trunc(trunc)
+        return cls._of((1,) * (trunc + 1))
 
     # -- basic access --------------------------------------------------------
 
@@ -198,7 +201,7 @@ class TruncatedSeries:
             if ai:
                 for j in range(m - i):
                     out[i + j] += ai * b[j]
-        return _spread(TruncatedSeries._of(out), step, n)
+        return TruncatedSeries._of(_spread(out, step, n))
 
     __mul__ = mul
 
@@ -208,31 +211,14 @@ class TruncatedSeries:
         polynomial -> 1/(1-t^d), exterior -> 1+t^d,
         truncated(k) -> 1+t^d+...+t^(d(k-1)) = (1-t^(kd))/(1-t^d).
 
-        Every kind is one or two passes of N + 1 coefficient additions done
-        by `map`/`accumulate`.  The polynomial fold adds out[n-d] into
-        out[n] in ascending n: when d^2 > N it runs as N // d contiguous
-        blocks of d coefficients, otherwise as d strided running sums of
-        about N // d coefficients, so each fold makes at most about sqrt(N)
-        slice operations.  A truncated factor is the polynomial fold
-        followed by one subtraction of the series shifted by kd.  The
-        exterior factor is a single shifted addition.
+        A copy of the coefficients goes through the in-place kernel `_fold`,
+        the one `algebra.hilbert` runs on its working list, and the result
+        is a new series; the receiver is unchanged.
         """
         if d < 1:
             raise SeriesError("generator degree must be >= 1")
-        c = self._coeffs
-        if kind.name == "ext":
-            return TruncatedSeries._of(c[:d] + tuple(map(add, c[d:], c)))
-        n = self.trunc
-        out = list(c)
-        if d * d > n:
-            for s in range(d, n + 1, d):
-                out[s : s + d] = map(add, out[s : s + d], out[s - d : s])
-        else:
-            for r in range(d):
-                out[r::d] = accumulate(out[r::d])
-        if kind.name == "trunc":
-            kd = kind.order * d  # type: ignore[operator]
-            out[kd:] = map(sub, out[kd:], out)
+        out = list(self._coeffs)
+        _fold(out, kind, d)
         return TruncatedSeries._of(out)
 
     def cumulative(self) -> "TruncatedSeries":
@@ -246,7 +232,9 @@ class TruncatedSeries:
         if k == 0:
             return self
         n = self.trunc
-        return TruncatedSeries._of((0,) * min(k, n + 1) + self._coeffs[: n + 1 - k])
+        if k > n:
+            return TruncatedSeries._of((0,) * (n + 1))
+        return TruncatedSeries._of((0,) * k + self._coeffs[: n + 1 - k])
 
     def hadamard(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.trunc, other.trunc)
@@ -282,7 +270,12 @@ class TruncatedSeries:
         return {"trunc": self.trunc, "coeffs": [str(c) for c in self._coeffs]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        """`json.dumps(self.to_json_obj())`, written directly: the
+        coefficients are decimal strings, which need no escaping."""
+        return '{"trunc": %d, "coeffs": ["%s"]}' % (
+            self.trunc,
+            '", "'.join(map(str, self._coeffs)),
+        )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TruncatedSeries":
@@ -300,17 +293,53 @@ class TruncatedSeries:
             yield n, str(c)
 
 
-def _spread(series: TruncatedSeries, step: int, trunc: int) -> TruncatedSeries:
-    """The series with t replaced by t^step, truncated at degree trunc.
+def _check_trunc(trunc: int) -> None:
+    if trunc < 0:
+        raise SeriesError("truncation must be nonnegative")
 
-    `series` must have trunc // step + 1 coefficients; they land on the
-    multiples of step, with zeros between.
+
+def _fold(out: list[int], kind: GeneratorKind, d: int) -> None:
+    """Multiply the coefficient list `out` in place by the Hilbert factor of
+    one generator of `kind` in degree d >= 1, truncated at len(out) - 1.
+
+    Every kind is one or two passes of N + 1 coefficient additions done by
+    `map`/`accumulate`.  The polynomial fold adds out[n-d] into out[n] in
+    ascending n: when d^2 > N it runs as N // d contiguous blocks of d
+    coefficients, otherwise as d strided running sums of about N // d
+    coefficients, so each fold makes at most about sqrt(N) slice
+    operations.  A truncated factor is the polynomial fold followed by one
+    subtraction of the list shifted by kd.  The exterior factor is a single
+    shifted addition.  A slice assignment consumes its whole right-hand
+    side before it writes, so its reads see the list as it was before it.
+    """
+    if kind.name == "ext":
+        out[d:] = map(add, out[d:], out)
+        return
+    n = len(out) - 1
+    if d * d > n:
+        for s in range(d, n + 1, d):
+            out[s : s + d] = map(add, out[s : s + d], out[s - d : s])
+    else:
+        for r in range(d):
+            out[r::d] = accumulate(out[r::d])
+    if kind.name == "trunc":
+        kd = kind.order * d  # type: ignore[operator]
+        out[kd:] = map(sub, out[kd:], out)
+
+
+def _spread(coeffs: list[int], step: int, trunc: int) -> list[int]:
+    """The coefficient list with t replaced by t^step, truncated at degree
+    trunc.
+
+    `coeffs` must hold trunc // step + 1 coefficients; they land on the
+    multiples of step, with zeros between.  For step 1 it is `coeffs`
+    itself.
     """
     if step == 1:
-        return series
+        return coeffs
     out = [0] * (trunc + 1)
-    out[::step] = series.coeffs
-    return TruncatedSeries._of(out)
+    out[::step] = coeffs
+    return out
 
 
 def factor_series(
@@ -331,8 +360,7 @@ def factor_series(
     """
     if d < 1:
         raise SeriesError("generator degree must be >= 1")
-    if trunc < 0:
-        raise SeriesError("truncation must be nonnegative")
+    _check_trunc(trunc)
     if mult < 0:
         raise SeriesError("negative multiplicity")
     size = trunc // d + 1

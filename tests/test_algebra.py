@@ -180,6 +180,18 @@ class TestHilbert:
         spec = parse_spec("p = 2\ngen poly deg = 1 mult = 2\n")
         assert hilbert(spec, 3) == TruncatedSeries([1, 2, 3, 4])
 
+    def test_calls_share_no_storage(self):
+        # the lattice spreads twice (g = 6 -> 2 -> 1) and the trunc(3)
+        # generator takes the F^m product path, besides unit folds
+        spec = parse_spec(
+            "p = 2\ngen poly deg = 4\ngen ext deg = 6\n"
+            "gen trunc(3) deg = 3 mult = 40\ngen poly deg = 1\n"
+        )
+        first, second = hilbert(spec, 12), hilbert(spec, 12)
+        assert first == second == ascending_fold(spec, 12)
+        assert type(first.coeffs) is tuple and type(second.coeffs) is tuple
+        assert first.coeffs is not second.coeffs
+
     def test_huge_multiplicity(self):
         m = 10**8
         spec = parse_spec(f"p = 2\ngen poly deg = 1 mult = {m}\n")

@@ -265,6 +265,20 @@ class TestMainEntry:
         assert rc == 0
         assert out.read_text().splitlines()[0] == "0,1"
 
+    def test_unwritable_out_exits_one(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            "preset", "--name", "dual_steenrod", "--p", "2",
+            "--max-degree", "3", "--out", str(target),
+        )
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(
+            f"stemsize: error: cannot write output {str(target)!r}: "
+        )
+        assert not target.exists()
+
 
 class TestSharedParser:
     def test_repeated_requests_leak_no_state(self, capsys, tmp_path):

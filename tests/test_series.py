@@ -12,6 +12,7 @@ from stemsize.series import (
     GeneratorKind,
     SeriesError,
     TruncatedSeries,
+    _fold,
     factor_series,
 )
 
@@ -49,6 +50,12 @@ class TestConstruction:
     def test_bool_rejected(self):
         with pytest.raises(SeriesError):
             TruncatedSeries([1, True])
+
+    @pytest.mark.parametrize("make", [TruncatedSeries.unit, TruncatedSeries.zero,
+                                      TruncatedSeries.ones])
+    def test_negative_truncation_rejected(self, make):
+        with pytest.raises(SeriesError):
+            make(-1)
 
     def test_json_negative_rejected(self):
         with pytest.raises(SeriesError):
@@ -284,6 +291,66 @@ class TestFoldKernels:
         assert a.mul_factor(EXTERIOR, d) == trunc_loop(a.coeffs, 2, d)
 
 
+@st.composite
+def kernel_cases(draw):
+    """A kind, a degree d and a series of truncation N near the kernel's
+    branch points: d^2 against N (blocked or strided), kd against N for
+    trunc(k), and d above N."""
+    kind = draw(st.sampled_from(KINDS))
+    d = draw(st.integers(min_value=1, max_value=15))
+    k = kind.nilpotence or 1
+    n = draw(
+        st.one_of(
+            st.sampled_from([d * d - 1, d * d, d * d + 1, k * d - 1, k * d, d - 1, d]),
+            st.integers(min_value=0, max_value=250),
+        )
+    )
+    return kind, d, draw(big_series(max(n, 0)))
+
+
+class TestInPlaceKernel:
+    """`_fold` multiplies a coefficient list in place by one generator's
+    Hilbert factor; `mul` by the explicit `factor_series` is the reference."""
+
+    @staticmethod
+    def check(kind, d, a):
+        out = list(a.coeffs)
+        assert _fold(out, kind, d) is None
+        assert len(out) == len(a)
+        assert TruncatedSeries(out) == a.mul(factor_series(kind, d, a.trunc))
+
+    @given(kernel_cases())
+    @example((POLYNOMIAL, 3, S(*range(1, 11))))  # d^2 <= N: strided
+    @example((POLYNOMIAL, 4, S(*range(1, 11))))  # d^2 > N: blocked
+    @example((POLYNOMIAL, 5, S(1, 2, 3)))  # d > N
+    @example((EXTERIOR, 2, S(*range(1, 8))))
+    @example((EXTERIOR, 8, S(*range(1, 8))))  # d > N
+    @example((GeneratorKind.truncated(3), 2, S(*range(1, 6))))  # d^2 <= N < kd
+    @example((GeneratorKind.truncated(3), 2, S(*range(1, 9))))  # d^2, kd <= N
+    @example((GeneratorKind.truncated(2), 5, S(*range(1, 12))))  # kd <= N < d^2
+    @example((GeneratorKind.truncated(4), 3, S(*range(1, 8))))  # N < d^2, kd
+    @example((GeneratorKind.truncated(4), 9, S(*range(1, 8))))  # d > N
+    @settings(max_examples=300, deadline=None)
+    def test_matches_factor_product(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    def test_every_branch_on_a_grid(self, kind):
+        # every (d, N) with d <= 9 and N <= 40 puts each branch of the
+        # kernel (d^2 <= N or > N, kd <= N or > N, d > N) on both sides
+        for d in range(1, 10):
+            for n in range(41):
+                self.check(kind, d, TruncatedSeries(range(7, 7 + n + 1)))
+
+    @given(series_strategy, st.sampled_from(KINDS), st.integers(min_value=1, max_value=30))
+    def test_mul_factor_leaves_receiver_unchanged(self, a, kind, d):
+        before = tuple(a)
+        result = a.mul_factor(kind, d)
+        assert tuple(a) == before
+        assert result.coeffs is not a.coeffs
+        assert type(result.coeffs) is tuple
+
+
 def alternating_sum(k, m, j):
     """Coefficient of t^j in (1 + t + ... + t^(k-1))^m by inclusion-exclusion."""
     return sum(
@@ -335,6 +402,13 @@ class TestFactorPower:
         ]
 
 
+@st.composite
+def shift_cases(draw):
+    """A series and a shift k up to 2 * trunc + 3, past the truncation."""
+    a = draw(series_strategy)
+    return a, draw(st.integers(min_value=0, max_value=2 * a.trunc + 3))
+
+
 class TestCumulativeShiftHadamard:
     def test_running_sum(self):
         assert S(1, 0, 2, 0).cumulative() == S(1, 1, 3, 3)
@@ -361,6 +435,20 @@ class TestCumulativeShiftHadamard:
     @given(series_strategy)
     def test_shift_composes(self, a):
         assert a.shift(1).shift(1) == a.shift(2)
+
+    def test_shift_past_truncation(self):
+        assert S(1, 2, 3).shift(3) == S(0, 0, 0)
+        assert S(1, 2, 3).shift(5) == S(0, 0, 0)
+
+    @given(shift_cases())
+    @example((S(1, 2, 3), 5))
+    @example((S(4), 1))
+    @example((S(4), 3))
+    def test_shift_keeps_truncation(self, case):
+        a, k = case
+        shifted = a.shift(k)
+        assert shifted.trunc == a.trunc
+        assert list(shifted) == [a[i - k] if i >= k else 0 for i in range(a.trunc + 1)]
 
     @given(series_strategy, st.integers(min_value=0, max_value=30))
     def test_shift_suppresses_cumulative(self, a, k):
@@ -428,6 +516,22 @@ class TestSerialization:
         obj = json.loads(S(1, 10**30).to_json())
         assert obj["trunc"] == 1
         assert obj["coeffs"] == ["1", str(10**30)]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=50),
+                st.integers(min_value=2**500, max_value=2**700),
+            ),
+            min_size=1,
+            max_size=20,
+        ).map(TruncatedSeries)
+    )
+    @example(S(0))
+    @example(S(2**512))
+    @example(S(1, 10**30))
+    def test_json_text_matches_dumps(self, a):
+        assert a.to_json() == json.dumps(a.to_json_obj())
 
     @given(series_strategy)
     def test_round_trip(self, a):
