@@ -88,11 +88,11 @@ class Tokenizer:
         self._peeked: tuple[str, str, int] | None = None
 
     def _scan(self) -> tuple[str, str, int]:
-        if self.pos >= len(self.text) or self.text[self.pos :].isspace():
-            return ("eof", "", len(self.text))
         m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None:  # report the first character after the blanks
+        if m is None:  # eof after blanks, else name the first non-blank character
             bad = len(self.text) - len(self.text[self.pos :].lstrip())
+            if bad == len(self.text):
+                return ("eof", "", bad)
             raise DslError(
                 f"unexpected character {self.text[bad]!r}", self.line_no, bad + 1
             )

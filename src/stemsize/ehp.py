@@ -6,9 +6,12 @@ i_s > 2 i_{s+1}; dim(J) = sum (i_s - 1).  At odd p the entries are pairs
 (eps_s, i_s) with eps_s in {0,1}, 2 i_k >= n and i_s > p i_{s+1} - eps_{s+1};
 dim(J) = sum (2(p-1) i_s - eps_s - 1).
 
-A(n;t) and P(A;t) are counted by one prefix-sum chain census, whose oracle
-is the listing `enumerate_I`; the EHP recurrences do not ground out (they
-refer to larger excess), so they are kept as verification oracles instead.
+A(n;t) is counted by a prefix-sum chain census, whose oracle is the listing
+`enumerate_I`; the EHP recurrences do not ground out (they refer to larger
+excess), so they are kept as verification oracles instead.  P(A;t) is the
+Hilbert series of the dual Steenrod algebra (Milnor's theorem), so it comes
+from `hilbert` of the `dual_steenrod` preset; the same census, counting
+admissible monomials, is kept uncached as its independent oracle.
 
 Where A(n;t) <= P(A;t) holds:
 
@@ -35,7 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .algebra import is_prime
+from .algebra import hilbert, is_prime
+from .presets import preset
 from .series import TruncatedSeries, SeriesError
 
 __all__ = [
@@ -165,7 +169,7 @@ def _a_counts(p: int, n: int, max_dim: int) -> tuple[int, ...]:
 
 def a_series(p: int, n: int, trunc: int) -> TruncatedSeries:
     """A(n; t): coefficient d counts the sequences in I(n) of dimension d."""
-    return TruncatedSeries(_a_counts(p, n, trunc))
+    return TruncatedSeries._of(_a_counts(p, n, trunc))
 
 
 def verify_ehp_recurrence(p: int, n: int, trunc: int) -> bool:
@@ -194,8 +198,9 @@ def verify_ehp_recurrence(p: int, n: int, trunc: int) -> bool:
     return lhs == rhs
 
 
-@lru_cache(maxsize=64)
 def _admissible_counts(p: int, trunc: int) -> tuple[int, ...]:
+    """Admissible Steenrod monomials by grading through trunc, counted by the
+    chain census: the oracle for `admissible_series`."""
     _require_prime(p)
     if p == 2:  # admissible i_s >= 2 i_{s+1}, i_k >= 1, graded by sum i_s
         return tuple(_count_chains(trunc, ((i, i // 2) for i in range(1, trunc + 1))))
@@ -210,17 +215,15 @@ def _admissible_counts(p: int, trunc: int) -> tuple[int, ...]:
 
 
 def admissible_series(p: int, trunc: int) -> TruncatedSeries:
-    """Coefficient n counts admissible Steenrod monomials of grading n; agrees
-    with the Hilbert series of the dual Steenrod algebra."""
-    return TruncatedSeries(_admissible_counts(p, trunc))
+    """P(A;t): coefficient n counts admissible Steenrod monomials of grading
+    n.  By Milnor's theorem this is the Hilbert series of the dual Steenrod
+    algebra, computed by `hilbert`; `_admissible_counts` is its oracle."""
+    return hilbert(preset("dual_steenrod", p), trunc)
 
 
 def default_varpi_a(p: int, trunc: int) -> TruncatedSeries:
     """Default upper-bound series for the stable Ext rank: the may_e1
     (drop_q0) Hilbert series."""
-    from .presets import preset
-    from .algebra import hilbert
-
     return hilbert(preset("may_e1", p, drop_q0=True), trunc)
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 
-from .algebra import is_prime
+from .algebra import hilbert_cumulative, is_prime
+from .presets import preset
 
 __all__ = [
     "TorsionError",
@@ -246,9 +247,6 @@ def im_j_lower(p: int, n: int) -> int:
 def default_rank_model(p: int, n: int) -> int:
     """Cumulative rank of the may_e1 (drop_q0) model through degree n; the
     default per-prime rank upper bound for the integral assembly."""
-    from .presets import preset
-    from .algebra import hilbert_cumulative
-
     return hilbert_cumulative(preset("may_e1", p, drop_q0=True), n)[n]
 
 

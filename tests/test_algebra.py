@@ -67,6 +67,18 @@ class TestParsing:
         with pytest.raises(DslError, match=r"^line 2, col 15: unexpected character '\$'$"):
             parse_spec("p = 2\ngen poly deg =$ 3\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p = 2\ngen poly deg =  \t",
+         "line 2, col 18: expected expression, found 'end of line'"),
+        ("p = 2\ngen poly deg = 1 for i = 0..  ",
+         "line 2, col 31: expected integer or 'inf' as range upper bound"),
+    ], ids=["expression", "range_bound"])
+    def test_end_of_line_after_blanks(self, text, message):
+        # a blank tail is the end of the line, placed just past its last character
+        with pytest.raises(DslError) as exc:
+            parse_spec(text)
+        assert str(exc.value) == message
+
     def test_blank_lines_ignored(self):
         spec = parse_spec("p = 3\n\ngen ext deg = 1\n\n")
         assert spec.p == 3

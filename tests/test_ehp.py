@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemsize.algebra import AlgebraError
 from stemsize.ehp import (
     CUSeq,
+    _admissible_counts,
     a_series,
     admissible_series,
     default_varpi_a,
@@ -119,6 +121,7 @@ NON_PRIME_CALLS = {
     "enumerate_I": lambda p: enumerate_I(p, 1, 10),
     "a_series": lambda p: a_series(p, 1, 10),
     "admissible_series": lambda p: admissible_series(p, 10),
+    "_admissible_counts": lambda p: _admissible_counts(p, 10),
 }
 
 
@@ -156,7 +159,9 @@ class TestASeries:
 
 
 class TestCensusKernel:
-    """The prefix-sum census against the enumerators it replaced."""
+    """The prefix-sum census against the enumerators it replaced, and the
+    admissible census against `hilbert` of the dual Steenrod algebra
+    (Milnor's theorem), which computes `admissible_series`."""
 
     @given(
         st.sampled_from([2, 3, 5, 7]),
@@ -170,29 +175,45 @@ class TestCensusKernel:
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=120))
     @settings(max_examples=100, deadline=None)
     def test_admissible_matches_reference(self, p, trunc):
-        assert admissible_series(p, trunc) == TruncatedSeries(
-            admissible_counts_reference(p, trunc)
-        )
+        reference = admissible_counts_reference(p, trunc)
+        assert _admissible_counts(p, trunc) == reference
+        assert admissible_series(p, trunc) == TruncatedSeries(reference)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_large_degree(self, p):
         # out of reach for the enumerators: P(A;t) at p = 2 has 24M monomials
-        assert admissible_series(p, 400) == hilbert(preset("dual_steenrod", p), 400)
+        dual = hilbert(preset("dual_steenrod", p), 400)
+        assert _admissible_counts(p, 400) == dual.coeffs
         for n in range(1, 4):
             assert verify_ehp_recurrence(p, n, 400)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_large_degree_odd(self, p):
+        dual = hilbert(preset("dual_steenrod", p), 1500)
+        assert _admissible_counts(p, 1500) == dual.coeffs
 
 
 class TestAdmissible:
     def test_p2_equals_dual_steenrod(self):
-        assert admissible_series(2, 24) == hilbert(preset("dual_steenrod", 2), 24)
+        dual = hilbert(preset("dual_steenrod", 2), 24)
+        assert _admissible_counts(2, 24) == dual.coeffs
 
     def test_odd_equals_dual_steenrod(self):
         for p in (3, 5):
-            assert admissible_series(p, 30) == hilbert(preset("dual_steenrod", p), 30)
+            dual = hilbert(preset("dual_steenrod", p), 30)
+            assert _admissible_counts(p, 30) == dual.coeffs
 
     def test_odd_low_degrees(self):
         got = admissible_series(3, 5)
         assert got[0] == 1 and got[1] == 1 and got[4] == 1
+
+    def test_negative_truncation_rejected(self):
+        for p in (2, 3):
+            with pytest.raises(AlgebraError, match="^truncation must be nonnegative$"):
+                admissible_series(p, -1)
+        ones = TruncatedSeries.ones(4)
+        with pytest.raises(AlgebraError, match="^truncation must be nonnegative$"):
+            unstable_ext_bound(2, ones, ones, -1)
 
 
 class TestUnstableBounds:
