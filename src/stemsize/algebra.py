@@ -101,6 +101,14 @@ class GeneratorFamily:
     multiplicity: DegreeExpr = field(default_factory=lambda: Lit(1))
     ranges: tuple[tuple[str, int, int | None], ...] = ()
 
+    def __post_init__(self) -> None:
+        names = [name for name, _, _ in self.ranges]
+        if len(set(names)) != len(names):
+            raise AlgebraError(f"duplicate index variable in family ranges {names}")
+        unknown = self.free_vars() - set(names) - {"p"}
+        if unknown:
+            raise AlgebraError(f"unknown identifier {sorted(unknown)[0]!r}")
+
     def free_vars(self) -> frozenset[str]:
         return expr_free_vars(self.degree) | expr_free_vars(self.multiplicity)
 
@@ -114,13 +122,6 @@ class AlgebraSpec:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise AlgebraError(f"p = {self.p} is not prime")
-        for fam in self.families:
-            names = [name for name, _, _ in fam.ranges]
-            if len(set(names)) != len(names):
-                raise AlgebraError(f"duplicate index variable in family ranges {names}")
-            unknown = fam.free_vars() - set(names) - {"p"}
-            if unknown:
-                raise AlgebraError(f"unknown identifier {sorted(unknown)[0]!r}")
 
 
 class Generator(NamedTuple):
@@ -152,7 +153,6 @@ def parse_spec(text: str) -> AlgebraSpec:
 
 def _parse_spec(text: str) -> AlgebraSpec:
     lines = text.splitlines()
-    header_no = None
     p = None
     families: list[GeneratorFamily] = []
     for no, raw in enumerate(lines, start=1):
@@ -168,21 +168,21 @@ def _parse_spec(text: str) -> AlgebraSpec:
                 raise tok.error("trailing input after prime declaration")
             if not is_prime(p):
                 raise DslError(f"p = {p} is not prime", no, 1)
-            header_no = no
             continue
-        families.append(_parse_gen_line(tok))
+        try:
+            families.append(_parse_gen_line(tok))
+        except AlgebraError as exc:
+            raise DslError(str(exc), no) from None
     if p is None:
         raise DslError("empty spec: missing 'p = <prime>' line")
-    try:
-        return AlgebraSpec(p, tuple(families))
-    except AlgebraError as exc:
-        raise DslError(str(exc), header_no) from None
+    return AlgebraSpec(p, tuple(families))
 
 
 def _parse_gen_line(tok: Tokenizer) -> GeneratorFamily:
     word = tok.expect("ident")
     if word != "gen":
         raise DslError(f"expected 'gen', found {word!r}", tok.line_no, 1)
+    kind_col = tok.peek()[2] + 1
     kind_word = tok.expect("ident")
     if kind_word == "poly":
         kind = POLYNOMIAL
@@ -190,13 +190,14 @@ def _parse_gen_line(tok: Tokenizer) -> GeneratorFamily:
         kind = EXTERIOR
     elif kind_word == "trunc":
         tok.expect("(")
+        k_col = tok.peek()[2] + 1
         k = int(tok.expect("int"))
         tok.expect(")")
         if k < 2:
-            raise DslError(f"truncation order {k} < 2", tok.line_no)
+            raise DslError(f"truncation order {k} < 2", tok.line_no, k_col)
         kind = GeneratorKind.truncated(k)
     else:
-        raise DslError(f"unknown generator kind {kind_word!r}", tok.line_no)
+        raise DslError(f"unknown generator kind {kind_word!r}", tok.line_no, kind_col)
     if tok.expect("ident") != "deg":
         raise tok.error("expected 'deg'")
     tok.expect("=")

@@ -283,7 +283,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", default="all",
                    help="suite name or 'all' (%s)" % ", ".join(sorted(verify.SUITES)))
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    common(p, prime=False)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -40,8 +40,10 @@ class DslError(ValueError):
     """Syntax or validation error, with line/column position when known."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        if line is not None:
+        if col is not None:
             message = f"line {line}, col {col}: {message}"
+        elif line is not None:
+            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
         self.col = col
@@ -74,7 +76,7 @@ DegreeExpr = Union[Lit, Var, BinOp, Min]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<dots>\.\.)|(?P<punct>[-+*^(),=]))"
+    r"|(?P<dots>\.\.)|(?P<punct>[-+*^(),=])|(?P<bad>\S))"
 )
 
 
@@ -89,17 +91,14 @@ class Tokenizer:
 
     def _scan(self) -> tuple[str, str, int]:
         m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None:  # eof after blanks, else name the first non-blank character
-            bad = len(self.text) - len(self.text[self.pos :].lstrip())
-            if bad == len(self.text):
-                return ("eof", "", bad)
-            raise DslError(
-                f"unexpected character {self.text[bad]!r}", self.line_no, bad + 1
-            )
-        start = m.start(m.lastgroup)  # type: ignore[arg-type]
-        self.pos = m.end()
+        if m is None:  # only blanks are left
+            return ("eof", "", len(self.text))
         kind = m.lastgroup
+        start = m.start(kind)  # type: ignore[arg-type]
         value = m.group(kind)  # type: ignore[arg-type]
+        if kind == "bad":
+            raise DslError(f"unexpected character {value!r}", self.line_no, start + 1)
+        self.pos = m.end()
         if kind == "punct" or kind == "dots":
             return (value, value, start)
         return (kind, value, start)  # type: ignore[return-value]

@@ -212,7 +212,7 @@ def stable_torsion_bound(p: int, n: int, curve: VanishingCurve) -> TorsionReport
     if n < 1:
         raise TorsionError("degree must be >= 1")
     g = curve(n)
-    span = 2 if p == 2 else 2 * p - 2
+    span = 2 * p - 2
     below = n // span  # lo - 1
     hi = (n + g) // span
     exact = hi - below + sum_val_p(p, hi) - sum_val_p(p, below)

@@ -8,13 +8,14 @@ header alone.
 The torsion suite decides its exhaustive grids from exact tables that each
 run builds once: a valuation sieve per p, and from it Legendre prefix sums.
 The counting-lemma scan over all pairs up to 10^4 settles each b by one
-integer comparison against a table of the least b with b^(p-1) >= p^q,
-computed by an exact integer root.  The stable-bound scan to 10^4 runs on
-prefix sums of the column exponents.  The Goodwillie scan (s <= 8,
-n <= 2000) uses that its exact sum is constant on each block of n with the
-same (n - 1) // s while the linear envelope rises, so the first n of a
-block decides the block.  Each scan still cross-checks its tables against
-direct calls of the formula it covers.
+integer comparison against a running threshold, the largest k with
+p^k <= b^(p-1), which is raised by exact powers of p only at a b whose
+slack exceeds it.  The stable-bound scan to 10^4 runs on prefix sums of
+the column exponents.  The Goodwillie scan (s <= 8, n <= 2000) uses that
+its exact sum is constant on each block of n with the same (n - 1) // s
+while the linear envelope rises, so the first n of a block decides the
+block.  Each scan still cross-checks its tables against direct calls of
+the formula it covers.
 """
 
 from __future__ import annotations
@@ -236,10 +237,8 @@ def _suite_algebra(rng: random.Random) -> list[CheckResult]:
     for _ in range(n_specs):
         spec = random_spec(rng)
         trunc = rng.randint(4, 30)
-        gens = algebra.instantiate(spec, trunc)
-        if gens != sorted(gens, key=lambda g: g.degree) and [
-            g.degree for g in gens
-        ] != sorted(g.degree for g in gens):
+        degrees = [g.degree for g in algebra.instantiate(spec, trunc)]
+        if degrees != sorted(degrees):
             ok = False
             break
     out.append(
@@ -331,8 +330,8 @@ def _suite_presets(rng: random.Random) -> list[CheckResult]:
 
 
 def _span(p: int) -> int:
-    """Column width 2p - 2 of the stable window (2 at p = 2)."""
-    return 2 if p == 2 else 2 * p - 2
+    """Column width 2p - 2 of the stable window."""
+    return 2 * p - 2
 
 
 def _top_column(p: int) -> int:
@@ -376,29 +375,16 @@ def _curve_table(curve: torsion.VanishingCurve) -> list[int]:
     return [curve(n) for n in range(1, SCAN_LIMIT + 1)]
 
 
-def _root_ceil(x: int, k: int) -> int:
-    """The least b >= 0 with b^k >= x, for x >= 0 and k >= 1, in exact
-    integer arithmetic."""
-    if x <= 1:
-        return x
-    r = 1 << -(-x.bit_length() // k)  # r^k >= 2^bit_length > x
-    while True:  # Newton's step from above descends to floor(x^(1/k))
-        y = ((k - 1) * r + x // r ** (k - 1)) // k
-        if y >= r:
-            break
-        r = y
-    return r if r**k == x else r + 1
-
-
 def _counting_scan(p: int, vals: list[int] | None = None) -> tuple[bool, str]:
     """exact <= bound for every 0 <= a < b <= SCAN_LIMIT, settled exactly.
 
     With T(x) = x + sum of valuations and c = p/(p-1), the claim over all a
     reduces to g(b) - min_{a<b} g(a) <= (p-1) log_p(b) for the integer
     g(x) = (p-1) T(x) - p x, that is to p^q <= b^(p-1) for the slack q of b.
-    The least b with b^(p-1) >= p^q is tabled once per q by an exact integer
-    root, so each b is settled by comparing it with its q's entry.  vals is
-    the run's valuation sieve for p, built here when not given.
+    A running top, the largest k with p^k <= b^(p-1), only grows with b, so
+    it is raised only at a b whose q exceeds it, and that b is a violation
+    exactly when q still exceeds it.  vals is the run's valuation sieve for
+    p, built here when not given.
     """
     n = SCAN_LIMIT
     if vals is None:
@@ -407,18 +393,16 @@ def _counting_scan(p: int, vals: list[int] | None = None) -> tuple[bool, str]:
     g = list(accumulate(((p - 1) * v - 1 for v in vals[1 : n + 1]), initial=0))
     prefix_min = list(accumulate(g, min))  # over a <= x
     q = [gb - m for gb, m in zip(g[1:], prefix_min)]  # q[b-1]: min over a < b
-    worst_q = max(q)
-    # least[k] = the least b with b^(p-1) >= p^k, so p^k > b^(p-1) exactly
-    # when b < least[k]; tabled up to the first entry past n, which makes
-    # every larger q a violation at every b <= n
-    least = [1]
-    while len(least) <= worst_q and least[-1] <= n:
-        least.append(_root_ceil(p ** len(least), p - 1))
-    cap = len(least) - 1
+    top, power = 0, p  # power = p^(top+1), at most p * b^(p-1)
     for b, qb in enumerate(q, 1):
-        if qb > 0 and (qb > cap or b < least[qb]):
-            return False, f"violation at p={p}, b={b}"
+        if qb > top:
+            reach = b ** (p - 1)
+            while power <= reach:
+                top, power = top + 1, power * p
+            if qb > top:
+                return False, f"violation at p={p}, b={b}"
     # cross-check the closed-form function itself on the extremal b
+    worst_q = max(q)
     b_star = q.index(worst_q) + 1
     a_star = g.index(prefix_min[b_star - 1])
     exact, bound = torsion.counting_lemma(p, a_star, b_star)

@@ -79,6 +79,28 @@ class TestParsing:
             parse_spec(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("p = 2\ngen ext deg = q + 1 for i = 1..3\n",
+         "line 2: unknown identifier 'q'"),
+        ("p = 2\ngen ext deg = i for i = 1..3, i = 1..2\n",
+         "line 2: duplicate index variable in family ranges ['i', 'i']"),
+        ("p = 2\ngen foo deg = 3\n",
+         "line 2, col 5: unknown generator kind 'foo'"),
+        ("p = 2\ngen trunc(1) deg = 3\n",
+         "line 2, col 11: truncation order 1 < 2"),
+        ("p = 2\n\ngen poly deg = 1\ngen poly deg = j for i = 1..inf\n",
+         "line 4: unknown identifier 'j'"),
+        ("p = 2\ngen poly deg = q\ngen poly deg = $\n",
+         "line 2: unknown identifier 'q'"),
+    ], ids=["identifier", "duplicate_index", "kind", "trunc_order", "later_line",
+            "earlier_line_wins"])
+    def test_family_errors_name_their_line(self, text, message):
+        # a family's own checks report its line as it is parsed, and its
+        # token's column when one token is at fault
+        with pytest.raises(DslError) as exc:
+            parse_spec(text)
+        assert str(exc.value) == message
+
     def test_blank_lines_ignored(self):
         spec = parse_spec("p = 3\n\ngen ext deg = 1\n\n")
         assert spec.p == 3

@@ -254,6 +254,16 @@ class TestVerify:
         code, _, _ = run_cli("verify", "--suite", "bogus")
         assert code == 1
 
+    def test_format_flag_rejected(self, capsys, tmp_path):
+        # verify prints one plain report, so it takes no --format
+        assert main(["verify", "--suite", "series", "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "stemsize: error: unrecognized arguments: --format csv\n"
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--suite", "series", "--out", str(out)]) == 0
+        assert "checks passed" in out.read_text()
+
 
 class TestMainEntry:
     def test_main_returns_int(self, capsys, tmp_path):

@@ -186,8 +186,9 @@ class TestScanTables:
 
 
 def _counting_oracle(p, vals):
-    """The counting-lemma scan with one big-integer comparison
-    p**q > b**(p-1) per b, as the suite ran it before the threshold table."""
+    """The counting-lemma scan by its definition: one big-integer comparison
+    p**q > b**(p-1) per b with a positive slack q, with no threshold kept
+    from one b to the next."""
     n = verify.SCAN_LIMIT
     g = list(accumulate(((p - 1) * v - 1 for v in vals[1 : n + 1]), initial=0))
     prefix_min = list(accumulate(g, min))
@@ -232,34 +233,6 @@ def _table_bound(legendre):
     return bound
 
 
-class TestRootCeil:
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_thresholds_against_brute_force(self, p):
-        k = p - 1
-        b = 0  # linear search, carried from one q to the next
-        for q in range(26):
-            x = p**q
-            least = verify._root_ceil(x, k)
-            assert least**k >= x and (least == 0 or (least - 1) ** k < x), q
-            if least <= 10**5:
-                while b**k < x:
-                    b += 1
-                assert least == b, q
-
-    @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=7))
-    @settings(max_examples=300)
-    def test_least_root(self, x, k):
-        b = verify._root_ceil(x, k)
-        assert b >= 0 and b**k >= x
-        assert b == 0 or (b - 1) ** k < x
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
-    def test_exact_powers_and_neighbours(self, k):
-        for r in range(0, 200):
-            assert verify._root_ceil(r**k, k) == r
-            assert verify._root_ceil(r**k + 1, k) == r + 1
-
-
 class TestExactScans:
     """The table-driven scans against the per-point loops they replaced."""
 
@@ -297,6 +270,30 @@ class TestExactScans:
         vals[b] += 1
         want = (True, f"p=2: all pairs <= 10000, tightest slack q = {worst_q}")
         assert verify._counting_scan(2, vals) == _counting_oracle(2, vals) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_counting_scan_huge_slack(self, p):
+        # a slack of about 10^6 at b = 10 is a violation, settled without
+        # building p^q: every product or power taken with p stays within one
+        # factor p of b^(p-1)
+        vals = verify._valuation_sieve(p)
+        vals[10] += 10**6
+        built = []
+
+        class TracedPrime(int):
+            def __mul__(self, other):
+                built.append(int(self) * other)
+                return built[-1]
+
+            __rmul__ = __mul__
+
+            def __pow__(self, other):
+                built.append(int(self) ** other)
+                return built[-1]
+
+        want = (False, f"violation at p={p}, b=10")
+        assert verify._counting_scan(TracedPrime(p), vals) == want
+        assert built and max(built) <= p * 10 ** (p - 1)
 
     def test_counting_scan_monkeypatched_counting_lemma(self, monkeypatch):
         monkeypatch.setattr(torsion, "counting_lemma", lambda p, a, b: (b + 1, 0.0))
