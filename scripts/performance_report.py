@@ -9,7 +9,14 @@ large truncations in three fold regimes, and the EHP series A(n;t) and P(A;t).
   algebra, presets, torsion, ehp), best of 5 with stdout discarded, so the
   report shows where that workload's verify time goes.  The torsion suite's
   three counting-lemma scans (p = 2, 3, 5, on prebuilt valuation sieves)
-  are also timed alone, best of 5.
+  are also timed alone, best of 5.  So are the algebra suite's parts, on
+  the inputs the suite draws at its default seed: drawing those inputs
+  (220 `random_spec` calls), each of its four checks, and both exact
+  oracles on the 60 (spec, truncation) pairs of `hilbert_vs_oracle` (the
+  log-derivative recurrence the check runs, and the monomial walk
+  `oracle_hilbert`).  Last, the recurrence against `hilbert` on may_e1 at
+  p = 2, N = 2048, where the recurrence's O(N^2) products cost about 35
+  times the fold (0.21 s against 6 ms, 2-vCPU VM, Python 3.11.7).
 
 `hilbert` folds each generator on the multiples of the gcd of the degrees
 folded so far, largest degree first, so its cost depends on the degrees and
@@ -42,9 +49,10 @@ on the generator kinds:
 import argparse
 import contextlib
 import io
+import random
 import time
 
-from stemsize import cli, verify
+from stemsize import algebra, cli, verify
 from stemsize.algebra import AlgebraSpec, hilbert_cumulative, parse_spec
 from stemsize.ehp import _admissible_counts, a_series, admissible_series
 from stemsize.presets import preset
@@ -112,12 +120,54 @@ def measure_cli(calls: int = 300) -> None:
         print(f"{'cli':8} counting-lemma scan, p = {p}: {elapsed * 1000:.2f} ms CPU, ok {ok}")
 
 
+def algebra_draws(seed: int = verify.DEFAULT_SEED):
+    """The algebra suite's inputs, drawn in the suite's order from its seed:
+    (spec, truncation) pairs for hilbert_vs_oracle, specs for
+    dsl_round_trip, (specs, budgets) splits for tensor_bracket_containment
+    and (spec, truncation) pairs for instantiate_sorted."""
+    rng = random.Random(seed)
+    oracle = [(verify.random_spec(rng), rng.randint(0, 24)) for _ in range(60)]
+    round_trip = [verify.random_spec(rng) for _ in range(60)]
+    splits = []
+    for _ in range(20):
+        specs = [verify.random_spec(rng, max_families=2) for _ in range(rng.randint(1, 3))]
+        specs = [AlgebraSpec(specs[0].p, s.families, s.label) for s in specs]
+        splits.append((specs, [rng.randint(1, 16) for _ in specs]))
+    instantiated = [(verify.random_spec(rng), rng.randint(4, 30)) for _ in range(60)]
+    return oracle, round_trip, splits, instantiated
+
+
+def measure_algebra_suite() -> None:
+    elapsed, (oracle, round_trip, splits, instantiated) = best_cpu(algebra_draws)
+    print(f"{'cli':8} algebra suite draws (220 random_spec): {elapsed * 1000:.2f} ms CPU")
+    checks = {
+        "hilbert_vs_oracle": lambda: [
+            algebra.hilbert(s, n) == algebra._log_derivative_hilbert(s, n) for s, n in oracle],
+        "dsl_round_trip": lambda: [
+            algebra.spec_to_text(parse_spec(algebra.spec_to_text(s))) for s in round_trip],
+        "tensor_bracket_containment": lambda: [
+            algebra.tensor_bracket(specs, budgets).ok for specs, budgets in splits],
+        "instantiate_sorted": lambda: [algebra.instantiate(s, n) for s, n in instantiated],
+        "oracle: log-derivative recurrence": lambda: [
+            algebra._log_derivative_hilbert(s, n) for s, n in oracle],
+        "oracle: monomial walk": lambda: [algebra.oracle_hilbert(s, n) for s, n in oracle],
+    }
+    for name, check in checks.items():
+        elapsed, _ = best_cpu(check)
+        print(f"{'cli':8} algebra {name}: {elapsed * 1000:.2f} ms CPU")
+    spec = preset("may_e1", 2, drop_q0=True)
+    for name, fn in (("recurrence", algebra._log_derivative_hilbert), ("hilbert", algebra.hilbert)):
+        elapsed, _ = best_cpu(fn, spec, 2048, repeats=3)
+        print(f"{'cli':8} may_e1, p = 2, N = 2048 by {name}: {elapsed * 1000:.1f} ms CPU")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--stretch", action="store_true",
                         help="also measure may_e1 at N = 2^20 (several minutes)")
     args = parser.parse_args()
     measure_cli()
+    measure_algebra_suite()
     measure_preset("generic", "may_e1", 2**18, drop_q0=True)
     if args.stretch:
         measure_preset("generic", "may_e1", 2**20, drop_q0=True)

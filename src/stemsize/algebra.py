@@ -5,8 +5,11 @@ list of generator families (polynomial / exterior / truncated species, a
 degree expression, an optional multiplicity expression, and index ranges).
 `hilbert` folds single-generator Hilbert factors over the instantiated
 generator list, largest degree first, on the lattice of multiples of the gcd
-of the degrees folded so far; `oracle_hilbert` recounts monomials by
-brute-force multiset enumeration as an independent check.
+of the degrees folded so far.  Two exact oracles check it and share nothing
+with the fold past `instantiate`: `oracle_hilbert` recounts monomials by
+brute-force multiset enumeration, the definition of the series, up to
+truncation 60; `_log_derivative_hilbert` solves Euler's log-derivative
+recurrence in O(N^2) exact products, so it reaches production truncations.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .dsl import (
@@ -419,6 +423,31 @@ def oracle_hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
 
     count(0, 0)
     return TruncatedSeries(counts)
+
+
+def _log_derivative_hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
+    """The Hilbert series from its logarithmic derivative, an exact oracle
+    that shares no fold, lattice or `mul` with `hilbert`.
+
+    C(t) = t H'(t) / H(t) has integer coefficients: a generator of degree d
+    and multiplicity m adds m d at every multiple of d, and a truncated(k)
+    one (exterior: k = 2) also subtracts m k d at every multiple of k d.
+    Then n h_n = sum of c_k h_(n-k) over 1 <= k <= n, an exact division
+    (Euler's n p(n) = sum of sigma(k) p(n - k) is the case of one
+    polynomial generator in each degree).
+    """
+    c = [0] * (trunc + 1)
+    for kind, deg, mult in instantiate(spec, trunc):
+        for j in range(deg, trunc + 1, deg):
+            c[j] += mult * deg
+        k = kind.nilpotence
+        if k is not None:
+            for j in range(k * deg, trunc + 1, k * deg):
+                c[j] -= mult * k * deg
+    h = [1]
+    for n in range(1, trunc + 1):
+        h.append(sum(map(mul, c[1 : n + 1], reversed(h))) // n)
+    return TruncatedSeries._of(h)
 
 
 def tensor_bracket(

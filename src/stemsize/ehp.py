@@ -152,7 +152,7 @@ def _a_counts(p: int, n: int, max_dim: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("excess must be >= 1")
     if max_dim < 0:
-        raise ValueError("dimension cap must be >= 0")
+        raise ValueError("truncation must be nonnegative")
     if p == 2:
         # entry i >= n may precede j >= n iff j <= (i - 1) // 2
         entries = ((i - 1, max(0, (i - 1) // 2 - n + 1)) for i in range(n, max_dim + 2))

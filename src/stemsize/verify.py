@@ -5,6 +5,11 @@ deterministic PASS/FAIL lines.  Randomized checks draw from a seeded RNG
 (default seed DEFAULT_SEED) so any failure reproduces from the report
 header alone.
 
+The algebra suite checks `hilbert` against the log-derivative recurrence
+`algebra._log_derivative_hilbert` on its random specs; the presets suite
+keeps the monomial walk `oracle_hilbert` on three presets.  `random_spec`
+builds specs without the parser, which `dsl_round_trip` checks instead.
+
 The torsion suite decides its exhaustive grids from exact tables that each
 run builds once: a valuation sieve per p, and from it Legendre prefix sums.
 The counting-lemma scan over all pairs up to 10^4 settles each b by one
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import algebra, asymptotics, ehp, presets, series, torsion
+from .dsl import BinOp, Lit, Var
 
 __all__ = ["DEFAULT_SEED", "SUITES", "CheckResult", "run_suite", "run", "format_report"]
 
@@ -64,28 +70,38 @@ def random_spec(
     primes: tuple[int, ...] = (2, 3, 5),
 ) -> algebra.AlgebraSpec:
     """A small random algebra: bounded and unbounded families of every
-    generator kind, with degrees in [1, max_degree] at the low indices."""
+    generator kind, with degrees in [1, max_degree] at the low indices.
+
+    Each family is built as the tree that `parse_spec` makes of the DSL line
+    in its branch's comment, without the parser; `dsl_round_trip` checks
+    the parser on specs from here."""
     p = rng.choice(primes)
-    lines = [f"p = {p}"]
+    families = []
     for _ in range(rng.randint(1, max_families)):
-        kind = rng.choice(["poly", "ext", f"trunc({rng.randint(2, 5)})"])
+        # k is drawn before the choice, whichever kind it picks: the draws
+        # fix each seed's specs, and so the reports pinned per seed
+        trunc_kind = series.GeneratorKind.truncated(rng.randint(2, 5))
+        kind = rng.choice([series.POLYNOMIAL, series.EXTERIOR, trunc_kind])
         form = rng.randint(0, 3)
-        if form == 0:  # fixed degree
-            lines.append(f"gen {kind} deg = {rng.randint(1, max_degree)}")
-        elif form == 1:  # bounded arithmetic family
+        if form == 0:  # deg = d
+            family = algebra.GeneratorFamily(kind, Lit(rng.randint(1, max_degree)))
+        elif form == 1:  # deg = d*i + c for i = 0..hi
             d = rng.randint(1, max(1, max_degree // 2))
             c = rng.randint(1, max_degree // 2 + 1)
             hi = rng.randint(0, 3)
-            lines.append(f"gen {kind} deg = {d}*i + {c} for i = 0..{hi}")
-        elif form == 2:  # unbounded geometric family
+            degree = BinOp("+", BinOp("*", Lit(d), Var("i")), Lit(c))
+            family = algebra.GeneratorFamily(kind, degree, ranges=(("i", 0, hi),))
+        elif form == 2:  # deg = base^i + c for i = 1..inf
             base = rng.randint(2, 3)
             c = rng.randint(0, 2)
-            lines.append(f"gen {kind} deg = {base}^i + {c} for i = 1..inf")
-        else:  # fixed degree with multiplicity
+            degree = BinOp("+", BinOp("^", Lit(base), Var("i")), Lit(c))
+            family = algebra.GeneratorFamily(kind, degree, ranges=(("i", 1, None),))
+        else:  # deg = d mult = m
             d = rng.randint(1, max_degree)
             m = rng.randint(1, 3)
-            lines.append(f"gen {kind} deg = {d} mult = {m}")
-    return algebra.parse_spec("\n".join(lines) + "\n")
+            family = algebra.GeneratorFamily(kind, Lit(d), Lit(m))
+        families.append(family)
+    return algebra.AlgebraSpec(p, tuple(families))
 
 
 def random_series(rng: random.Random, trunc: int, max_coeff: int = 9):
@@ -196,7 +212,7 @@ def _suite_algebra(rng: random.Random) -> list[CheckResult]:
     for _ in range(n_specs):
         spec = random_spec(rng)
         trunc = rng.randint(0, 24)
-        if algebra.hilbert(spec, trunc) != algebra.oracle_hilbert(spec, trunc):
+        if algebra.hilbert(spec, trunc) != algebra._log_derivative_hilbert(spec, trunc):
             ok, bad = False, f" (failing spec: {algebra.spec_to_text(spec)!r})"
             break
     out.append(
@@ -367,7 +383,8 @@ def _log_table(p: int) -> list[float]:
     computes it."""
     if p == 2:
         return [math.log2(n) for n in range(1, SCAN_LIMIT + 1)]
-    return [math.log(n, p) for n in range(1, SCAN_LIMIT + 1)]
+    log_p = math.log(p)  # math.log(n, p) is this quotient of the same floats
+    return [math.log(n) / log_p for n in range(1, SCAN_LIMIT + 1)]
 
 
 def _curve_table(curve: torsion.VanishingCurve) -> list[int]:
@@ -383,28 +400,32 @@ def _counting_scan(p: int, vals: list[int] | None = None) -> tuple[bool, str]:
     g(x) = (p-1) T(x) - p x, that is to p^q <= b^(p-1) for the slack q of b.
     A running top, the largest k with p^k <= b^(p-1), only grows with b, so
     it is raised only at a b whose q exceeds it, and that b is a violation
-    exactly when q still exceeds it.  vals is the run's valuation sieve for
-    p, built here when not given.
+    exactly when q still exceeds it.  One pass over b keeps the least g(a)
+    so far and the first b of largest slack, at which `counting_lemma` is
+    called directly as a cross-check.  vals is the run's valuation sieve
+    for p, built here when not given.
     """
     n = SCAN_LIMIT
     if vals is None:
         vals = _valuation_sieve(p)
-    # g(x) - g(x-1) = (p-1)(1 + |x|_p) - p
-    g = list(accumulate(((p - 1) * v - 1 for v in vals[1 : n + 1]), initial=0))
-    prefix_min = list(accumulate(g, min))  # over a <= x
-    q = [gb - m for gb, m in zip(g[1:], prefix_min)]  # q[b-1]: min over a < b
+    step = p - 1  # g(x) - g(x-1) = (p-1)(1 + |x|_p) - p = step * |x|_p - 1
+    g = low = a_low = 0  # g(b), and the least g(a) over a < b at its first a
+    worst_q, a_star, b_star = step * vals[1] - 1, 0, 1  # the first largest slack
     top, power = 0, p  # power = p^(top+1), at most p * b^(p-1)
-    for b, qb in enumerate(q, 1):
+    for b, v in enumerate(vals[1 : n + 1], 1):
+        g += step * v - 1
+        qb = g - low
         if qb > top:
             reach = b ** (p - 1)
             while power <= reach:
                 top, power = top + 1, power * p
             if qb > top:
                 return False, f"violation at p={p}, b={b}"
+        if qb > worst_q:
+            worst_q, a_star, b_star = qb, a_low, b
+        if g < low:
+            low, a_low = g, b
     # cross-check the closed-form function itself on the extremal b
-    worst_q = max(q)
-    b_star = q.index(worst_q) + 1
-    a_star = g.index(prefix_min[b_star - 1])
     exact, bound = torsion.counting_lemma(p, a_star, b_star)
     if exact > bound:
         return False, f"direct call violation at p={p}, a={a_star}, b={b_star}"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from stemsize.algebra import (
     AlgebraError,
     AlgebraSpec,
+    _log_derivative_hilbert,
     hilbert,
     hilbert_cumulative,
     instantiate,
@@ -14,6 +15,7 @@ from stemsize.algebra import (
     tensor_bracket,
 )
 from stemsize.dsl import DslError
+from stemsize.presets import PRESET_NAMES, preset
 from stemsize.series import TruncatedSeries
 from stemsize.verify import random_spec
 
@@ -307,6 +309,103 @@ class TestOracle:
         while hilbert_cumulative(spec, trunc)[trunc] > 10**5:
             trunc -= 2
         assert oracle_hilbert(spec, trunc) == hilbert(spec, trunc)
+
+
+def text_random_spec(rng, max_families=5, max_degree=12, primes=(2, 3, 5)):
+    """`random_spec` by way of the DSL: the same draws in the same order,
+    written as DSL lines and parsed.  The reference for the spec that
+    `random_spec` builds directly."""
+    p = rng.choice(primes)
+    lines = [f"p = {p}"]
+    for _ in range(rng.randint(1, max_families)):
+        kind = rng.choice(["poly", "ext", f"trunc({rng.randint(2, 5)})"])
+        form = rng.randint(0, 3)
+        if form == 0:  # fixed degree
+            lines.append(f"gen {kind} deg = {rng.randint(1, max_degree)}")
+        elif form == 1:  # bounded arithmetic family
+            d = rng.randint(1, max(1, max_degree // 2))
+            c = rng.randint(1, max_degree // 2 + 1)
+            hi = rng.randint(0, 3)
+            lines.append(f"gen {kind} deg = {d}*i + {c} for i = 0..{hi}")
+        elif form == 2:  # unbounded geometric family
+            base = rng.randint(2, 3)
+            c = rng.randint(0, 2)
+            lines.append(f"gen {kind} deg = {base}^i + {c} for i = 1..inf")
+        else:  # fixed degree with multiplicity
+            d = rng.randint(1, max_degree)
+            m = rng.randint(1, 3)
+            lines.append(f"gen {kind} deg = {d} mult = {m}")
+    return parse_spec("\n".join(lines) + "\n")
+
+
+class TestRandomSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"max_families": 2}, {"primes": (2,)}],
+        ids=["default", "max_families_2", "p2"],
+    )
+    def test_equals_parsed_text(self, kwargs):
+        for seed in range(2000):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert random_spec(rng, **kwargs) == text_random_spec(ref, **kwargs), seed
+            assert rng.random() == ref.random(), seed  # the same draws consumed
+
+
+class TestLogDerivativeOracle:
+    """`_log_derivative_hilbert` against the monomial walk that defines the
+    Hilbert series, and against `hilbert` where the walk cannot reach."""
+
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=60))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_monomial_walk(self, seed, trunc):
+        spec = random_spec(random.Random(seed))
+        while hilbert_cumulative(spec, trunc)[trunc] > 10**5:  # the walk's cost
+            trunc -= 1
+        assert _log_derivative_hilbert(spec, trunc) == oracle_hilbert(spec, trunc)
+
+    @pytest.mark.parametrize(
+        "text, trunc, coeffs",
+        [
+            ("p = 3\ngen ext deg = 2 mult = 3\n", 8, [1, 0, 3, 0, 3, 0, 1, 0, 0]),
+            ("p = 2\ngen trunc(3) deg = 1 mult = 2\n", 6, [1, 2, 3, 2, 1, 0, 0]),
+            ("p = 5\ngen trunc(4) deg = 2\ngen ext deg = 3\n", 9,
+             [1, 0, 1, 1, 1, 1, 1, 1, 0, 1]),
+            ("p = 2\ngen poly deg = 1 mult = 0\ngen ext deg = 3\n", 5, [1, 0, 0, 1, 0, 0]),
+            ("p = 5\ngen poly deg = i mult = i - 1 for i = 1..3\n", 8,
+             [1, 0, 1, 2, 1, 2, 4, 2, 4]),
+        ],
+        ids=["exterior", "truncated", "truncated_and_exterior", "mult_zero", "mult_zero_in_family"],
+    )
+    def test_explicit_cases(self, text, trunc, coeffs):
+        spec = parse_spec(text)
+        assert list(_log_derivative_hilbert(spec, trunc)) == coeffs
+        assert oracle_hilbert(spec, trunc) == hilbert(spec, trunc) == TruncatedSeries(coeffs)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_match_hilbert(self, name):
+        for p in (2, 3, 5):
+            spec = preset(name, p, h=2, k=1, drop_q0=True)
+            assert _log_derivative_hilbert(spec, 1024) == hilbert(spec, 1024), p
+
+    def test_huge_multiplicities(self):
+        text = (
+            "p = 2\n"
+            "gen poly deg = 3 mult = 100000000\n"
+            "gen trunc(3) deg = 5 mult = 7000\n"
+            "gen ext deg = 2 mult = 100000\n"
+            "gen poly deg = 2^i - 1 for i = 1..inf\n"
+        )
+        spec = parse_spec(text)
+        assert _log_derivative_hilbert(spec, 300) == hilbert(spec, 300)
+        alone = _log_derivative_hilbert(parse_spec("p = 2\ngen poly deg = 3 mult = 100000000\n"), 300)
+        m = 10**8
+        assert list(alone) == [
+            math.comb(m - 1 + n // 3, n // 3) if n % 3 == 0 else 0 for n in range(301)
+        ]
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(AlgebraError, match="^truncation must be nonnegative$"):
+            _log_derivative_hilbert(parse_spec(DUAL_STEENROD_2), -1)
 
 
 class TestTensorBracket:

@@ -195,6 +195,17 @@ class TestEhp:
         assert code == 0
         assert out.splitlines() == ["0,2", "1,1", "2,2", "3,2"]
 
+    @pytest.mark.parametrize(
+        "limit, message",
+        [("--max-degree", "truncation must be nonnegative"),
+         ("--max-dim", "dimension cap must be >= 0")],
+    )
+    def test_negative_limit_names_its_flag(self, limit, message):
+        code, out, err = run_cli("ehp", "--p", "2", "--excess", "1", limit, "-3")
+        assert code == 1
+        assert out == ""
+        assert err == f"stemsize: error: {message}\n"
+
     @pytest.mark.parametrize("p", ["1", "4"])
     def test_non_prime_exits_one(self, p):
         code, out, err = run_cli("ehp", "--p", p, "--excess", "1")

@@ -149,6 +149,13 @@ class TestASeries:
         for n in range(1, 8):
             assert verify_ehp_recurrence(3, n, 60)
 
+    def test_negative_truncation_rejected(self):
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+                a_series(p, 1, -1)
+        with pytest.raises(ValueError, match="^dimension cap must be >= 0$"):
+            enumerate_I(2, 1, -1)
+
     def test_p2_split_recurrence_directly(self):
         n, trunc = 4, 40
         lhs = a_series(2, n, trunc)

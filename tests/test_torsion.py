@@ -176,6 +176,13 @@ class TestScanTables:
             total += _e2_term(p, hi)
             assert prefix[hi] == total, hi
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_log_table_is_two_argument_log(self, p):
+        # stable_torsion_bound takes math.log(n, p); the table must be the
+        # same float for every n, not merely a close one
+        want = [math.log(n, p).hex() for n in range(1, verify.SCAN_LIMIT + 1)]
+        assert [x.hex() for x in verify._log_table(p)] == want
+
     def test_stable_scan_reports_first_violation(self):
         # a log table pushed far down from n = 100 on makes the closed form
         # fall below the exact sum there and nowhere before
@@ -269,6 +276,28 @@ class TestExactScans:
         vals = verify._valuation_sieve(2)
         vals[b] += 1
         want = (True, f"p=2: all pairs <= 10000, tightest slack q = {worst_q}")
+        assert verify._counting_scan(2, vals) == _counting_oracle(2, vals) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_counting_scan_all_slacks_negative(self, p, monkeypatch):
+        # with no valuations every slack is -1, so the tightest is the one
+        # at b = 1, against a = 0, where the direct call is made
+        vals = [0] * (verify.SCAN_LIMIT + 1)
+        want = (True, f"p={p}: all pairs <= 10000, tightest slack q = -1")
+        assert verify._counting_scan(p, vals) == _counting_oracle(p, vals) == want
+        monkeypatch.setattr(torsion, "counting_lemma", lambda p, a, b: (b + 1, 0.0))
+        want = (False, f"direct call violation at p={p}, a=0, b=1")
+        assert verify._counting_scan(p, vals) == _counting_oracle(p, vals) == want
+
+    def test_counting_scan_direct_call_takes_first_minimum(self, monkeypatch):
+        # g(1) = g(2) = -1 is the least g before b = 3, whose slack 1 is the
+        # largest; the direct call is made at the first a of that minimum
+        vals = [0] * (verify.SCAN_LIMIT + 1)
+        vals[2], vals[3] = 1, 2
+        want = (True, "p=2: all pairs <= 10000, tightest slack q = 1")
+        assert verify._counting_scan(2, vals) == _counting_oracle(2, vals) == want
+        monkeypatch.setattr(torsion, "counting_lemma", lambda p, a, b: (b + 1, 0.0))
+        want = (False, "direct call violation at p=2, a=1, b=3")
         assert verify._counting_scan(2, vals) == _counting_oracle(2, vals) == want
 
     @pytest.mark.parametrize("p", [2, 3, 5])
