@@ -1,7 +1,15 @@
 #!/usr/bin/env python3
-"""Time the per-request fixed cost of the CLI, cumulative rank series at
-large truncations in three fold regimes, and the EHP series A(n;t) and P(A;t).
+"""Time the import and per-request fixed cost of the CLI, cumulative rank
+series at large truncations in three fold regimes, and the EHP series A(n;t)
+and P(A;t).  Run with ``src`` on PYTHONPATH.
 
+- import: `import stemsize.cli` in 15 fresh interpreters, by the thread
+  time of the import, as median and quartiles; twice.  First with
+  PYTHONDONTWRITEBYTECODE=1, so every interpreter compiles the package from
+  source, as the benchmark's passes do when that variable is set.  Then
+  with a warm bytecode cache under ``-X pycache_prefix`` in a temporary
+  directory, so nothing is written into ``src``.  Last, each stemsize
+  module's self time from one ``-X importtime`` run without a cache.
 - cli: 300 in-process `stemsize.cli.main` calls of
   `torsion --p 3 --n 100` (one parser serves them all; the parser and the
   Python import are the fixed costs of a request), then the CPU time of a
@@ -49,7 +57,12 @@ on the generator kinds:
 import argparse
 import contextlib
 import io
+import os
 import random
+import statistics
+import subprocess
+import sys
+import tempfile
 import time
 
 from stemsize import algebra, cli, verify
@@ -90,6 +103,45 @@ def measure_census(label: str, series_fn, *args) -> None:
 
 
 VERIFY_SUITES = ("series", "algebra", "presets", "torsion", "ehp")
+
+IMPORT_RUNS = 15
+IMPORT_CODE = (
+    "import time; start = time.thread_time(); import stemsize.cli; "
+    "print(time.thread_time() - start)"
+)
+
+
+def import_cpu(env: dict, args: list[str]) -> list[float]:
+    """Thread time of `import stemsize.cli` in IMPORT_RUNS fresh interpreters."""
+    return [
+        float(subprocess.run([sys.executable, *args, "-c", IMPORT_CODE], env=env,
+                             capture_output=True, text=True, check=True).stdout)
+        for _ in range(IMPORT_RUNS)
+    ]
+
+
+def measure_import() -> None:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    cold = dict(env, PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as cache:
+        warm = ["-X", f"pycache_prefix={cache}"]
+        import_cpu(env, warm)  # fills the cache
+        regimes = {"PYTHONDONTWRITEBYTECODE=1": import_cpu(cold, []),
+                   "warm bytecode cache": import_cpu(env, warm)}
+    for label, times in regimes.items():
+        q1, median, q3 = statistics.quantiles(times, n=4)
+        print(f"{'import':8} import stemsize.cli, {label}: median {median * 1000:.1f} ms, "
+              f"quartiles {q1 * 1000:.1f}-{q3 * 1000:.1f} ms thread time "
+              f"over {IMPORT_RUNS} interpreters")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import stemsize.cli"],
+                          env=cold, capture_output=True, text=True, check=True)
+    for line in proc.stderr.splitlines():
+        # "import time: <self us> | <cumulative us> | <module>"
+        self_us, _, module = line.partition(":")[2].split("|")
+        if module.strip().startswith("stemsize"):
+            print(f"{'import':8} self time of {module.strip()}: {int(self_us) / 1000:.1f} ms")
 
 
 def best_cpu(fn, *args, repeats: int = 5):
@@ -166,6 +218,7 @@ def main() -> None:
     parser.add_argument("--stretch", action="store_true",
                         help="also measure may_e1 at N = 2^20 (several minutes)")
     args = parser.parse_args()
+    measure_import()
     measure_cli()
     measure_algebra_suite()
     measure_preset("generic", "may_e1", 2**18, drop_q0=True)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
+from ._frozen import Frozen, set_field
 from .dsl import (
     DegreeExpr,
     DslError,
@@ -84,8 +84,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GeneratorFamily:
+_ONE = Lit(1)
+
+
+class GeneratorFamily(Frozen):
     """An indexed family of generators of one species.
 
     `ranges` lists (name, lower, upper) with upper None for unbounded.  The
@@ -100,13 +102,20 @@ class GeneratorFamily:
     4 * truncation) values, the family is rejected with `AlgebraError`.
     """
 
-    kind: GeneratorKind
-    degree: DegreeExpr
-    multiplicity: DegreeExpr = field(default_factory=lambda: Lit(1))
-    ranges: tuple[tuple[str, int, int | None], ...] = ()
+    __slots__ = ("kind", "degree", "multiplicity", "ranges")
 
-    def __post_init__(self) -> None:
-        names = [name for name, _, _ in self.ranges]
+    def __init__(
+        self,
+        kind: GeneratorKind,
+        degree: DegreeExpr,
+        multiplicity: DegreeExpr = _ONE,
+        ranges: tuple[tuple[str, int, int | None], ...] = (),
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "degree", degree)
+        set_field(self, "multiplicity", multiplicity)
+        set_field(self, "ranges", ranges)
+        names = [name for name, _, _ in ranges]
         if len(set(names)) != len(names):
             raise AlgebraError(f"duplicate index variable in family ranges {names}")
         unknown = self.free_vars() - set(names) - {"p"}
@@ -117,15 +126,17 @@ class GeneratorFamily:
         return expr_free_vars(self.degree) | expr_free_vars(self.multiplicity)
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    p: int
-    families: tuple[GeneratorFamily, ...]
-    label: str = ""
+class AlgebraSpec(Frozen):
+    __slots__ = ("p", "families", "label")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise AlgebraError(f"p = {self.p} is not prime")
+    def __init__(
+        self, p: int, families: tuple[GeneratorFamily, ...], label: str = ""
+    ) -> None:
+        if not is_prime(p):
+            raise AlgebraError(f"p = {p} is not prime")
+        set_field(self, "p", p)
+        set_field(self, "families", families)
+        set_field(self, "label", label)
 
 
 class Generator(NamedTuple):
@@ -206,7 +217,7 @@ def _parse_gen_line(tok: Tokenizer) -> GeneratorFamily:
         raise tok.error("expected 'deg'")
     tok.expect("=")
     degree = parse_expr(tok)
-    mult: DegreeExpr = Lit(1)
+    mult: DegreeExpr = _ONE
     ranges: list[tuple[str, int, int | None]] = []
     kind_tok, value, _ = tok.peek()
     if kind_tok == "ident" and value == "mult":
@@ -242,7 +253,7 @@ def spec_to_text(spec: AlgebraSpec) -> str:
     lines = [f"p = {spec.p}"]
     for fam in spec.families:
         parts = [f"gen {fam.kind} deg = {expr_to_text(fam.degree)}"]
-        if fam.multiplicity != Lit(1):
+        if fam.multiplicity != _ONE:
             parts.append(f"mult = {expr_to_text(fam.multiplicity)}")
         if fam.ranges:
             rendered = ", ".join(

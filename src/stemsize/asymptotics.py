@@ -11,8 +11,8 @@ are checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._frozen import Frozen, set_field
 from .algebra import (
     AlgebraError,
     AlgebraSpec,
@@ -46,14 +46,20 @@ class ResourceLimitError(RuntimeError):
     """Raised when an exact check would exceed its declared size ceiling."""
 
 
-@dataclass(frozen=True)
-class Constants:
-    """The three ln(n)^3 growth coefficients at the prime p."""
+class Constants(Frozen):
+    """The three ln(n)^3 growth coefficients at the prime p.
 
-    p: int
-    k1: float  # lower-bound coefficient: 2 / (75 ln(p)^2)
-    k2: float  # conjectural coefficient: (9 + 4*sqrt(2)) / (294 ln(p)^2)
-    k3: float  # upper-bound coefficient: 1 / (6 ln(p)^2)
+    k1 is the lower-bound coefficient 2 / (75 ln(p)^2), k2 the conjectural
+    (9 + 4*sqrt(2)) / (294 ln(p)^2) and k3 the upper-bound 1 / (6 ln(p)^2).
+    """
+
+    __slots__ = ("p", "k1", "k2", "k3")
+
+    def __init__(self, p: int, k1: float, k2: float, k3: float) -> None:
+        set_field(self, "p", p)
+        set_field(self, "k1", k1)
+        set_field(self, "k2", k2)
+        set_field(self, "k3", k3)
 
     def to_json_obj(self) -> dict:
         return {"p": self.p, "K1": self.k1, "K2": self.k2, "K3": self.k3}
@@ -71,20 +77,26 @@ def constants(p: int) -> Constants:
     )
 
 
-@dataclass(frozen=True)
-class RatioRow:
-    n: int
-    log_rank: float
-    log_n_pow: float
-    ratio: float
+class RatioRow(Frozen):
+    __slots__ = ("n", "log_rank", "log_n_pow", "ratio")
+
+    def __init__(self, n: int, log_rank: float, log_n_pow: float, ratio: float) -> None:
+        set_field(self, "n", n)
+        set_field(self, "log_rank", log_rank)
+        set_field(self, "log_n_pow", log_n_pow)
+        set_field(self, "ratio", ratio)
 
 
-@dataclass(frozen=True)
-class RatioProfile:
-    p: int
-    label: str
-    exponent: int
-    rows: tuple[RatioRow, ...] = field(default_factory=tuple)
+class RatioProfile(Frozen):
+    __slots__ = ("p", "label", "exponent", "rows")
+
+    def __init__(
+        self, p: int, label: str, exponent: int, rows: tuple[RatioRow, ...] = ()
+    ) -> None:
+        set_field(self, "p", p)
+        set_field(self, "label", label)
+        set_field(self, "exponent", exponent)
+        set_field(self, "rows", rows)
 
     def csv_rows(self):
         yield ("n", "log_rank", f"log_n_pow_{self.exponent}", "ratio")
@@ -142,19 +154,25 @@ def ratio_profile(
     return RatioProfile(p=p, label=label, exponent=exponent, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class BracketCheck:
-    name: str
-    ok: bool
-    detail: str
+class BracketCheck(Frozen):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str) -> None:
+        set_field(self, "name", name)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class BracketReport:
-    p: int
-    m: int
-    model: str
-    checks: tuple[BracketCheck, ...]
+class BracketReport(Frozen):
+    __slots__ = ("p", "m", "model", "checks")
+
+    def __init__(
+        self, p: int, m: int, model: str, checks: tuple[BracketCheck, ...]
+    ) -> None:
+        set_field(self, "p", p)
+        set_field(self, "m", m)
+        set_field(self, "model", model)
+        set_field(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

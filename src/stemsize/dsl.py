@@ -18,8 +18,9 @@ normal form and round-trips through `parse_spec`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Union
+
+from ._frozen import Frozen, set_field
 
 __all__ = [
     "DslError",
@@ -49,27 +50,35 @@ class DslError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
+class Lit(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * ^
-    left: "DegreeExpr"
-    right: "DegreeExpr"
+class BinOp(Frozen):
+    __slots__ = ("op", "left", "right")  # op is one of + - * ^
+
+    def __init__(self, op: str, left: "DegreeExpr", right: "DegreeExpr") -> None:
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Min:
-    left: "DegreeExpr"
-    right: "DegreeExpr"
+class Min(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "DegreeExpr", right: "DegreeExpr") -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 DegreeExpr = Union[Lit, Var, BinOp, Min]

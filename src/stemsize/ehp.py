@@ -34,11 +34,12 @@ Where A(n;t) <= P(A;t) holds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
+from ._frozen import Frozen, set_field
 from .algebra import hilbert, is_prime
+from .asymptotics import ResourceLimitError
 from .presets import preset
 from .series import TruncatedSeries, SeriesError
 
@@ -53,17 +54,23 @@ __all__ = [
     "default_varpi_a",
 ]
 
+# Most sequences one `enumerate_I` call lists: at p = 2 a JSON listing of
+# 10^5 sequences takes about 2 s and 180 MB.
+MAX_LISTING = 100_000
 
-@dataclass(frozen=True)
-class CUSeq:
+
+class CUSeq(Frozen):
     """A completely unadmissible sequence of excess n.
 
     At p = 2, entries are the i_s; at odd p they are (eps_s, i_s) pairs.
     """
 
-    p: int
-    n: int
-    entries: tuple
+    __slots__ = ("p", "n", "entries")
+
+    def __init__(self, p: int, n: int, entries: tuple) -> None:
+        set_field(self, "p", p)
+        set_field(self, "n", n)
+        set_field(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -86,16 +93,31 @@ def _require_prime(p: int) -> None:
 
 
 def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:
-    """Every J in I(n) with dim(J) <= max_dim, exactly once, lexicographically."""
+    """Every J in I(n) with dim(J) <= max_dim, exactly once, lexicographically.
+
+    Raises `ResourceLimitError` once the listing passes `MAX_LISTING`
+    sequences.  The guard counts as it lists: the census `a_series` would
+    count in advance, but its table has a row of max_dim + 1 entries per
+    singleton, which at a large excess costs far more than the listing.
+    """
     _require_prime(p)
     if n < 1:
         raise ValueError("excess must be >= 1")
     if max_dim < 0:
         raise ValueError("dimension cap must be >= 0")
     out: list[CUSeq] = [CUSeq(p, n, ())]
+
+    def check_size() -> None:  # every append is followed by a grow call
+        if len(out) > MAX_LISTING:
+            raise ResourceLimitError(
+                f"I({n}) at p = {p} has more than {MAX_LISTING} sequences "
+                f"of dimension <= {max_dim}; lower the dimension cap"
+            )
+
     if p == 2:
         # Build right to left: last entry i_k >= n, each prepend i > 2 * head.
         def grow(suffix: tuple[int, ...], dim: int) -> None:
+            check_size()
             i = 2 * suffix[0] + 1
             while dim + (i - 1) <= max_dim:
                 seq = (i,) + suffix
@@ -111,6 +133,7 @@ def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:
     else:
 
         def grow_odd(suffix: tuple, dim: int) -> None:
+            check_size()
             head_eps, head_i = suffix[0]
             for eps in (0, 1):
                 i = p * head_i - head_eps + 1  # i > p*head_i - eps_{s+1}

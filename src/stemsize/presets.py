@@ -11,8 +11,7 @@ generators without degrees): odd-p dual Steenrod degrees |xi_n| = 2(p^n - 1),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen, set_field
 from .algebra import AlgebraSpec, hilbert_cumulative, is_prime, parse_spec
 from .series import TruncatedSeries
 
@@ -174,10 +173,12 @@ def _may_e1_text(p: int, drop_q0: bool, simplify_odd: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class MaxOverH:
-    series: TruncatedSeries
-    argmax: tuple[int, ...]
+class MaxOverH(Frozen):
+    __slots__ = ("series", "argmax")
+
+    def __init__(self, series: TruncatedSeries, argmax: tuple[int, ...]) -> None:
+        set_field(self, "series", series)
+        set_field(self, "argmax", argmax)
 
 
 def max_over_h(family: str, p: int, trunc: int) -> MaxOverH:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 from operator import add, sub
 from typing import Iterable, Iterator
+
+from ._frozen import Frozen, set_field
 
 __all__ = [
     "GeneratorKind",
@@ -34,25 +35,25 @@ class SeriesError(ValueError):
     """Invalid series construction or operation."""
 
 
-@dataclass(frozen=True)
-class GeneratorKind:
+class GeneratorKind(Frozen):
     """One of the three generator species: polynomial, exterior, truncated(k).
 
     ``order`` is the nilpotence order k (x^k = 0) and is only set for the
     truncated kind, where k >= 2 is required.
     """
 
-    name: str
-    order: int | None = None
+    __slots__ = ("name", "order")
 
-    def __post_init__(self) -> None:
-        if self.name not in ("poly", "ext", "trunc"):
-            raise SeriesError(f"unknown generator kind {self.name!r}")
-        if self.name == "trunc":
-            if self.order is None or self.order < 2:
+    def __init__(self, name: str, order: int | None = None) -> None:
+        if name not in ("poly", "ext", "trunc"):
+            raise SeriesError(f"unknown generator kind {name!r}")
+        if name == "trunc":
+            if order is None or order < 2:
                 raise SeriesError("truncated generator needs order k >= 2")
-        elif self.order is not None:
-            raise SeriesError(f"kind {self.name!r} takes no order")
+        elif order is not None:
+            raise SeriesError(f"kind {name!r} takes no order")
+        set_field(self, "name", name)
+        set_field(self, "order", order)
 
     @classmethod
     def polynomial(cls) -> "GeneratorKind":

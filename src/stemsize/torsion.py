@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 
+from ._frozen import Frozen, set_field
 from .algebra import hilbert_cumulative, is_prime
 from .presets import preset
 
@@ -63,6 +63,8 @@ class VanishingCurve:
     """A model of the E-infinity vanishing curve g(n); 1 <= g(n) <= n and
     nondecreasing on the queried range."""
 
+    __slots__ = ()
+
     def raw(self, n: int) -> int:
         raise NotImplementedError
 
@@ -78,9 +80,10 @@ class VanishingCurve:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class LinearCurve(VanishingCurve):
+class LinearCurve(VanishingCurve, Frozen):
     """g(n) = n, the unconditional (nilpotence-theorem) envelope."""
+
+    __slots__ = ()
 
     def raw(self, n: int) -> int:
         return n
@@ -89,19 +92,19 @@ class LinearCurve(VanishingCurve):
         return {"model": "linear"}
 
 
-@dataclass(frozen=True)
-class PowerLawCurve(VanishingCurve):
+class PowerLawCurve(VanishingCurve, Frozen):
     """g(n) = ceil(c * n^e); exponent 1/2 with c = 1 models the conjectured
     square-root curve."""
 
-    exponent: float
-    coefficient: float = 1.0
+    __slots__ = ("exponent", "coefficient")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.exponent <= 1:
+    def __init__(self, exponent: float, coefficient: float = 1.0) -> None:
+        if not 0 < exponent <= 1:
             raise TorsionError("power-law exponent must lie in (0, 1]")
-        if self.coefficient <= 0:
+        if coefficient <= 0:
             raise TorsionError("power-law coefficient must be positive")
+        set_field(self, "exponent", exponent)
+        set_field(self, "coefficient", coefficient)
 
     def raw(self, n: int) -> int:
         if self.exponent == 0.5 and self.coefficient == 1.0:
@@ -116,13 +119,13 @@ class PowerLawCurve(VanishingCurve):
         }
 
 
-@dataclass(frozen=True)
-class TableCurve(VanishingCurve):
-    values: tuple[int, ...]  # values[i] = g(i + 1)
+class TableCurve(VanishingCurve, Frozen):
+    __slots__ = ("values",)  # values[i] = g(i + 1)
 
-    def __post_init__(self) -> None:
-        if any(b < a for a, b in zip(self.values, self.values[1:])):
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if any(b < a for a, b in zip(values, values[1:])):
             raise TorsionError("table curve must be nondecreasing")
+        set_field(self, "values", values)
 
     def raw(self, n: int) -> int:
         if not 1 <= n <= len(self.values):
@@ -133,13 +136,17 @@ class TableCurve(VanishingCurve):
         return {"model": "table", "length": len(self.values)}
 
 
-@dataclass(frozen=True)
-class TorsionReport:
-    p: int
-    n: int
-    exact_sum: int
-    closed_form: float
-    curve: dict
+class TorsionReport(Frozen):
+    __slots__ = ("p", "n", "exact_sum", "closed_form", "curve")
+
+    def __init__(
+        self, p: int, n: int, exact_sum: int, closed_form: float, curve: dict
+    ) -> None:
+        set_field(self, "p", p)
+        set_field(self, "n", n)
+        set_field(self, "exact_sum", exact_sum)
+        set_field(self, "closed_form", closed_form)
+        set_field(self, "curve", curve)
 
     def to_json(self) -> str:
         return json.dumps(

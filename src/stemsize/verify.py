@@ -28,10 +28,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import algebra, asymptotics, ehp, presets, series, torsion
+from ._frozen import Frozen, set_field
 from .dsl import BinOp, Lit, Var
 
 __all__ = ["DEFAULT_SEED", "SUITES", "CheckResult", "run_suite", "run", "format_report"]
@@ -42,12 +42,14 @@ GOODWILLIE_S = 8  # grid of the Goodwillie envelope check: s <= 8, n <= 2000
 GOODWILLIE_N = 2000
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    ok: bool
-    detail: str
+class CheckResult(Frozen):
+    __slots__ = ("suite", "name", "ok", "detail")
+
+    def __init__(self, suite: str, name: str, ok: bool, detail: str) -> None:
+        set_field(self, "suite", suite)
+        set_field(self, "name", name)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

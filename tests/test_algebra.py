@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from stemsize.algebra import (
     AlgebraError,
     AlgebraSpec,
+    GeneratorFamily,
     _log_derivative_hilbert,
     hilbert,
     hilbert_cumulative,
@@ -14,10 +18,25 @@ from stemsize.algebra import (
     spec_to_text,
     tensor_bracket,
 )
-from stemsize.dsl import DslError
-from stemsize.presets import PRESET_NAMES, preset
-from stemsize.series import TruncatedSeries
-from stemsize.verify import random_spec
+from stemsize.asymptotics import (
+    BracketCheck,
+    BracketReport,
+    Constants,
+    RatioProfile,
+    RatioRow,
+)
+from stemsize.dsl import BinOp, DslError, Lit, Min, Var
+from stemsize.ehp import CUSeq
+from stemsize.presets import PRESET_NAMES, MaxOverH, preset
+from stemsize.series import EXTERIOR, POLYNOMIAL, GeneratorKind, SeriesError, TruncatedSeries
+from stemsize.torsion import (
+    LinearCurve,
+    PowerLawCurve,
+    TableCurve,
+    TorsionError,
+    TorsionReport,
+)
+from stemsize.verify import CheckResult, random_spec
 
 import math
 import random
@@ -432,3 +451,164 @@ class TestTensorBracket:
         a = parse_spec("p = 2\ngen poly deg = 1\n")
         with pytest.raises(AlgebraError):
             tensor_bracket([a, a], [2])
+
+
+# ---------------------------------------------------------------------------
+# the package's immutable value classes
+# ---------------------------------------------------------------------------
+
+_ROW = RatioRow(8, 1.5, 2.5, 0.6)
+_CHECK = BracketCheck("upper", True, "fine")
+
+# class: (its fields in constructor order, the field values of one instance,
+# the index of a field to change and the value to change it to)
+VALUE_CLASSES = {
+    GeneratorKind: (("name", "order"), ("trunc", 3), (1, 4)),
+    Lit: (("value",), (1,), (0, 2)),
+    Var: (("name",), ("i",), (0, "j")),
+    BinOp: (("op", "left", "right"), ("+", Lit(1), Var("i")), (0, "*")),
+    Min: (("left", "right"), (Var("i"), Lit(2)), (1, Lit(3))),
+    GeneratorFamily: (
+        ("kind", "degree", "multiplicity", "ranges"),
+        (POLYNOMIAL, BinOp("*", Lit(2), Var("i")), Lit(3), (("i", 1, None),)),
+        (2, Lit(4)),
+    ),
+    AlgebraSpec: (
+        ("p", "families", "label"),
+        (3, (GeneratorFamily(EXTERIOR, Lit(5)),), "demo"),
+        (2, "other"),
+    ),
+    LinearCurve: ((), (), None),
+    PowerLawCurve: (("exponent", "coefficient"), (0.5, 2.0), (1, 3.0)),
+    TableCurve: (("values",), ((1, 2, 2),), (0, (1, 1))),
+    TorsionReport: (
+        ("p", "n", "exact_sum", "closed_form", "curve"),
+        (2, 10, 7, 1.5, {"model": "linear"}),
+        (2, 8),
+    ),
+    Constants: (("p", "k1", "k2", "k3"), (2, 0.25, 0.5, 0.75), (3, 1.0)),
+    RatioRow: (("n", "log_rank", "log_n_pow", "ratio"), (8, 1.5, 2.5, 0.6), (0, 9)),
+    RatioProfile: (("p", "label", "exponent", "rows"), (2, "s_k", 3, (_ROW,)), (3, ())),
+    BracketCheck: (("name", "ok", "detail"), ("upper", True, "fine"), (1, False)),
+    BracketReport: (("p", "m", "model", "checks"), (2, 4, "may_model", (_CHECK,)), (1, 5)),
+    CUSeq: (("p", "n", "entries"), (2, 1, (3, 1)), (2, (3,))),
+    MaxOverH: (("series", "argmax"), (TruncatedSeries([1, 2]), (1, 1)), (1, (1, 2))),
+    CheckResult: (("suite", "name", "ok", "detail"), ("series", "x", True, "d"), (3, "e")),
+}
+_CLASSES = list(VALUE_CLASSES)
+_IDS = [cls.__name__ for cls in _CLASSES]
+
+
+def _instance(cls):
+    return cls(*VALUE_CLASSES[cls][1])
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
+    def test_equality_by_type_and_fields(self, cls):
+        fields, values, change = VALUE_CLASSES[cls]
+        a, b = _instance(cls), _instance(cls)
+        assert a is not b
+        assert a == b and not a != b
+        assert a != values  # the tuple of its fields
+        other = _CLASSES[(_CLASSES.index(cls) + 1) % len(_CLASSES)]
+        assert a != _instance(other)
+        if change is not None:
+            index, value = change
+            changed = list(values)
+            changed[index] = value
+            assert a != cls(*changed)
+
+    @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
+    def test_equal_values_hash_equally(self, cls):
+        a, b = _instance(cls), _instance(cls)
+        if cls is TorsionReport:  # its curve field is a dict
+            with pytest.raises(TypeError):
+                hash(a)
+            return
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
+    def test_assignment_and_deletion_raise(self, cls):
+        a = _instance(cls)
+        for name in (*VALUE_CLASSES[cls][0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == _instance(cls)
+
+    @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
+    def test_keyword_construction(self, cls):
+        fields, values, _ = VALUE_CLASSES[cls]
+        a = cls(**dict(zip(fields, values)))
+        assert a == _instance(cls)
+        assert tuple(getattr(a, name) for name in fields) == tuple(values)
+
+    @pytest.mark.parametrize("make, field, default", [
+        (lambda: GeneratorKind("poly"), "order", None),
+        (lambda: GeneratorFamily(POLYNOMIAL, Lit(2)), "multiplicity", Lit(1)),
+        (lambda: GeneratorFamily(POLYNOMIAL, Lit(2)), "ranges", ()),
+        (lambda: AlgebraSpec(2, ()), "label", ""),
+        (lambda: PowerLawCurve(0.5), "coefficient", 1.0),
+        (lambda: RatioProfile(2, "s_k", 3), "rows", ()),
+    ], ids=["GeneratorKind.order", "GeneratorFamily.multiplicity",
+            "GeneratorFamily.ranges", "AlgebraSpec.label",
+            "PowerLawCurve.coefficient", "RatioProfile.rows"])
+    def test_defaults(self, make, field, default):
+        value = getattr(make(), field)
+        assert value == default and type(value) is type(default)
+
+    @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
+    def test_repr(self, cls):
+        fields, values, _ = VALUE_CLASSES[cls]
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+        assert repr(_instance(cls)) == f"{cls.__name__}({body})"
+
+    def test_repr_nests(self):
+        assert repr(Lit(1)) == "Lit(value=1)"
+        assert repr(BinOp("+", Lit(1), Var("i"))) == (
+            "BinOp(op='+', left=Lit(value=1), right=Var(name='i'))"
+        )
+        assert repr(LinearCurve()) == "LinearCurve()"
+
+    @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
+    def test_pickle_and_copy_round_trip(self, cls):
+        a = _instance(cls)
+        copies = [pickle.loads(pickle.dumps(a, protocol))
+                  for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(a), copy.deepcopy(a)]
+        for b in copies:
+            assert type(b) is cls
+            assert b == a
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: GeneratorKind("foo"), SeriesError, "unknown generator kind 'foo'"),
+        (lambda: GeneratorKind("trunc"), SeriesError,
+         "truncated generator needs order k >= 2"),
+        (lambda: GeneratorKind("trunc", 1), SeriesError,
+         "truncated generator needs order k >= 2"),
+        (lambda: GeneratorKind("ext", 2), SeriesError, "kind 'ext' takes no order"),
+        (lambda: GeneratorFamily(POLYNOMIAL, Var("i"),
+                                 ranges=(("i", 0, 3), ("i", 1, None))),
+         AlgebraError, "duplicate index variable in family ranges ['i', 'i']"),
+        (lambda: GeneratorFamily(POLYNOMIAL, Lit(1), Var("j")),
+         AlgebraError, "unknown identifier 'j'"),
+        (lambda: AlgebraSpec(4, ()), AlgebraError, "p = 4 is not prime"),
+        (lambda: PowerLawCurve(0.0), TorsionError,
+         "power-law exponent must lie in (0, 1]"),
+        (lambda: PowerLawCurve(1.5, -1.0), TorsionError,
+         "power-law exponent must lie in (0, 1]"),
+        (lambda: PowerLawCurve(0.5, 0.0), TorsionError,
+         "power-law coefficient must be positive"),
+        (lambda: TableCurve((1, 3, 2)), TorsionError,
+         "table curve must be nondecreasing"),
+    ], ids=["kind-unknown", "trunc-no-order", "trunc-order-1", "ext-order",
+            "family-duplicate", "family-unknown", "spec-not-prime",
+            "power-exponent-0", "power-exponent-1.5", "power-coefficient",
+            "table-decreasing"])
+    def test_validation_messages(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message

@@ -176,6 +176,18 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_no_dataclasses_or_inspect(self):
+        # both cost milliseconds of every cold CLI call, and nothing needs them
+        code = (
+            "import stemsize.cli; import sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestEhp:
     def test_sequence_listing(self):
@@ -205,6 +217,15 @@ class TestEhp:
         assert code == 1
         assert out == ""
         assert err == f"stemsize: error: {message}\n"
+
+    def test_listing_over_ceiling_exits_three(self):
+        # 14,008,118 sequences: the listing stops at the ceiling, not a timeout
+        code, out, err = run_cli("ehp", "--p", "2", "--excess", "1", "--max-dim", "400")
+        assert (code, out) == (3, "")
+        assert err == (
+            "stemsize: resource guard: I(1) at p = 2 has more than 100000 "
+            "sequences of dimension <= 400; lower the dimension cap\n"
+        )
 
     @pytest.mark.parametrize("p", ["1", "4"])
     def test_non_prime_exits_one(self, p):

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemsize import ehp
 from stemsize.algebra import AlgebraError
+from stemsize.asymptotics import ResourceLimitError
 from stemsize.ehp import (
     CUSeq,
     _admissible_counts,
@@ -115,6 +117,19 @@ class TestEnumerate:
                 assert seq[k][1] > 3 * i_next - eps_next
             if seq:
                 assert 2 * seq[-1][1] >= 1
+
+    @pytest.mark.parametrize("p, n, max_dim", [(2, 1, 12), (3, 1, 20), (5, 2, 40)])
+    def test_listing_ceiling_boundary(self, monkeypatch, p, n, max_dim):
+        count = sum(a_series(p, n, max_dim))
+        monkeypatch.setattr(ehp, "MAX_LISTING", count)
+        assert len(enumerate_I(p, n, max_dim)) == count
+        monkeypatch.setattr(ehp, "MAX_LISTING", count - 1)
+        with pytest.raises(ResourceLimitError) as info:
+            enumerate_I(p, n, max_dim)
+        assert str(info.value) == (
+            f"I({n}) at p = {p} has more than {count - 1} sequences of "
+            f"dimension <= {max_dim}; lower the dimension cap"
+        )
 
 
 NON_PRIME_CALLS = {
