@@ -22,7 +22,7 @@ from .algebra import (
     tensor_bracket,
 )
 from .presets import max_over_h, preset
-from .series import TruncatedSeries
+from .series import ResourceLimitError, TruncatedSeries
 
 __all__ = [
     "Constants",
@@ -40,10 +40,6 @@ __all__ = [
 
 BRACKET_MODELS = ("may_model", "r_h_e2", "r_h_einf")
 DEFAULT_LOWER_CEILING = 1 << 21
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when an exact check would exceed its declared size ceiling."""
 
 
 class Constants(Frozen):
@@ -196,9 +192,7 @@ def _may_model_product(p: int, m: int) -> int:
     return p ** sum((m - i) * i for i in range(1, m))
 
 
-def _check_may_model(
-    p: int, m: int, lower_ceiling: int, require_lower: bool
-) -> list[BracketCheck]:
+def _check_may_model(p: int, m: int, lower_ceiling: int | None) -> list[BracketCheck]:
     checks = []
     top = p**m - 1
     product = _may_model_product(p, m)
@@ -212,20 +206,22 @@ def _check_may_model(
         )
     )
     lower_deg = (m * (m - 1) // 2) * top
-    if lower_deg > lower_ceiling:
-        if require_lower:
-            raise ResourceLimitError(
-                f"may_model lower check needs the series through degree "
-                f"{lower_deg}, above the ceiling {lower_ceiling}"
+    if lower_ceiling is None:
+        if lower_deg > DEFAULT_LOWER_CEILING:
+            checks.append(
+                BracketCheck(
+                    "may_model_lower",
+                    True,
+                    f"skipped: degree {lower_deg} exceeds ceiling "
+                    f"{DEFAULT_LOWER_CEILING}",
+                )
             )
-        checks.append(
-            BracketCheck(
-                "may_model_lower",
-                True,
-                f"skipped: degree {lower_deg} exceeds ceiling {lower_ceiling}",
-            )
+            return checks
+    elif lower_deg > lower_ceiling:
+        raise ResourceLimitError(
+            f"may_model lower check needs the series through degree "
+            f"{lower_deg}, above the ceiling {lower_ceiling}"
         )
-        return checks
     lower_rank = hilbert_cumulative(spec, lower_deg)[lower_deg]
     checks.append(
         BracketCheck(
@@ -286,15 +282,15 @@ def bracketing_check(
     m: int,
     model: str,
     *,
-    lower_ceiling: int = DEFAULT_LOWER_CEILING,
-    require_lower: bool = False,
+    lower_ceiling: int | None = None,
 ) -> BracketReport:
     """Exact sandwich inequalities at scale m for one model algebra.
 
     may_model: cumulative rank through p^m - 1 is at most
     prod_{i<m} p^{(m-i)i}, and the rank through C(m,2)(p^m - 1) is at least
-    that product.  The lower check is skipped (or raises, with
-    require_lower) when its truncation exceeds lower_ceiling.
+    that product.  Without lower_ceiling the lower check is skipped when
+    its truncation exceeds DEFAULT_LOWER_CEILING; given one, it is computed
+    up to that truncation and raises ResourceLimitError above it.
 
     r_h_einf: ln of the best-over-h cumulative rank at p^m - 1 is at most
     (2 ln p / 75) m^3 + (ln p) m^2.
@@ -305,7 +301,7 @@ def bracketing_check(
     if m < 2:
         raise ValueError("scale parameter m must be >= 2")
     if model == "may_model":
-        checks = _check_may_model(p, m, lower_ceiling, require_lower)
+        checks = _check_may_model(p, m, lower_ceiling)
     elif model == "r_h_einf":
         checks = _check_r_h_einf(p, m)
     elif model == "r_h_e2":

@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from . import algebra, asymptotics, ehp, presets, torsion, verify
+from . import algebra, asymptotics, ehp, presets, series, torsion, verify
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -192,9 +192,8 @@ def _cmd_asymptotics(args) -> int:
     if args.name in asymptotics.BRACKET_MODELS:
         if args.n is None:
             raise CliError("bracketing checks need --n <scale m>")
-        forced = {} if args.lower_ceiling is None else {
-            "lower_ceiling": args.lower_ceiling, "require_lower": True}
-        report = asymptotics.bracketing_check(args.p, args.n, args.name, **forced)
+        report = asymptotics.bracketing_check(
+            args.p, args.n, args.name, lower_ceiling=args.lower_ceiling)
         _emit_as(
             args.format, args.out,
             lambda: json.dumps(report.to_json_obj(), indent=2),
@@ -298,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return args.fn(args)
-    except asymptotics.ResourceLimitError as exc:
+    except series.ResourceLimitError as exc:
         print(f"stemsize: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

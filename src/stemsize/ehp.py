@@ -39,9 +39,8 @@ from operator import add
 
 from ._frozen import Frozen, set_field
 from .algebra import hilbert, is_prime
-from .asymptotics import ResourceLimitError
 from .presets import preset
-from .series import TruncatedSeries, SeriesError
+from .series import ResourceLimitError, TruncatedSeries, SeriesError
 
 __all__ = [
     "CUSeq",

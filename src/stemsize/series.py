@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import accumulate, chain, compress
 from operator import add, sub
 from typing import Iterable, Iterator
@@ -24,6 +25,7 @@ __all__ = [
     "POLYNOMIAL",
     "EXTERIOR",
     "SeriesError",
+    "ResourceLimitError",
     "TruncatedSeries",
     "factor_series",
 ]
@@ -33,6 +35,20 @@ _LN2 = math.log(2)
 
 class SeriesError(ValueError):
     """Invalid series construction or operation."""
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when an exact check or output would exceed its declared size
+    ceiling."""
+
+
+# Budget for writing one series in decimal, as the sum over its coefficients
+# of bit_length^2: CPython's int-to-decimal conversion is quadratic in the
+# length.  Coefficients of one polynomial generator in degree 1 with
+# multiplicity 10^8 cost 1.1e11 at N = 1000 (0.23 s of conversion),
+# 8.2e11 at N = 2000 (1.6 s) and 2.6e12 at N = 3000 (4.9 s), measured on a
+# 2-vCPU VM with Python 3.11; the budget lets through about 4 s.
+MAX_DECIMAL_COST = 2 * 10**12
 
 
 class GeneratorKind(Frozen):
@@ -237,12 +253,6 @@ class TruncatedSeries:
             return TruncatedSeries._of((0,) * (n + 1))
         return TruncatedSeries._of((0,) * k + self._coeffs[: n + 1 - k])
 
-    def hadamard(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.trunc, other.trunc)
-        return TruncatedSeries._of(
-            a * b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1])
-        )
-
     def leq(self, other: "TruncatedSeries") -> bool:
         """Coefficientwise <= on the common truncation."""
         n = min(self.trunc, other.trunc)
@@ -268,14 +278,14 @@ class TruncatedSeries:
     # -- serialization -------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        return {"trunc": self.trunc, "coeffs": [str(c) for c in self._coeffs]}
+        return {"trunc": self.trunc, "coeffs": _decimal(self._coeffs)}
 
     def to_json(self) -> str:
         """`json.dumps(self.to_json_obj())`, written directly: the
         coefficients are decimal strings, which need no escaping."""
         return '{"trunc": %d, "coeffs": ["%s"]}' % (
             self.trunc,
-            '", "'.join(map(str, self._coeffs)),
+            '", "'.join(_decimal(self._coeffs)),
         )
 
     @classmethod
@@ -290,8 +300,35 @@ class TruncatedSeries:
         return cls.from_json_obj(json.loads(text))
 
     def csv_rows(self) -> Iterator[tuple[int, str]]:
-        for n, c in enumerate(self._coeffs):
-            yield n, str(c)
+        yield from enumerate(_decimal(self._coeffs))
+
+
+def _decimal(coeffs: tuple[int, ...]) -> list[str]:
+    """The coefficients in decimal, however many digits they have.
+
+    Raises `ResourceLimitError` before converting any of them when the sum
+    of their squared bit lengths exceeds MAX_DECIMAL_COST.  The
+    interpreter's digit limit for int-to-str conversion (Python 3.11 on) is
+    lifted for these conversions only: the output is exact, while parsing
+    decimal input, in the DSL or `from_json`, keeps the limit.
+    """
+    top = max(coeffs).bit_length()  # coefficients are nonnegative
+    if top * top * len(coeffs) > MAX_DECIMAL_COST:
+        cost = sum(c.bit_length() ** 2 for c in coeffs)
+        if cost > MAX_DECIMAL_COST:
+            raise ResourceLimitError(
+                f"writing the series in decimal costs {cost} (sum of squared "
+                f"coefficient bit lengths), above the budget {MAX_DECIMAL_COST}"
+            )
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # Python 3.10: no limit
+        return list(map(str, coeffs))
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return list(map(str, coeffs))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _check_trunc(trunc: int) -> None:

@@ -65,19 +65,15 @@ def _result(suite: str, name: str, ok: bool, detail: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def random_spec(
-    rng: random.Random,
-    max_families: int = 5,
-    max_degree: int = 12,
-    primes: tuple[int, ...] = (2, 3, 5),
-) -> algebra.AlgebraSpec:
-    """A small random algebra: bounded and unbounded families of every
-    generator kind, with degrees in [1, max_degree] at the low indices.
+def random_spec(rng: random.Random, max_families: int = 5) -> algebra.AlgebraSpec:
+    """A small random algebra over p in {2, 3, 5}: bounded and unbounded
+    families of every generator kind, with degrees in [1, 12] at the low
+    indices.
 
     Each family is built as the tree that `parse_spec` makes of the DSL line
     in its branch's comment, without the parser; `dsl_round_trip` checks
     the parser on specs from here."""
-    p = rng.choice(primes)
+    p = rng.choice((2, 3, 5))
     families = []
     for _ in range(rng.randint(1, max_families)):
         # k is drawn before the choice, whichever kind it picks: the draws
@@ -86,10 +82,10 @@ def random_spec(
         kind = rng.choice([series.POLYNOMIAL, series.EXTERIOR, trunc_kind])
         form = rng.randint(0, 3)
         if form == 0:  # deg = d
-            family = algebra.GeneratorFamily(kind, Lit(rng.randint(1, max_degree)))
+            family = algebra.GeneratorFamily(kind, Lit(rng.randint(1, 12)))
         elif form == 1:  # deg = d*i + c for i = 0..hi
-            d = rng.randint(1, max(1, max_degree // 2))
-            c = rng.randint(1, max_degree // 2 + 1)
+            d = rng.randint(1, 6)
+            c = rng.randint(1, 7)
             hi = rng.randint(0, 3)
             degree = BinOp("+", BinOp("*", Lit(d), Var("i")), Lit(c))
             family = algebra.GeneratorFamily(kind, degree, ranges=(("i", 0, hi),))
@@ -99,17 +95,15 @@ def random_spec(
             degree = BinOp("+", BinOp("^", Lit(base), Var("i")), Lit(c))
             family = algebra.GeneratorFamily(kind, degree, ranges=(("i", 1, None),))
         else:  # deg = d mult = m
-            d = rng.randint(1, max_degree)
+            d = rng.randint(1, 12)
             m = rng.randint(1, 3)
             family = algebra.GeneratorFamily(kind, Lit(d), Lit(m))
         families.append(family)
     return algebra.AlgebraSpec(p, tuple(families))
 
 
-def random_series(rng: random.Random, trunc: int, max_coeff: int = 9):
-    return series.TruncatedSeries(
-        [rng.randint(0, max_coeff) for _ in range(trunc + 1)]
-    )
+def random_series(rng: random.Random, trunc: int) -> series.TruncatedSeries:
+    return series.TruncatedSeries([rng.randint(0, 9) for _ in range(trunc + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +388,7 @@ def _curve_table(curve: torsion.VanishingCurve) -> list[int]:
     return [curve(n) for n in range(1, SCAN_LIMIT + 1)]
 
 
-def _counting_scan(p: int, vals: list[int] | None = None) -> tuple[bool, str]:
+def _counting_scan(p: int, vals: list[int]) -> tuple[bool, str]:
     """exact <= bound for every 0 <= a < b <= SCAN_LIMIT, settled exactly.
 
     With T(x) = x + sum of valuations and c = p/(p-1), the claim over all a
@@ -405,11 +399,9 @@ def _counting_scan(p: int, vals: list[int] | None = None) -> tuple[bool, str]:
     exactly when q still exceeds it.  One pass over b keeps the least g(a)
     so far and the first b of largest slack, at which `counting_lemma` is
     called directly as a cross-check.  vals is the run's valuation sieve
-    for p, built here when not given.
+    for p.
     """
     n = SCAN_LIMIT
-    if vals is None:
-        vals = _valuation_sieve(p)
     step = p - 1  # g(x) - g(x-1) = (p-1)(1 + |x|_p) - p = step * |x|_p - 1
     g = low = a_low = 0  # g(b), and the least g(a) over a < b at its first a
     worst_q, a_star, b_star = step * vals[1] - 1, 0, 1  # the first largest slack
@@ -434,22 +426,20 @@ def _counting_scan(p: int, vals: list[int] | None = None) -> tuple[bool, str]:
     return True, f"p={p}: all pairs <= {n}, tightest slack q = {worst_q}"
 
 
-def _goodwillie_scan(p: int, vals: list[int] | None = None) -> tuple[int, int] | None:
+def _goodwillie_scan(p: int, vals: list[int]) -> tuple[int, int] | None:
     """The first (s, n), s <= GOODWILLIE_S and n <= GOODWILLIE_N in that
     order, at which the m = 1 Goodwillie bound read off the table breaks its
     linear envelope 2n/s; failing none, the first s at which
     `goodwillie_bound(s, 1, GOODWILLIE_N, p)` differs from the table, as
     (s, GOODWILLIE_N); else None.
 
-    With legendre[k] the sum of |i|_p over 1 <= i <= k, read off the
-    valuation sieve vals (the run's, built here when not given), the exact
-    sum top + legendre[top], top = (n - 1) // s, is constant on the block
-    s*top < n <= s*(top + 1) for fixed s while 2n/s rises across it, so the
-    block's first n decides the block; top = 0 sums to 0.
+    With legendre[k] the sum of |i|_p over 1 <= i <= k, read off the run's
+    valuation sieve vals for p, the exact sum top + legendre[top],
+    top = (n - 1) // s, is constant on the block s*top < n <= s*(top + 1)
+    for fixed s while 2n/s rises across it, so the block's first n decides
+    the block; top = 0 sums to 0.
     """
     n_max = GOODWILLIE_N
-    if vals is None:
-        vals = _valuation_sieve(p)
     legendre = list(accumulate(vals[1 : n_max + 1], initial=0))
     for s in range(1, GOODWILLIE_S + 1):
         for top in range(1, (n_max - 1) // s + 1):
@@ -467,24 +457,18 @@ def _goodwillie_scan(p: int, vals: list[int] | None = None) -> tuple[int, int] |
 def _stable_scan(
     p: int,
     curve: torsion.VanishingCurve,
-    prefix: list[int] | None = None,
-    logs: list[float] | None = None,
-    gs: list[int] | None = None,
+    prefix: list[int],
+    logs: list[float],
+    gs: list[int],
 ) -> tuple[bool, str]:
     """exact_sum <= closed_form for all 1 <= n <= SCAN_LIMIT via prefix sums
     of the per-column term, cross-checked against direct calls.
 
-    The run's tables (the column prefix and log_p table of p, the g(n) table
-    of the curve) are built here when not given.
+    prefix and logs are the run's column prefix and log_p table of p, gs
+    its g(n) table of the curve.
     """
     n_max = SCAN_LIMIT
     span = _span(p)
-    if prefix is None:
-        prefix = _column_prefix(p, _valuation_sieve(p), _top_column(p))
-    if logs is None:
-        logs = _log_table(p)
-    if gs is None:
-        gs = _curve_table(curve)
     slope, const = (1.25, 2) if p == 2 else (p / (2 * (p - 1) ** 2), 1)
 
     def exact(n: int) -> int:  # g >= 1, so hi >= lo - 1

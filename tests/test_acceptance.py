@@ -16,7 +16,7 @@ import pytest
 
 from stemsize import verify
 from stemsize.algebra import hilbert, hilbert_cumulative, oracle_hilbert
-from stemsize.asymptotics import bracketing_check, ratio_profile
+from stemsize.asymptotics import DEFAULT_LOWER_CEILING, bracketing_check, ratio_profile
 from stemsize.ehp import (
     _admissible_counts,
     a_series,
@@ -42,7 +42,7 @@ class TestOracleEquivalence:
         rng = random.Random(verify.DEFAULT_SEED)
         done = 0
         while done < 200:
-            spec = verify.random_spec(rng, max_families=5, max_degree=12)
+            spec = verify.random_spec(rng, max_families=5)
             trunc = rng.randint(10, 40)
             if hilbert_cumulative(spec, trunc)[trunc] > ORACLE_RANK_CAP:
                 continue
@@ -121,13 +121,15 @@ class TestSeriesDomination:
 class TestTorsionChain:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_counting_lemma_exhaustive(self, p):
-        ok, detail = verify._counting_scan(p)
+        ok, detail = verify._counting_scan(p, verify._valuation_sieve(p))
         assert ok, detail
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("curve", [LinearCurve(), PowerLawCurve(0.5, 1.0)])
     def test_stable_bound_exhaustive(self, p, curve):
-        ok, detail = verify._stable_scan(p, curve)
+        prefix = verify._column_prefix(p, verify._valuation_sieve(p), verify._top_column(p))
+        tables = prefix, verify._log_table(p), verify._curve_table(curve)
+        ok, detail = verify._stable_scan(p, curve, *tables)
         assert ok, detail
 
 
@@ -146,7 +148,9 @@ class TestBracketingInequalities:
 
     def test_may_model_lower_p2(self):
         for m in range(2, 9):
-            report = bracketing_check(2, m, "may_model", require_lower=True)
+            report = bracketing_check(
+                2, m, "may_model", lower_ceiling=DEFAULT_LOWER_CEILING
+            )
             lower = next(c for c in report.checks if c.name == "may_model_lower")
             assert lower.ok, (m, lower.detail)
 

@@ -90,9 +90,11 @@ class TestBracketing:
 
     def test_resource_guard_trips(self):
         with pytest.raises(ResourceLimitError):
-            bracketing_check(2, 12, "may_model", lower_ceiling=10, require_lower=True)
+            bracketing_check(2, 12, "may_model", lower_ceiling=10)
 
     def test_lower_skipped_above_ceiling_by_default(self):
-        report = bracketing_check(2, 12, "may_model", lower_ceiling=10)
+        # C(15, 2) * (2^15 - 1) = 3,440,535 is above DEFAULT_LOWER_CEILING
+        report = bracketing_check(2, 15, "may_model")
         lower = next(c for c in report.checks if "lower" in c.name)
-        assert lower.ok and "skipped" in lower.detail
+        assert lower.ok
+        assert lower.detail == "skipped: degree 3440535 exceeds ceiling 2097152"

@@ -1,9 +1,13 @@
+import contextlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import stemsize
+from stemsize import asymptotics, series
+from stemsize.algebra import hilbert, parse_spec
 from stemsize.cli import CliError, main, parse_points
 
 
@@ -15,6 +19,24 @@ def run_cli(*argv):
     )
     return proc.returncode, proc.stdout, proc.stderr
 
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the interpreter's int/str digit limit (Python 3.11 on) inside."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# c_2000 of 1/(1 - t)^(10^8) has 10,265 digits
+BIG_MULT_SPEC = "p = 2\ngen poly deg = 1 mult = 100000000\n"
 
 DEEP_RANGES = ", ".join(f"i{k} = 0..0" for k in range(1200))
 DEEP_GEN_LINES = {
@@ -107,6 +129,46 @@ class TestHilbert:
         assert err.startswith("stemsize: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_coefficients_past_digit_limit(self, tmp_path, fmt):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(BIG_MULT_SPEC)
+        code, out, err = run_cli(
+            "hilbert", "--spec", str(spec), "--max-degree", "2000", "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            coeffs = json.loads(out)["coeffs"]
+        else:
+            coeffs = [line.partition(",")[2] for line in out.splitlines()]
+        want = hilbert(parse_spec(BIG_MULT_SPEC), 2000).coeffs
+        with no_digit_limit():
+            assert tuple(map(int, coeffs)) == want
+
+    def test_output_over_budget_exits_three(self, tmp_path):
+        # sum of squared bit lengths 2.59e12 at N = 3000
+        spec = tmp_path / "spec.txt"
+        spec.write_text(BIG_MULT_SPEC)
+        code, out, err = run_cli(
+            "hilbert", "--spec", str(spec), "--max-degree", "3000", "--format", "csv"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "stemsize: resource guard: writing the series in decimal costs "
+            "2587538549292 (sum of squared coefficient bit lengths), above the "
+            "budget 2000000000000\n"
+        )
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"
+    )
+    def test_integer_literal_past_digit_limit_exits_one(self, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("p = 2\ngen poly deg = 1 mult = 1" + "0" * 4400 + "\n")
+        code, out, err = run_cli("hilbert", "--spec", str(spec), "--max-degree", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("stemsize: error: Exceeds the limit (4300 digits)")
+
 
 class TestTorsion:
     def test_linear_csv(self):
@@ -175,6 +237,10 @@ class TestImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_resource_limit_error_is_one_class(self):
+        assert stemsize.ResourceLimitError is series.ResourceLimitError
+        assert asymptotics.ResourceLimitError is series.ResourceLimitError
 
     def test_no_dataclasses_or_inspect(self):
         # both cost milliseconds of every cold CLI call, and nothing needs them
@@ -249,6 +315,16 @@ class TestAsymptotics:
         )
         assert code == 0
         assert "True" in out
+
+    def test_lower_check_skipped_without_ceiling(self):
+        code, out, _ = run_cli("asymptotics", "--p", "2", "--name", "may_model", "--n", "15")
+        assert code == 0
+        lower = json.loads(out)["checks"][1]
+        assert lower == {
+            "name": "may_model_lower",
+            "ok": True,
+            "detail": "skipped: degree 3440535 exceeds ceiling 2097152",
+        }
 
     def test_resource_limit_exits_three(self):
         code, _, err = run_cli(

@@ -1,10 +1,12 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stemsize import ehp
 from stemsize.algebra import AlgebraError
-from stemsize.asymptotics import ResourceLimitError
 from stemsize.ehp import (
     CUSeq,
     _admissible_counts,
@@ -18,7 +20,7 @@ from stemsize.ehp import (
 )
 from stemsize.presets import preset
 from stemsize.algebra import hilbert
-from stemsize.series import SeriesError, TruncatedSeries
+from stemsize.series import ResourceLimitError, SeriesError, TruncatedSeries
 
 
 def census(p, n, trunc):
@@ -130,6 +132,23 @@ class TestEnumerate:
             f"I({n}) at p = {p} has more than {count - 1} sequences of "
             f"dimension <= {max_dim}; lower the dimension cap"
         )
+
+
+def test_import_does_not_load_asymptotics():
+    # the package __init__ imports every module, so ehp is imported under a
+    # bare package object, which loads only what ehp itself imports
+    code = (
+        "import importlib.util, sys, types\n"
+        "pkg = types.ModuleType('stemsize')\n"
+        "pkg.__path__ = importlib.util.find_spec('stemsize').submodule_search_locations\n"
+        "sys.modules['stemsize'] = pkg\n"
+        "import stemsize.ehp\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('stemsize.'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "stemsize.ehp" in loaded and "stemsize.asymptotics" not in loaded
 
 
 NON_PRIME_CALLS = {

@@ -1,15 +1,18 @@
 import json
 import math
+import sys
 from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stemsize import series
 from stemsize.series import (
     EXTERIOR,
     POLYNOMIAL,
     GeneratorKind,
+    ResourceLimitError,
     SeriesError,
     TruncatedSeries,
     _fold,
@@ -455,18 +458,6 @@ class TestCumulativeShiftHadamard:
         c = a.cumulative()
         assert c.shift(k).leq(c)
 
-    def test_hadamard(self):
-        assert S(1, 2, 3).hadamard(S(1, 1, 0)) == S(1, 2, 0)
-
-    @given(series_strategy)
-    def test_hadamard_ones_identity(self, a):
-        ones = TruncatedSeries.ones(a.trunc)
-        assert a.hadamard(ones) == a
-
-    @given(series_strategy, series_strategy)
-    def test_hadamard_commutes(self, a, b):
-        assert a.hadamard(b) == b.hadamard(a)
-
 
 class TestLeq:
     def test_examples(self):
@@ -539,3 +530,55 @@ class TestSerialization:
 
     def test_csv_rows(self):
         assert list(S(1, 5).csv_rows()) == [(0, "1"), (1, "5")]
+
+    def test_digits_past_interpreter_limit(self):
+        # 10^5000 has 5001 digits; Python 3.11 converts 4300 by default
+        text = "1" + "0" * 5000
+        a = S(1, 10**5000)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert a.to_json() == '{"trunc": 1, "coeffs": ["1", "%s"]}' % text
+        assert a.to_json_obj() == {"trunc": 1, "coeffs": ["1", text]}
+        assert list(a.csv_rows()) == [(0, "1"), (1, text)]
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"
+    )
+    def test_from_json_keeps_digit_limit(self):
+        with pytest.raises(ValueError, match="4300 digits"):
+            TruncatedSeries.from_json(S(1, 10**5000).to_json())
+
+    @pytest.mark.parametrize("emit", ["to_json", "to_json_obj", "csv_rows"])
+    def test_decimal_budget_boundary(self, monkeypatch, emit):
+        # bit lengths 10, 1, 2 cost 100 + 1 + 4 = 105, though the largest
+        # coefficient alone would bound the cost by 3 * 10^2
+        a = S(2**9, 1, 3)
+        monkeypatch.setattr(series, "MAX_DECIMAL_COST", 105)
+        assert list(getattr(a, emit)())
+        monkeypatch.setattr(series, "MAX_DECIMAL_COST", 104)
+        with pytest.raises(ResourceLimitError) as info:
+            list(getattr(a, emit)())
+        assert str(info.value) == (
+            "writing the series in decimal costs 105 (sum of squared "
+            "coefficient bit lengths), above the budget 104"
+        )
+
+    @pytest.mark.parametrize("emit", ["to_json", "to_json_obj", "csv_rows"])
+    def test_over_budget_converts_nothing(self, monkeypatch, emit):
+        converted = []
+        monkeypatch.setattr(series, "str", converted.append, raising=False)
+        monkeypatch.setattr(series, "MAX_DECIMAL_COST", 1)
+        with pytest.raises(ResourceLimitError):
+            list(getattr(S(1, 2), emit)())
+        assert converted == []
+
+    def test_digit_limit_restored_when_conversion_raises(self, monkeypatch):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+        def broken(c):
+            raise RuntimeError("conversion failed")
+
+        monkeypatch.setattr(series, "str", broken, raising=False)
+        with pytest.raises(RuntimeError, match="conversion failed"):
+            S(1, 2).to_json()
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

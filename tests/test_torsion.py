@@ -186,9 +186,11 @@ class TestScanTables:
     def test_stable_scan_reports_first_violation(self):
         # a log table pushed far down from n = 100 on makes the closed form
         # fall below the exact sum there and nowhere before
+        prefix = verify._column_prefix(3, verify._valuation_sieve(3), verify._top_column(3))
         logs = verify._log_table(3)
         logs[99:] = [-50.0] * (len(logs) - 99)
-        assert verify._stable_scan(3, LinearCurve(), logs=logs) == (
+        gs = verify._curve_table(LinearCurve())
+        assert verify._stable_scan(3, LinearCurve(), prefix, logs, gs) == (
             False, "violation at p=3, n=100")
 
 
@@ -246,8 +248,9 @@ class TestExactScans:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_counting_scan_matches_oracle(self, p):
         vals = verify._valuation_sieve(p)
-        assert verify._counting_scan(p, vals) == _counting_oracle(p, vals)
-        assert verify._counting_scan(p)[0]
+        got = verify._counting_scan(p, vals)
+        assert got == _counting_oracle(p, vals)
+        assert got[0]
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_counting_scan_perturbed_sieve(self, p):
@@ -334,7 +337,6 @@ class TestExactScans:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_goodwillie_scan_matches_oracle(self, p):
-        assert verify._goodwillie_scan(p) is None
         assert verify._goodwillie_scan(p, verify._valuation_sieve(p)) is None
         assert _goodwillie_oracle(p) is None
 
@@ -392,8 +394,9 @@ class TestExactScans:
             return exact, linear
 
         monkeypatch.setattr(torsion, "goodwillie_bound", wrong_at_top)
-        assert verify._goodwillie_scan(2) is None
-        assert verify._goodwillie_scan(3) == (5, verify.GOODWILLIE_N)
+        assert verify._goodwillie_scan(2, verify._valuation_sieve(2)) is None
+        assert verify._goodwillie_scan(3, verify._valuation_sieve(3)) == (
+            5, verify.GOODWILLIE_N)
         assert _goodwillie_oracle(3) == (5, verify.GOODWILLIE_N)
 
     def test_goodwillie_scan_monkeypatched_everywhere(self, monkeypatch):
@@ -404,7 +407,8 @@ class TestExactScans:
         for p in (2, 3, 5):
             assert _goodwillie_oracle(p) == (1, 1)
             # the table scan meets the wrong function at its one direct call
-            assert verify._goodwillie_scan(p) == (1, verify.GOODWILLIE_N)
+            vals = verify._valuation_sieve(p)
+            assert verify._goodwillie_scan(p, vals) == (1, verify.GOODWILLIE_N)
 
     def test_suite_lines_fail_on_perturbed_sieve(self, monkeypatch):
         real = verify._valuation_sieve
