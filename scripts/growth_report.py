@@ -14,6 +14,7 @@ from stemsize.asymptotics import (
     constants,
     ratio_profile,
 )
+from stemsize.presets import preset
 
 
 def main() -> None:
@@ -41,7 +42,7 @@ def main() -> None:
         ("s_k", 2, {"k": 0}),
         ("may_e1", 3, {"drop_q0": True}),
     ):
-        profile = ratio_profile(name, args.p, exponent, points, **kwargs)
+        profile = ratio_profile(preset(name, args.p, **kwargs), exponent, points)
         path = args.out / f"ratio_{name}_p{args.p}_k{exponent}.csv"
         with path.open("w", newline="") as fh:
             csv.writer(fh).writerows(profile.csv_rows())

@@ -486,7 +486,7 @@ def tensor_bracket(
     lower = 1
     upper = 1
     for s, budget in zip(subspecs, budgets):
-        cum = hilbert_cumulative(s, max(budget, n))
+        cum = hilbert_cumulative(s, n)
         lower *= cum[budget]
         upper *= cum[n]
     joint_cum = hilbert_cumulative(joint, total)

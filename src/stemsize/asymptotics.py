@@ -116,13 +116,7 @@ class RatioProfile(Frozen):
         }
 
 
-def ratio_profile(
-    spec_or_preset,
-    p: int,
-    exponent: int,
-    points: list[int],
-    **preset_kwargs,
-) -> RatioProfile:
+def ratio_profile(spec: AlgebraSpec, exponent: int, points: list[int]) -> RatioProfile:
     """ln(cumulative rank through n) against ln(n)^exponent at each point.
 
     The cumulative Hilbert series is computed once at max(points) and read
@@ -135,19 +129,15 @@ def ratio_profile(
     pts = sorted(set(points))
     if pts[0] < 2:
         raise ValueError("sample points must be >= 2")
-    spec = (
-        spec_or_preset
-        if isinstance(spec_or_preset, AlgebraSpec)
-        else preset(spec_or_preset, p, **preset_kwargs)
-    )
-    label = spec.label or "spec"
     series = hilbert_cumulative(spec, pts[-1])
     rows = []
     for n in pts:
         log_rank = series.coeff_log(n)
         log_n_pow = math.log(n) ** exponent
         rows.append(RatioRow(n, log_rank, log_n_pow, log_rank / log_n_pow))
-    return RatioProfile(p=p, label=label, exponent=exponent, rows=tuple(rows))
+    return RatioProfile(
+        p=spec.p, label=spec.label or "spec", exponent=exponent, rows=tuple(rows)
+    )
 
 
 class BracketCheck(Frozen):
@@ -193,35 +183,35 @@ def _may_model_product(p: int, m: int) -> int:
 
 
 def _check_may_model(p: int, m: int, lower_ceiling: int | None) -> list[BracketCheck]:
-    checks = []
     top = p**m - 1
-    product = _may_model_product(p, m)
     spec = preset("may_model", p)
+    lower_deg = (m * (m - 1) // 2) * top
+    # Refuse before the upper check's series is built: a refused request
+    # should not pay for it.
+    if lower_ceiling is not None and lower_deg > lower_ceiling:
+        raise ResourceLimitError(
+            f"may_model lower check needs the series through degree "
+            f"{lower_deg}, above the ceiling {lower_ceiling}"
+        )
+    product = _may_model_product(p, m)
     upper_rank = hilbert_cumulative(spec, top)[top]
-    checks.append(
+    checks = [
         BracketCheck(
             "may_model_upper",
             upper_rank <= product,
             f"cumrank({top}) = {upper_rank} <= {product}",
         )
-    )
-    lower_deg = (m * (m - 1) // 2) * top
-    if lower_ceiling is None:
-        if lower_deg > DEFAULT_LOWER_CEILING:
-            checks.append(
-                BracketCheck(
-                    "may_model_lower",
-                    True,
-                    f"skipped: degree {lower_deg} exceeds ceiling "
-                    f"{DEFAULT_LOWER_CEILING}",
-                )
+    ]
+    if lower_ceiling is None and lower_deg > DEFAULT_LOWER_CEILING:
+        checks.append(
+            BracketCheck(
+                "may_model_lower",
+                True,
+                f"skipped: degree {lower_deg} exceeds ceiling "
+                f"{DEFAULT_LOWER_CEILING}",
             )
-            return checks
-    elif lower_deg > lower_ceiling:
-        raise ResourceLimitError(
-            f"may_model lower check needs the series through degree "
-            f"{lower_deg}, above the ceiling {lower_ceiling}"
         )
+        return checks
     lower_rank = hilbert_cumulative(spec, lower_deg)[lower_deg]
     checks.append(
         BracketCheck(
@@ -251,7 +241,7 @@ def _check_r_h_einf(p: int, m: int) -> list[BracketCheck]:
 
 def _check_r_h_e2(p: int, m: int) -> list[BracketCheck]:
     # Tensor decomposition S^h x ... x S^{2h-1} of the rank-h model.
-    h = max(m // 2, 1)
+    h = m // 2
     top = min(p**m - 1, 1 << 14)
     factors = [preset("s_k", p, k=k) for k in range(h, 2 * h)]
     bracket = tensor_bracket(factors, [top] * len(factors))

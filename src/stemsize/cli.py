@@ -119,20 +119,16 @@ def _emit_as(fmt: str, out: str | None, json_text, rows) -> None:
     _emit(json_text() if fmt == "json" else _csv_text(rows()), out)
 
 
-def _cmd_hilbert(args) -> int:
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = algebra.parse_spec(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read spec {args.spec!r}: {exc}") from None
-    fn = algebra.hilbert_cumulative if args.cumulative else algebra.hilbert
-    series = fn(spec, args.max_degree)
-    _emit_as(args.format, args.out, series.to_json, series.csv_rows)
-    return EXIT_OK
-
-
-def _cmd_preset(args) -> int:
-    spec = presets.preset(
+def _spec(args) -> algebra.AlgebraSpec:
+    """The algebra a request names: the --spec DSL file, or the preset built
+    from --name, --p, --h, --drop-q0 and --simplify-odd (--h is k for s_k)."""
+    if args.spec is not None:
+        try:
+            with open(args.spec, encoding="utf-8") as fh:
+                return algebra.parse_spec(fh.read())
+        except OSError as exc:
+            raise CliError(f"cannot read spec {args.spec!r}: {exc}") from None
+    return presets.preset(
         args.name,
         args.p,
         h=args.h,
@@ -140,8 +136,11 @@ def _cmd_preset(args) -> int:
         drop_q0=args.drop_q0,
         simplify_odd=args.simplify_odd,
     )
+
+
+def _cmd_series(args) -> int:
     fn = algebra.hilbert_cumulative if args.cumulative else algebra.hilbert
-    series = fn(spec, args.max_degree)
+    series = fn(_spec(args), args.max_degree)
     _emit_as(args.format, args.out, series.to_json, series.csv_rows)
     return EXIT_OK
 
@@ -176,16 +175,8 @@ def _cmd_asymptotics(args) -> int:
     if args.points is not None:
         if args.name is None:
             raise CliError("ratio profiles need --name <preset>")
-        profile = asymptotics.ratio_profile(
-            args.name,
-            args.p,
-            args.exponent,
-            parse_points(args.points),
-            h=args.h,
-            k=args.h if args.name == "s_k" else None,
-            drop_q0=args.drop_q0,
-            simplify_odd=args.simplify_odd,
-        )
+        points = parse_points(args.points)
+        profile = asymptotics.ratio_profile(_spec(args), args.exponent, points)
         _emit_as(args.format, args.out,
                  lambda: json.dumps(profile.to_json_obj(), indent=2), profile.csv_rows)
         return EXIT_OK
@@ -230,21 +221,25 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
+    def preset_flags(p):  # the preset parameters `_spec` reads
+        p.add_argument("--h", type=int, default=None,
+                       help="family parameter (h, or k for s_k)")
+        p.add_argument("--drop-q0", action="store_true")
+        p.add_argument("--simplify-odd", action="store_true")
+        p.set_defaults(spec=None)
+
     p = sub.add_parser("hilbert", help="Hilbert series of a spec file")
     p.add_argument("--spec", required=True, help="path to a spec in the gen DSL")
     p.add_argument("--cumulative", action="store_true")
     common(p, prime=False, degree=True)
-    p.set_defaults(fn=_cmd_hilbert)
+    p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("preset", help="Hilbert series of a named preset")
     p.add_argument("--name", required=True, choices=presets.PRESET_NAMES)
-    p.add_argument("--h", type=int, default=None,
-                   help="family parameter (h, or k for s_k)")
-    p.add_argument("--drop-q0", action="store_true")
-    p.add_argument("--simplify-odd", action="store_true")
+    preset_flags(p)
     p.add_argument("--cumulative", action="store_true")
     common(p, degree=True)
-    p.set_defaults(fn=_cmd_preset)
+    p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("torsion", help="stable torsion-exponent bound")
     p.add_argument("--n", type=int, required=True, help="stem degree")
@@ -272,9 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None, help="bracketing scale m")
     p.add_argument("--lower-ceiling", type=int, default=None,
                    help="force the exact lower check up to this rank budget")
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--drop-q0", action="store_true")
-    p.add_argument("--simplify-odd", action="store_true")
+    preset_flags(p)
     common(p)
     p.set_defaults(fn=_cmd_asymptotics)
 

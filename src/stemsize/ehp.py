@@ -7,8 +7,11 @@ i_s > 2 i_{s+1}; dim(J) = sum (i_s - 1).  At odd p the entries are pairs
 dim(J) = sum (2(p-1) i_s - eps_s - 1).
 
 A(n;t) is counted by a prefix-sum chain census, whose oracle is the listing
-`enumerate_I`; the EHP recurrences do not ground out (they refer to larger
-excess), so they are kept as verification oracles instead.  P(A;t) is the
+`enumerate_I`.  The EHP recurrences refer to larger excess, but they do
+ground out: at p = 2, A(m;t) is 1 through degree N once m >= N + 2, and run
+downward from there the recurrence reproduces `a_series` (checked at
+N = 40).  The census stays the production path so that
+`verify_ehp_recurrence` remains a check independent of it.  P(A;t) is the
 Hilbert series of the dual Steenrod algebra (Milnor's theorem), so it comes
 from `hilbert` of the `dual_steenrod` preset; the same census, counting
 admissible monomials, is kept uncached as its independent oracle.
@@ -144,7 +147,7 @@ def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:
 
         last_lo = (n + 1) // 2  # smallest i_k with 2*i_k >= n
         for eps in (0, 1):
-            i = max(last_lo, 1)
+            i = last_lo
             while 2 * (p - 1) * i - eps - 1 <= max_dim:
                 out.append(CUSeq(p, n, ((eps, i),)))
                 grow_odd(((eps, i),), 2 * (p - 1) * i - eps - 1)

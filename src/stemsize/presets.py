@@ -187,7 +187,7 @@ def max_over_h(family: str, p: int, trunc: int) -> MaxOverH:
     if family not in ("r_h_e2", "r_h_einf"):
         raise PresetError(f"max_over_h expects r_h_e2 or r_h_einf, got {family!r}")
     _require_prime(p)
-    h_top = _ceil_log(p, max(trunc, 1)) + 1
+    h_top = _ceil_log(p, trunc) + 1
     best: list[int] = [0] * (trunc + 1)
     argmax: list[int] = [1] * (trunc + 1)
     for h in range(1, h_top + 1):

@@ -223,12 +223,19 @@ def stable_torsion_bound(p: int, n: int, curve: VanishingCurve) -> TorsionReport
     below = n // span  # lo - 1
     hi = (n + g) // span
     exact = hi - below + sum_val_p(p, hi) - sum_val_p(p, below)
+    slope, const = _closed_form_coefficients(p)
     if p == 2:
         exact += hi // 2 - below // 2
-        closed = 1.25 * g + math.log2(n) + 2
+        closed = slope * g + math.log2(n) + const
     else:
-        closed = p / (2 * (p - 1) ** 2) * g + math.log(n, p) + 1
+        closed = slope * g + math.log(n, p) + const
     return TorsionReport(p, n, exact, closed, curve.describe())
+
+
+def _closed_form_coefficients(p: int) -> tuple[float, int]:
+    """(slope, const) of stable_torsion_bound's closed form
+    slope * g(n) + log_p(n) + const."""
+    return (1.25, 2) if p == 2 else (p / (2 * (p - 1) ** 2), 1)
 
 
 def im_j_lower(p: int, n: int) -> int:

@@ -469,7 +469,7 @@ def _stable_scan(
     """
     n_max = SCAN_LIMIT
     span = _span(p)
-    slope, const = (1.25, 2) if p == 2 else (p / (2 * (p - 1) ** 2), 1)
+    slope, const = torsion._closed_form_coefficients(p)
 
     def exact(n: int) -> int:  # g >= 1, so hi >= lo - 1
         return prefix[(n + gs[n - 1]) // span] - prefix[n // span]
@@ -755,7 +755,7 @@ def _suite_asymptotics(rng: random.Random) -> list[CheckResult]:
     )
 
     prof = asymptotics.ratio_profile(
-        "may_model", 2, 3, [2**m for m in range(8, 15)]
+        presets.preset("may_model", 2), 3, [2**m for m in range(8, 15)]
     )
     ratios = [r.ratio for r in prof.rows]
     k3 = asymptotics.constants(2).k3

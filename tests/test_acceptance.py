@@ -197,7 +197,7 @@ class TestMahlerProfile:
     POINTS = tuple(2**k for k in range(6, 15))
 
     def _ratios(self):
-        profile = ratio_profile("s_k", 2, 2, self.POINTS, k=0)
+        profile = ratio_profile(preset("s_k", 2, k=0), 2, self.POINTS)
         return [row.ratio for row in profile.rows]
 
     @staticmethod

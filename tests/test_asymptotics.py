@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from stemsize import asymptotics
 from stemsize.algebra import AlgebraSpec, hilbert_cumulative
 from stemsize.asymptotics import (
     BRACKET_MODELS,
@@ -38,26 +39,32 @@ class TestConstants:
 class TestRatioProfile:
     def test_constant_series_gives_zero_ratios(self):
         spec = AlgebraSpec(2, (), "trivial")
-        profile = ratio_profile(spec, 2, 3, (8, 16, 32))
+        profile = ratio_profile(spec, 3, (8, 16, 32))
         assert [row.ratio for row in profile.rows] == [0.0, 0.0, 0.0]
 
     def test_points_recorded_in_order(self):
-        profile = ratio_profile("s_k", 2, 2, (16, 64, 256), k=0)
+        profile = ratio_profile(preset("s_k", 2, k=0), 2, (16, 64, 256))
         assert [row.n for row in profile.rows] == [16, 64, 256]
 
     def test_ratio_matches_direct_computation(self):
         n = 128
-        profile = ratio_profile("s_k", 2, 2, (n,), k=0)
+        profile = ratio_profile(preset("s_k", 2, k=0), 2, (n,))
         cum = hilbert_cumulative(preset("s_k", 2, k=0), n)
         want = cum.coeff_log(n) / math.log(n) ** 2
         assert math.isclose(profile.rows[0].ratio, want)
 
     def test_exponent_validated(self):
         with pytest.raises(Exception):
-            ratio_profile("s_k", 2, 5, (16,), k=0)
+            ratio_profile(preset("s_k", 2, k=0), 5, (16,))
+
+    def test_reports_the_prime_and_label_of_its_spec(self):
+        obj = ratio_profile(preset("s_k", 3, k=0), 2, (16,)).to_json_obj()
+        assert (obj["p"], obj["label"]) == (3, "s_k(p=3, k=0)")
+        unlabelled = ratio_profile(AlgebraSpec(5, ()), 2, (16,))
+        assert (unlabelled.p, unlabelled.label) == (5, "spec")
 
     def test_csv_rows_header(self):
-        profile = ratio_profile("s_k", 2, 3, (16,), k=0)
+        profile = ratio_profile(preset("s_k", 2, k=0), 3, (16,))
         header = list(profile.csv_rows())[0]
         assert header == ("n", "log_rank", "log_n_pow_3", "ratio")
 
@@ -91,6 +98,20 @@ class TestBracketing:
     def test_resource_guard_trips(self):
         with pytest.raises(ResourceLimitError):
             bracketing_check(2, 12, "may_model", lower_ceiling=10)
+
+    def test_refused_before_the_upper_series(self, monkeypatch):
+        computed = []
+
+        def spy(spec, trunc):
+            computed.append(trunc)
+            return hilbert_cumulative(spec, trunc)
+
+        monkeypatch.setattr(asymptotics, "hilbert_cumulative", spy)
+        with pytest.raises(ResourceLimitError):
+            bracketing_check(2, 16, "may_model", lower_ceiling=10)
+        assert computed == []
+        bracketing_check(2, 3, "may_model", lower_ceiling=21)
+        assert computed == [7, 21]
 
     def test_lower_skipped_above_ceiling_by_default(self):
         # C(15, 2) * (2^15 - 1) = 3,440,535 is above DEFAULT_LOWER_CEILING
