@@ -36,10 +36,19 @@ on the generator kinds:
   case (under five minutes in `tests/test_acceptance.py`); N = 2^20 is a
   stretch measurement, reported with --stretch but not gated.
 - trunc: a DSL spec of exterior and truncated(3), truncated(5) families in
-  degrees from 301 to 2296, all well above sqrt(N), at N = 2^16.  Every
-  generator folds over all N + 1 coefficients through the exterior and
-  truncated branches of the in-place kernel `series._fold`, run on the
-  working list that `hilbert` keeps for the whole fold.
+  degrees from 301 to 2296, all well above sqrt(N), at N = 2^16.  The 52
+  of lowest degree fill the 64-bit slots of the packed start (see
+  nilpotent); each of the other 398 folds over all N + 1 coefficients
+  through the exterior and truncated branches of the in-place kernel
+  `series._fold`, run on the working list that `hilbert` keeps for the
+  whole fold.
+- nilpotent: `hilbert` on two specs with many exterior and truncated
+  generators, best of 5 CPU times: NILPOTENT_SPEC, a spec of the shape of
+  the `generic_fold` benchmark workload's DSL requests with an exterior
+  and a truncated(3) family, at N = 4096, and may_e1 at p = 3,
+  N = 3^9, whose h_ij are exterior.  `hilbert` starts from the product of
+  the nilpotent generators built in one int of 64-bit slots, so the line
+  also says how many generators were packed.
 - chain: the may_model algebra (p = 2), whose degrees 2^n form a
   divisibility chain, so a generator of degree d folds on N // d + 1
   coefficients.  Measured at N = 2^18 - 1 (the m = 18 upper bracketing
@@ -75,6 +84,15 @@ p = 3
 gen ext deg = 301 + 7*i for i = 0..199
 gen trunc(3) deg = 302 + 11*i for i = 0..149
 gen trunc(5) deg = 1009 + 13*i for i = 0..99
+"""
+
+NILPOTENT_SPEC = """\
+p = 3
+gen poly deg = 2*i^2 + 3*i + 5 for i = 1..inf
+gen poly deg = 5^i + 2 for i = 0..inf
+gen ext deg = 13*j + 4 for j = 0..29
+gen trunc(3) deg = 17*j + 9 for j = 0..19
+gen poly deg = 11 mult = 2
 """
 
 
@@ -213,6 +231,17 @@ def measure_algebra_suite() -> None:
         print(f"{'cli':8} may_e1, p = 2, N = 2048 by {name}: {elapsed * 1000:.1f} ms CPU")
 
 
+def measure_nilpotent(dsl_trunc: int = 4096, may_trunc: int = 3**9) -> None:
+    cases = (("generic_fold-shaped DSL spec", parse_spec(NILPOTENT_SPEC), dsl_trunc),
+             ("may_e1, p = 3", preset("may_e1", 3, drop_q0=True), may_trunc))
+    for label, spec, trunc in cases:
+        gens = algebra.instantiate(spec, trunc)
+        left = algebra._nilpotent_product(gens, trunc)[2]
+        elapsed, _ = best_cpu(algebra.hilbert, spec, trunc)
+        print(f"{'nilpotent':8} {label}, N = {trunc}: {elapsed * 1000:.1f} ms CPU, "
+              f"{len(gens) - len(left)} of {len(gens)} generators packed")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--stretch", action="store_true",
@@ -225,6 +254,7 @@ def main() -> None:
     if args.stretch:
         measure_preset("generic", "may_e1", 2**20, drop_q0=True)
     measure("trunc", "ext/trunc(3)/trunc(5) families, p = 3", parse_spec(TRUNC_SPEC), 2**16)
+    measure_nilpotent()
     measure_preset("chain", "may_model", 2**18 - 1)
     measure_preset("chain", "may_model", 14 * 13 // 2 * (2**14 - 1))
     measure_census("A(1;t), p = 2, N = 300", a_series, 2, 1, 300)

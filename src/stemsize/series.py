@@ -345,12 +345,14 @@ def _fold(out: list[int], kind: GeneratorKind, d: int) -> None:
     ascending n: when d^2 > N it runs as N // d contiguous blocks of d
     coefficients, otherwise as d strided running sums of about N // d
     coefficients, so each fold makes at most about sqrt(N) slice
-    operations.  A truncated factor is the polynomial fold followed by one
-    subtraction of the list shifted by kd.  The exterior factor is a single
-    shifted addition.  A slice assignment consumes its whole right-hand
-    side before it writes, so its reads see the list as it was before it.
+    operations.  A truncated(k) factor is the polynomial fold followed by
+    one subtraction of the list shifted by kd.  The exterior factor, and
+    truncated(2), whose factor (1 - t^(2d))/(1 - t^d) is the same 1 + t^d,
+    are a single shifted addition.  A slice assignment consumes its whole
+    right-hand side before it writes, so its reads see the list as it was
+    before it.
     """
-    if kind.name == "ext":
+    if kind.name == "ext" or kind.order == 2:
         out[d:] = map(add, out[d:], out)
         return
     n = len(out) - 1

@@ -10,6 +10,7 @@ from stemsize.algebra import (
     AlgebraSpec,
     GeneratorFamily,
     _log_derivative_hilbert,
+    _nilpotent_product,
     hilbert,
     hilbert_cumulative,
     instantiate,
@@ -309,6 +310,64 @@ class TestLatticeFold:
     @settings(max_examples=50, deadline=None)
     def test_coefficients_are_exact_ints(self, text, trunc):
         assert all(type(c) is int for c in hilbert(parse_spec(text), trunc))
+
+
+PACKED_CASES = [
+    # (text, trunc, generators packed, oracle_hilbert affordable)
+    ("p = 2\ngen ext deg = 1 mult = 63\n", 200, 1, False),  # B = 2^63: packed
+    ("p = 2\ngen ext deg = 1 mult = 64\n", 200, 0, False),  # B = 2^64: past the cap
+    ("p = 3\ngen trunc(3) deg = 2 mult = 40\ngen ext deg = 3\n", 60, 1, False),
+    # g = 6 packed; the polynomial degrees 9 and 4 spread it to 3, then 1
+    ("p = 2\ngen ext deg = 6 mult = 30\ngen trunc(3) deg = 12 mult = 10\n"
+     "gen poly deg = 4 mult = 2\ngen poly deg = 9\n", 200, 2, False),
+    ("p = 2\ngen ext deg = 1 mult = 63\n", 0, 0, True),  # N = 0: no generator
+    ("p = 5\ngen ext deg = 2 mult = 8\ngen trunc(4) deg = 3 mult = 2\n", 60, 2, True),
+    # trunc(1000) in degree 50 is trunc(3) below degree 120
+    ("p = 2\ngen trunc(1000) deg = 50 mult = 30\ngen ext deg = 1 mult = 10\n", 120, 2, False),
+    ("p = 2\ngen trunc(100) deg = 1\ngen poly deg = 5\n", 200, 0, False),  # k' > 64
+    # packing would move every polynomial of the chain onto the lattice 1
+    ("p = 2\ngen poly deg = 2^n for n = 0..inf\ngen ext deg = 3\n", 4096, 0, False),
+]
+
+
+class TestPackedStart:
+    """`hilbert` starts from the product of the nilpotent generators built
+    in one int of 64-bit slots, where that fits and pays."""
+
+    @pytest.mark.parametrize("text, trunc, packed, walk", PACKED_CASES)
+    def test_matches_references(self, text, trunc, packed, walk):
+        spec = parse_spec(text)
+        gens = instantiate(spec, trunc)
+        assert len(gens) - len(_nilpotent_product(gens, trunc)[2]) == packed
+        series = hilbert(spec, trunc)
+        assert all(type(c) is int for c in series)
+        assert series == ascending_fold(spec, trunc) == _log_derivative_hilbert(spec, trunc)
+        if walk:
+            assert series == oracle_hilbert(spec, trunc)
+
+    def test_exterior_cap_is_binomial(self):
+        spec = parse_spec("p = 2\ngen ext deg = 1 mult = 63\n")
+        assert list(hilbert(spec, 70)) == [math.comb(63, j) for j in range(71)]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(KIND_WORDS),
+                st.integers(min_value=1, max_value=40),
+                st.integers(min_value=1, max_value=30),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(min_value=40, max_value=250),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_log_derivative(self, families, trunc):
+        text = "p = 3\n" + "".join(
+            f"gen {kind} deg = {deg} mult = {mult}\n" for kind, deg, mult in families
+        )
+        spec = parse_spec(text)
+        assert hilbert(spec, trunc) == _log_derivative_hilbert(spec, trunc)
 
 
 class TestOracle:

@@ -1,3 +1,4 @@
+import os
 import pathlib
 import subprocess
 import sys
@@ -23,3 +24,20 @@ def test_growth_report_writes_both_profiles(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == header
         assert [line.partition(",")[0] for line in lines[1:]] == ["64", "128"]
+
+
+def test_performance_report_nilpotent_regime():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import performance_report as report; "
+         "report.measure_nilpotent(dsl_trunc=200, may_trunc=81)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SCRIPTS), str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH", "")])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "nilpotent generic_fold-shaped DSL spec", "nilpotent may_e1"]
+    assert all("generators packed" in line for line in lines)

@@ -293,6 +293,12 @@ class TestFoldKernels:
         a, d = case
         assert a.mul_factor(EXTERIOR, d) == trunc_loop(a.coeffs, 2, d)
 
+    @given(poly_fold_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_two_folds_as_exterior(self, case):
+        a, d = case
+        assert a.mul_factor(GeneratorKind.truncated(2), d) == a.mul_factor(EXTERIOR, d)
+
 
 @st.composite
 def kernel_cases(draw):
