@@ -28,7 +28,9 @@ and P(A;t).  Run with ``src`` on PYTHONPATH.
 
 `hilbert` folds each generator on the multiples of the gcd of the degrees
 folded so far, largest degree first, so its cost depends on the degrees and
-on the generator kinds:
+on the generator kinds.  Each regime's line ends with the totals of the
+fold plan (`algebra._plan`): generators packed, unit passes, power steps
+and the estimated list coefficient additions.
 
 - generic: the May E1 model (p = 2) at N = 2^18.  Its polynomial degrees
   have gcd 1 and form no chain, so nearly every generator folds over all
@@ -47,8 +49,7 @@ on the generator kinds:
   the `generic_fold` benchmark workload's DSL requests with an exterior
   and a truncated(3) family, at N = 4096, and may_e1 at p = 3,
   N = 3^9, whose h_ij are exterior.  `hilbert` starts from the product of
-  the nilpotent generators built in one int of 64-bit slots, so the line
-  also says how many generators were packed.
+  the nilpotent generators the plan packs into one int of 64-bit slots.
 - chain: the may_model algebra (p = 2), whose degrees 2^n form a
   divisibility chain, so a generator of degree d folds on N // d + 1
   coefficients.  Measured at N = 2^18 - 1 (the m = 18 upper bracketing
@@ -96,6 +97,17 @@ gen poly deg = 11 mult = 2
 """
 
 
+def plan_totals(spec: AlgebraSpec, trunc: int) -> str:
+    """The totals of `hilbert`'s fold plan: generators packed, unit passes,
+    power steps and the estimated list coefficient additions."""
+    gens = algebra.instantiate(spec, trunc)
+    cost, _, picked, steps = algebra._plan(gens, trunc)
+    units = sum(mult for _, _, _, mult, power in steps if not power)
+    powers = sum(power for *_, power in steps)
+    return (f"{len(picked)} of {len(gens)} generators packed, {units} unit passes, "
+            f"{powers} power steps, {cost} coefficient additions")
+
+
 def measure(regime: str, label: str, spec: AlgebraSpec, trunc: int) -> None:
     start = time.monotonic()
     series = hilbert_cumulative(spec, trunc)
@@ -104,7 +116,7 @@ def measure(regime: str, label: str, spec: AlgebraSpec, trunc: int) -> None:
     print(
         f"{regime:8} {label}, N = {trunc}: {elapsed:.2f} s, "
         f"top coefficient {top.bit_length()} bits "
-        f"(~10^{len(str(top)) - 1})"
+        f"(~10^{len(str(top)) - 1}); {plan_totals(spec, trunc)}"
     )
 
 
@@ -235,11 +247,9 @@ def measure_nilpotent(dsl_trunc: int = 4096, may_trunc: int = 3**9) -> None:
     cases = (("generic_fold-shaped DSL spec", parse_spec(NILPOTENT_SPEC), dsl_trunc),
              ("may_e1, p = 3", preset("may_e1", 3, drop_q0=True), may_trunc))
     for label, spec, trunc in cases:
-        gens = algebra.instantiate(spec, trunc)
-        left = algebra._nilpotent_product(gens, trunc)[2]
         elapsed, _ = best_cpu(algebra.hilbert, spec, trunc)
-        print(f"{'nilpotent':8} {label}, N = {trunc}: {elapsed * 1000:.1f} ms CPU, "
-              f"{len(gens) - len(left)} of {len(gens)} generators packed")
+        print(f"{'nilpotent':8} {label}, N = {trunc}: {elapsed * 1000:.1f} ms CPU; "
+              f"{plan_totals(spec, trunc)}")
 
 
 def main() -> None:

@@ -3,12 +3,12 @@
 An `AlgebraSpec` describes a free graded-commutative algebra over F_p as a
 list of generator families (polynomial / exterior / truncated species, a
 degree expression, an optional multiplicity expression, and index ranges).
-`hilbert` starts from the product of the nilpotent (exterior and truncated)
-generators, built in one Python int with a 64-bit slot per coefficient:
-while the product B of their nilpotence orders stays below 2^64, no
-coefficient, being at most B, carries into the next slot.  It then folds the
-other single-generator Hilbert factors, largest degree first, on the lattice
-of multiples of the gcd of the degrees folded so far.  Two exact oracles
+`hilbert` runs a plan, `_plan`, made before any coefficient moves.  Where it
+pays, it starts from the product of the nilpotent (exterior and truncated)
+generators, built in one Python int with a 64-bit slot per coefficient.  It
+folds the other single-generator Hilbert factors, largest degree first, on
+the lattice of multiples of the gcd of the degrees folded so far, each in
+unit passes or in one power step.  Two exact oracles
 check it and share nothing with the fold past `instantiate`:
 `oracle_hilbert` recounts monomials by brute-force multiset enumeration, the
 definition of the series, up to truncation 60; `_log_derivative_hilbert`
@@ -367,66 +367,99 @@ def hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
     """Monomial counts per degree of the free graded algebra on the
     instantiated generators.
 
-    Where it pays, the nilpotent generators (exterior and truncated(k))
-    come first, packed (see `_nilpotent_product`): their product E is built
-    on the lattice of multiples of g, the gcd of their degrees, in one
-    Python int with a 64-bit slot per coefficient, and unpacked into the
-    working list.  Folds commute, so the remaining generators, every
-    polynomial one and any nilpotent one past the packing cap, then fold
-    into E as into the series 1.
-
-    The others are folded from the largest degree down.  While g divides
-    every degree folded so far, the series is supported on the multiples of
-    g and is kept as a series in t^g with trunc // g + 1 coefficients; a
-    generator of degree d folds in as one of degree d // g.  When a degree
-    lowers the gcd, the series is spread onto the finer lattice.  Degrees
-    that form a divisibility chain (the p-power presets) therefore fold each
-    generator on trunc // d + 1 coefficients.  A generator of multiplicity
-    m folds in m unit passes, or, when m is large next to the trunc // d + 1
-    lattice coefficients of its factor, in one `mul` by the exact factor
-    F^m from `factor_series`.
-
-    The coefficients live in one working list: each unit pass runs the
-    in-place kernel `series._fold` on it, so no pass copies the series.  A
-    gcd drop, at most log2 of the largest degree times per call, spreads
-    the coefficients onto a new list of the finer lattice, built once at
-    its exact length.  Only the finished list is frozen into the returned
-    series, which shares no storage with any other call's.
+    `_plan` decides every step before a coefficient moves, and this runs
+    them on one working list: it starts as the packed product E of the
+    nilpotent generators the plan picks, or as the series 1, on the
+    multiples of g; a step spreads it onto a finer lattice where a degree
+    lowers the gcd, then folds the generator in unit passes of the
+    in-place kernel `series._fold`, or in one `mul` by the exact factor
+    F^m from `factor_series`.  Only the finished list is frozen into the
+    returned series, which shares no storage with any other call's.
     """
-    gens = instantiate(spec, trunc)
-    g, out, gens = _nilpotent_product(gens, trunc)
-    for kind, deg, mult in reversed(gens):
-        step = g // math.gcd(g, deg)
-        if step > 1:
-            g //= step
-            out = _spread(out, step, trunc // g)
-        n, d = trunc // g, deg // g
-        # mult unit folds cost mult * (n + 1) coefficient additions.  The
-        # product with F^mult, the left operand so that `mul` skips its zero
-        # coefficients, costs about (n // d + 1) * (n + 1) / 2 multiply-adds
-        # in an interpreted loop, each worth about four additions: it wins
-        # once mult exceeds twice n // d + 1.
-        if mult > 2 * (n // d + 1):
-            power = factor_series(kind, d, n, mult)
-            out[:] = power.mul(TruncatedSeries._of(out))
+    _, g, picked, steps = _plan(instantiate(spec, trunc), trunc)
+    out = _nilpotent_product(picked, g, trunc) if picked else [1] + [0] * (trunc // g)
+    for spread, kind, d, mult, power in steps:
+        if spread > 1:
+            g //= spread
+            out = _spread(out, spread, trunc // g)
+        if power:
+            out[:] = factor_series(kind, d, trunc // g, mult).mul(TruncatedSeries._of(out))
         else:
             for _ in range(mult):
                 _fold(out, kind, d)
     return TruncatedSeries._of(_spread(out, g, trunc))
 
 
-def _nilpotent_product(
-    gens: list[Generator], trunc: int
-) -> tuple[int, list[int], list[Generator]]:
-    """(g, E, rest): the product E of the nilpotent generators that
-    `_packing` picks, as trunc // g + 1 coefficients on the multiples of g,
-    the gcd of their degrees, and the generators left to fold.  With none
-    picked, E is the series 1 on the lattice of the largest degree and
-    every generator is left.
+def _steps(gens: list[Generator], trunc: int, g: int) -> tuple[int, list[tuple]]:
+    """(cost, steps): the fold of `gens`, largest degree first, into a
+    series on the multiples of g, and its cost in list coefficient
+    additions.
+
+    While g divides every degree folded so far, the series is one in t^g
+    with trunc // g + 1 coefficients.  A step (spread, kind, d, mult, power)
+    spreads it onto the lattice g // spread where a degree lowers the gcd,
+    then folds mult generators of lattice degree d: in mult unit passes of
+    trunc // g + 1 additions, or in a power step, one `mul` by F^mult (the
+    left operand, so that `mul` skips its zero coefficients) of about
+    (trunc // deg + 1) * (trunc // g + 1) / 2 multiply-adds, each worth
+    about four additions, which wins once mult exceeds 2 * (trunc // deg + 1).
+    """
+    cost, steps = 0, []
+    for kind, deg, mult in reversed(gens):
+        spread = g // math.gcd(g, deg)
+        g //= spread
+        cap = 2 * (trunc // deg + 1)
+        power = mult > cap
+        steps.append((spread, kind, deg // g, mult, power))
+        cost += (trunc // g + 1) * (cap if power else mult)
+    return cost, steps
+
+
+def _plan(gens: list[Generator], trunc: int) -> tuple[int, int, list[tuple], list[tuple]]:
+    """(cost, g, picked, steps): the fold of `gens` (see `_steps`) into the
+    product of the nilpotent generators `picked`, as (degree, mult, k'),
+    on the multiples of g, and its cost in list coefficient additions.
+
+    Below degree trunc a truncated(k) factor in degree d (exterior: k = 2)
+    is a truncated(k') one, k' = min(k, trunc // d + 1).  In `instantiate`
+    order, a generator with k' <= 64 is picked if B, the product of k'^m
+    over those picked, stays below 2^64.  The rest then fold from the gcd
+    of the picked degrees, which can be finer than the lattice they would
+    fold on unpacked (a chain of polynomial degrees beside one exterior
+    generator in degree 3), so the plan packs only when that fold plus
+    _PACK_OVERHEAD costs less than folding every generator.
+    """
+    g = gens[-1].degree if gens else 1
+    cost, steps = _steps(gens, trunc, g)
+    copies = sum(gen.multiplicity for gen in gens if gen.kind.name != "poly")
+    if copies * (trunc + 1) <= _PACK_OVERHEAD:  # at least what packing saves
+        return cost, g, [], steps
+    picked, rest, bound = [], [], 1
+    for gen in gens:
+        kind, deg, mult = gen
+        k = kind.nilpotence
+        if k and mult < 64:
+            k = min(k, trunc // deg + 1)
+            if k <= 64 and bound * k**mult < 2**64:
+                bound *= k**mult
+                picked.append((deg, mult, k))
+                continue
+        rest.append(gen)
+    if picked:
+        packed_g = math.gcd(*(deg for deg, _, _ in picked))
+        packed, packed_steps = _steps(rest, trunc, packed_g)
+        if packed + _PACK_OVERHEAD < cost:
+            return packed + _PACK_OVERHEAD, packed_g, picked, packed_steps
+    return cost, g, [], steps
+
+
+def _nilpotent_product(picked: list[tuple], g: int, trunc: int) -> list[int]:
+    """The product E of the generators `picked` by `_plan`, as
+    trunc // g + 1 coefficients on the multiples of g.
 
     E is built in one int with a 64-bit slot per lattice coefficient.  A
     coefficient of a partial product of the picked factors is at most its
-    value at t = 1, at most B < 2^64 (see `_packing`), so no slot ever
+    value at t = 1, at most B < 2^64 (see `_plan`), so no slot ever
     carries into the next, and masking to n + 1 slots is exact truncation.
     A copy of a truncated(k') generator in degree d multiplies by
     Q_k' = 1 + t^d + ... + t^((k'-1)d) in at most 10 shifted additions, by
@@ -434,17 +467,12 @@ def _nilpotent_product(
     Q_(j+1) = 1 + t^d Q_j.  Each costs about a tenth of a list pass, and
     one C call unpacks the slots.
     """
-    chosen = _packing(gens, trunc)
-    if not chosen:
-        g = gens[-1].degree if gens else 1
-        return g, [1] + [0] * (trunc // g), gens
-    g = math.gcd(*(gens[i].degree for i in chosen))
     n = trunc // g
     mask = (1 << 64 * (n + 1)) - 1
     x = 1
-    for i, k in chosen.items():
-        s = 64 * (gens[i].degree // g)
-        for _ in range(gens[i].multiplicity):
+    for deg, mult, k in picked:
+        s = 64 * (deg // g)
+        for _ in range(mult):
             y, j = x, 1
             for bit in bin(k)[3:]:
                 y = (y + (y << j * s)) & mask
@@ -453,50 +481,7 @@ def _nilpotent_product(
                     y = (x + (y << s)) & mask
                     j += 1
             x = y
-    out = list(struct.unpack(f"<{n + 1}Q", x.to_bytes(8 * (n + 1), "little")))
-    return g, out, [gen for i, gen in enumerate(gens) if i not in chosen]
-
-
-def _packing(gens: list[Generator], trunc: int) -> dict[int, int]:
-    """The nilpotent generators worth packing, as {index into gens: k'}.
-
-    Below degree trunc a truncated(k) factor in degree d (exterior: k = 2)
-    is a truncated(k') one, k' = min(k, trunc // d + 1).  In `instantiate`
-    order, a generator with k' <= 64 is taken if B, the product of k'^m
-    over those taken (m the multiplicity), stays below 2^64.
-
-    The generators left then fold from the lattice of g, the gcd of the
-    degrees taken, which can be finer than the one they would fold on
-    without packing (a chain of polynomial degrees with one exterior
-    generator in degree 3).  So the generators are returned only when the
-    coefficient additions of the unit passes packing saves exceed those it
-    adds by _PACK_OVERHEAD.
-    """
-    copies = sum(gen.multiplicity for gen in gens if gen.kind.name != "poly")
-    if copies * (trunc + 1) <= _PACK_OVERHEAD:  # at least `saved`
-        return {}
-    chosen: dict[int, int] = {}
-    bound = 1
-    for i, (kind, deg, mult) in enumerate(gens):
-        k = kind.nilpotence
-        if k and mult < 64:
-            k = min(k, trunc // deg + 1)
-            if k <= 64 and bound * k**mult < 2**64:
-                bound *= k**mult
-                chosen[i] = k
-    g = math.gcd(*(gens[i].degree for i in chosen))
-    saved = lost = 0
-    lattice = rest = 0  # gcd of all, and of the left, degrees so far
-    for i in reversed(range(len(gens))):
-        _, deg, mult = gens[i]
-        lattice = math.gcd(lattice, deg)
-        if i in chosen:
-            saved += mult * (trunc // lattice + 1)
-        else:
-            rest = math.gcd(rest, deg)
-            width = trunc // math.gcd(g, rest) - trunc // lattice
-            lost += min(mult, 2 * (trunc // deg + 1)) * width
-    return chosen if saved > lost + _PACK_OVERHEAD else {}
+    return list(struct.unpack(f"<{n + 1}Q", x.to_bytes(8 * (n + 1), "little")))
 
 
 def hilbert_cumulative(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:

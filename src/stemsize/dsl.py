@@ -21,6 +21,7 @@ import re
 from typing import Mapping, Union
 
 from ._frozen import Frozen, set_field
+from .series import ResourceLimitError
 
 __all__ = [
     "DslError",
@@ -82,6 +83,9 @@ class Min(Frozen):
 
 
 DegreeExpr = Union[Lit, Var, BinOp, Min]
+
+# 2^20 bits (128 KiB) is far past any truncation; such a power takes <= 60 ms (Python 3.11).
+MAX_POWER_BITS = 2**20
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -221,7 +225,8 @@ def expr_free_vars(expr: DegreeExpr) -> frozenset[str]:
 
 
 def eval_expr(expr: DegreeExpr, env: Mapping[str, int]) -> int:
-    """Exact integer evaluation; ^ requires a nonnegative integer exponent."""
+    """Exact integer evaluation; ^ requires a nonnegative integer exponent, and
+    a power of more than MAX_POWER_BITS bits raises ResourceLimitError unbuilt."""
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, Var):
@@ -241,4 +246,8 @@ def eval_expr(expr: DegreeExpr, env: Mapping[str, int]) -> int:
         return left * right
     if right < 0:
         raise DslError(f"negative exponent {right} in degree expression")
+    if abs(left) > 1 and right * abs(left).bit_length() > MAX_POWER_BITS:
+        raise ResourceLimitError(
+            f"a power in a degree expression would exceed the budget of {MAX_POWER_BITS} bits"
+        )
     return left**right

@@ -10,7 +10,7 @@ from stemsize.algebra import (
     AlgebraSpec,
     GeneratorFamily,
     _log_derivative_hilbert,
-    _nilpotent_product,
+    _plan,
     hilbert,
     hilbert_cumulative,
     instantiate,
@@ -26,10 +26,27 @@ from stemsize.asymptotics import (
     RatioProfile,
     RatioRow,
 )
-from stemsize.dsl import BinOp, DslError, Lit, Min, Var
+from stemsize.dsl import (
+    MAX_POWER_BITS,
+    BinOp,
+    DslError,
+    Lit,
+    Min,
+    Tokenizer,
+    Var,
+    eval_expr,
+    parse_expr,
+)
 from stemsize.ehp import CUSeq
 from stemsize.presets import PRESET_NAMES, MaxOverH, preset
-from stemsize.series import EXTERIOR, POLYNOMIAL, GeneratorKind, SeriesError, TruncatedSeries
+from stemsize.series import (
+    EXTERIOR,
+    POLYNOMIAL,
+    GeneratorKind,
+    ResourceLimitError,
+    SeriesError,
+    TruncatedSeries,
+)
 from stemsize.torsion import (
     LinearCurve,
     PowerLawCurve,
@@ -208,6 +225,27 @@ class TestInstantiate:
             instantiate(spec, trunc)
 
 
+class TestPowerBudget:
+    """`eval_expr` refuses a power of more than MAX_POWER_BITS bits before
+    building it, bounding it by exponent * bit length of the base."""
+
+    @staticmethod
+    def value(text):
+        return eval_expr(parse_expr(Tokenizer(text)), {})
+
+    def test_budget_edge(self):
+        assert MAX_POWER_BITS == 2**20
+        assert self.value("2^(2^19)") == 1 << 2**19  # 2 * 2^19 bits: on the budget
+        with pytest.raises(ResourceLimitError, match="budget of 1048576 bits"):
+            self.value("2^(2^19 + 1)")
+        with pytest.raises(ResourceLimitError):
+            self.value("(0 - 3)^(2^19 + 1)")
+
+    @pytest.mark.parametrize("base, want", [("0", 0), ("1", 1), ("(0 - 1)", 1)])
+    def test_units_and_zero_take_any_exponent(self, base, want):
+        assert self.value(f"{base}^(2^(2^19))") == want
+
+
 class TestHilbert:
     def test_exterior_times_polynomial(self):
         spec = parse_spec("p = 2\ngen ext deg = 3\ngen poly deg = 2\n")
@@ -338,7 +376,7 @@ class TestPackedStart:
     def test_matches_references(self, text, trunc, packed, walk):
         spec = parse_spec(text)
         gens = instantiate(spec, trunc)
-        assert len(gens) - len(_nilpotent_product(gens, trunc)[2]) == packed
+        assert len(_plan(gens, trunc)[2]) == packed
         series = hilbert(spec, trunc)
         assert all(type(c) is int for c in series)
         assert series == ascending_fold(spec, trunc) == _log_derivative_hilbert(spec, trunc)
@@ -368,6 +406,26 @@ class TestPackedStart:
         )
         spec = parse_spec(text)
         assert hilbert(spec, trunc) == _log_derivative_hilbert(spec, trunc)
+
+
+class TestPowerStep:
+    """A generator of degree d and multiplicity m folds in m unit passes up
+    to m = 2 (N // d + 1), and in one power step past it."""
+
+    @pytest.mark.parametrize("kind", ["poly", "ext", "trunc(3)"])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_boundary(self, kind, extra):
+        trunc, deg = 100, 3
+        cap = 2 * (trunc // deg + 1)  # 68: too many copies to pack
+        for mult in (cap, cap + 1):
+            spec = parse_spec(
+                f"p = 3\ngen {kind} deg = {deg} mult = {mult}\n" + "gen poly deg = 2\n" * extra
+            )
+            _, g, picked, steps = _plan(instantiate(spec, trunc), trunc)
+            assert (g, picked) == (deg, [])
+            assert steps[0] == (1, spec.families[0].kind, 1, mult, mult > cap)
+            series = hilbert(spec, trunc)
+            assert series == _log_derivative_hilbert(spec, trunc) == ascending_fold(spec, trunc)
 
 
 class TestOracle:

@@ -159,6 +159,16 @@ class TestHilbert:
             "budget 2000000000000\n"
         )
 
+    def test_power_over_budget_exits_three(self, tmp_path, capsys):
+        # 2^(2^24) has 2^24 + 1 bits: refused before it is built
+        spec = tmp_path / "spec.txt"
+        spec.write_text("p = 2\ngen poly deg = 2^(2^24) + i for i = 0..inf\n")
+        assert main(["hilbert", "--spec", str(spec), "--max-degree", "3"]) == 3
+        assert capsys.readouterr() == ("", (
+            "stemsize: resource guard: a power in a degree expression would "
+            "exceed the budget of 1048576 bits\n"
+        ))
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"
     )

@@ -1,7 +1,11 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+from stemsize.algebra import _plan, instantiate
+from stemsize.presets import preset
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -41,3 +45,13 @@ def test_performance_report_nilpotent_regime():
     assert [line.split(",")[0] for line in lines] == [
         "nilpotent generic_fold-shaped DSL spec", "nilpotent may_e1"]
     assert all("generators packed" in line for line in lines)
+    fields = re.compile(r"; (\d+) of (\d+) generators packed, (\d+) unit passes, "
+                        r"(\d+) power steps, (\d+) coefficient additions$")
+    totals = [tuple(map(int, fields.search(line).groups())) for line in lines]
+    assert totals[0][0] > 0  # the DSL spec packs at N = 200
+    gens = instantiate(preset("may_e1", 3, drop_q0=True), 81)
+    cost, _, picked, steps = _plan(gens, 81)
+    assert totals[1] == (
+        len(picked), len(gens), sum(mult for _, _, _, mult, power in steps if not power),
+        sum(power for *_, power in steps), cost,
+    )
