@@ -12,17 +12,17 @@ and P(A;t).  Run with ``src`` on PYTHONPATH.
   module's self time from one ``-X importtime`` run without a cache.
 - cli: 300 in-process `stemsize.cli.main` calls of
   `torsion --p 3 --n 100` (one parser serves them all; the parser and the
-  Python import are the fixed costs of a request), then the CPU time of a
-  `verify` run of each suite the `cli_mix` benchmark workload runs (series,
-  algebra, presets, torsion, ehp), best of 5 with stdout discarded, so the
-  report shows where that workload's verify time goes.  The torsion suite's
+  Python import are the fixed costs of a request).  The torsion suite's
   three counting-lemma scans (p = 2, 3, 5, on prebuilt valuation sieves)
-  are also timed alone, best of 5.  So are the algebra suite's parts, on
-  the inputs the suite draws at its default seed: drawing those inputs
-  (220 `random_spec` calls), each of its four checks, and both exact
-  oracles on the 60 (spec, truncation) pairs of `hilbert_vs_oracle` (the
+  are also timed alone, best of 5.
+- verify: each check of each suite the `cli_mix` benchmark workload runs
+  (series, algebra, presets, torsion, ehp), at the default seed, by the CPU
+  time the suite's generator runs before it yields the check (drawing its
+  inputs included), best of 5, and each suite's total, so the report shows
+  where that workload's verify time goes.  Then both exact oracles on the
+  60 (spec, truncation) pairs that `hilbert_vs_oracle` draws (the
   log-derivative recurrence the check runs, and the monomial walk
-  `oracle_hilbert`).  Last, the recurrence against `hilbert` on may_e1 at
+  `oracle_hilbert`), and the recurrence against `hilbert` on may_e1 at
   p = 2, N = 2048, where the recurrence's O(N^2) products cost about 35
   times the fold (0.21 s against 6 ms, 2-vCPU VM, Python 3.11.7).
 
@@ -193,54 +193,50 @@ def measure_cli(calls: int = 300) -> None:
             cli.main(argv)
         per_call = (time.monotonic() - start) / calls
     print(f"{'cli':8} {' '.join(argv)}: {per_call * 1000:.3f} ms per call over {calls}")
-    for suite in VERIFY_SUITES:
-        with contextlib.redirect_stdout(io.StringIO()):
-            elapsed, code = best_cpu(cli.main, ["verify", "--suite", suite])
-        print(f"{'cli':8} verify --suite {suite}: {elapsed * 1000:.1f} ms CPU, exit {code}")
     for p in (2, 3, 5):
         elapsed, (ok, _) = best_cpu(verify._counting_scan, p, verify._valuation_sieve(p))
         print(f"{'cli':8} counting-lemma scan, p = {p}: {elapsed * 1000:.2f} ms CPU, ok {ok}")
 
 
-def algebra_draws(seed: int = verify.DEFAULT_SEED):
-    """The algebra suite's inputs, drawn in the suite's order from its seed:
-    (spec, truncation) pairs for hilbert_vs_oracle, specs for
-    dsl_round_trip, (specs, budgets) splits for tensor_bracket_containment
-    and (spec, truncation) pairs for instantiate_sorted."""
+def check_times(suite: str) -> list[tuple[str, float]]:
+    """(check name, CPU time) for each check of a verify suite at the
+    default seed: the time its generator runs before yielding the check."""
+    times = []
+    start = time.process_time()
+    for name, _, _ in verify.SUITES[suite](random.Random(verify.DEFAULT_SEED)):
+        now = time.process_time()
+        times.append((name, now - start))
+        start = now
+    return times
+
+
+def measure_verify(suites: tuple[str, ...] = VERIFY_SUITES, repeats: int = 5) -> None:
+    for suite in suites:
+        runs = [check_times(suite) for _ in range(repeats)]
+        best = [min(times) for times in zip(*([t for _, t in run] for run in runs))]
+        for (name, _), elapsed in zip(runs[0], best):
+            print(f"{'verify':8} {suite}.{name}: {elapsed * 1000:.2f} ms CPU")
+        print(f"{'verify':8} {suite} suite: {sum(best) * 1000:.1f} ms CPU, "
+              f"best of {repeats} per check")
+
+
+def algebra_draws(seed: int = verify.DEFAULT_SEED) -> list[tuple[AlgebraSpec, int]]:
+    """The 60 (spec, truncation) pairs that the algebra suite's
+    hilbert_vs_oracle draws first from seed."""
     rng = random.Random(seed)
-    oracle = [(verify.random_spec(rng), rng.randint(0, 24)) for _ in range(60)]
-    round_trip = [verify.random_spec(rng) for _ in range(60)]
-    splits = []
-    for _ in range(20):
-        specs = [verify.random_spec(rng, max_families=2) for _ in range(rng.randint(1, 3))]
-        specs = [AlgebraSpec(specs[0].p, s.families, s.label) for s in specs]
-        splits.append((specs, [rng.randint(1, 16) for _ in specs]))
-    instantiated = [(verify.random_spec(rng), rng.randint(4, 30)) for _ in range(60)]
-    return oracle, round_trip, splits, instantiated
+    return [(verify.random_spec(rng), rng.randint(0, 24)) for _ in range(60)]
 
 
-def measure_algebra_suite() -> None:
-    elapsed, (oracle, round_trip, splits, instantiated) = best_cpu(algebra_draws)
-    print(f"{'cli':8} algebra suite draws (220 random_spec): {elapsed * 1000:.2f} ms CPU")
-    checks = {
-        "hilbert_vs_oracle": lambda: [
-            algebra.hilbert(s, n) == algebra._log_derivative_hilbert(s, n) for s, n in oracle],
-        "dsl_round_trip": lambda: [
-            algebra.spec_to_text(parse_spec(algebra.spec_to_text(s))) for s in round_trip],
-        "tensor_bracket_containment": lambda: [
-            algebra.tensor_bracket(specs, budgets).ok for specs, budgets in splits],
-        "instantiate_sorted": lambda: [algebra.instantiate(s, n) for s, n in instantiated],
-        "oracle: log-derivative recurrence": lambda: [
-            algebra._log_derivative_hilbert(s, n) for s, n in oracle],
-        "oracle: monomial walk": lambda: [algebra.oracle_hilbert(s, n) for s, n in oracle],
-    }
-    for name, check in checks.items():
-        elapsed, _ = best_cpu(check)
-        print(f"{'cli':8} algebra {name}: {elapsed * 1000:.2f} ms CPU")
+def measure_oracles() -> None:
+    draws = algebra_draws()
+    for name, oracle in (("log-derivative recurrence", algebra._log_derivative_hilbert),
+                         ("monomial walk", algebra.oracle_hilbert)):
+        elapsed, _ = best_cpu(lambda: [oracle(s, n) for s, n in draws])
+        print(f"{'verify':8} algebra oracle, {name}: {elapsed * 1000:.2f} ms CPU")
     spec = preset("may_e1", 2, drop_q0=True)
     for name, fn in (("recurrence", algebra._log_derivative_hilbert), ("hilbert", algebra.hilbert)):
         elapsed, _ = best_cpu(fn, spec, 2048, repeats=3)
-        print(f"{'cli':8} may_e1, p = 2, N = 2048 by {name}: {elapsed * 1000:.1f} ms CPU")
+        print(f"{'verify':8} may_e1, p = 2, N = 2048 by {name}: {elapsed * 1000:.1f} ms CPU")
 
 
 def measure_nilpotent(dsl_trunc: int = 4096, may_trunc: int = 3**9) -> None:
@@ -259,7 +255,8 @@ def main() -> None:
     args = parser.parse_args()
     measure_import()
     measure_cli()
-    measure_algebra_suite()
+    measure_verify()
+    measure_oracles()
     measure_preset("generic", "may_e1", 2**18, drop_q0=True)
     if args.stretch:
         measure_preset("generic", "may_e1", 2**20, drop_q0=True)

@@ -226,9 +226,13 @@ def stable_torsion_bound(p: int, n: int, curve: VanishingCurve) -> TorsionReport
     slope, const = _closed_form_coefficients(p)
     if p == 2:
         exact += hi // 2 - below // 2
-        closed = slope * g + math.log2(n) + const
-    else:
-        closed = slope * g + math.log(n, p) + const
+    try:
+        log_n = math.log2(n) if p == 2 else math.log(n, p)
+        closed = slope * g + log_n + const
+    except OverflowError:
+        closed = math.inf
+    if not math.isfinite(closed):
+        raise TorsionError(f"n = {n} is too large: the closed form exceeds the float range")
     return TorsionReport(p, n, exact, closed, curve.describe())
 
 

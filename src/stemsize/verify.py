@@ -1,9 +1,12 @@
 """Named verification suites behind `stemsize verify`.
 
-Each suite runs a batch of exhaustive or randomized checks and returns
-deterministic PASS/FAIL lines.  Randomized checks draw from a seeded RNG
-(default seed DEFAULT_SEED) so any failure reproduces from the report
-header alone.
+Each suite is a generator that runs a batch of exhaustive or randomized
+checks and yields one (check name, ok, detail) triple per check, in report
+order; `run_suite` names the suite and makes each triple a deterministic
+PASS/FAIL line.  A check over many trials combines them with `all`, or
+with `next` where its detail names the failing input, so it stops at the
+first failure.  Randomized checks draw from a seeded RNG (default seed
+DEFAULT_SEED) so any failure reproduces from the report header alone.
 
 The algebra suite checks `hilbert` against the log-derivative recurrence
 `algebra._log_derivative_hilbert` on its random specs; the presets suite
@@ -28,7 +31,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, pairwise
+from typing import Iterator
 
 from . import algebra, asymptotics, ehp, presets, series, torsion
 from ._frozen import Frozen, set_field
@@ -40,6 +44,8 @@ DEFAULT_SEED = 1729
 SCAN_LIMIT = 10**4
 GOODWILLIE_S = 8  # grid of the Goodwillie envelope check: s <= 8, n <= 2000
 GOODWILLIE_N = 2000
+
+Checks = Iterator[tuple[str, bool, str]]
 
 
 class CheckResult(Frozen):
@@ -56,8 +62,13 @@ class CheckResult(Frozen):
         return f"{status} {self.suite}.{self.name}: {self.detail}"
 
 
-def _result(suite: str, name: str, ok: bool, detail: str) -> CheckResult:
-    return CheckResult(suite, name, bool(ok), detail)
+def _raises(error: type[Exception], fn, *args) -> bool:
+    """Whether fn(*args) raises `error`."""
+    try:
+        fn(*args)
+    except error:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -106,93 +117,52 @@ def random_series(rng: random.Random, trunc: int) -> series.TruncatedSeries:
     return series.TruncatedSeries([rng.randint(0, 9) for _ in range(trunc + 1)])
 
 
+
+
 # ---------------------------------------------------------------------------
 # suite: series
 # ---------------------------------------------------------------------------
 
 
-def _suite_series(rng: random.Random) -> list[CheckResult]:
-    out = []
+def _suite_series(rng: random.Random) -> Checks:
     n_trials = 50
-    ok = True
-    for _ in range(n_trials):
+
+    def factor_matches() -> bool:
         trunc = rng.randint(4, 24)
-        kind = rng.choice(
-            [
-                series.POLYNOMIAL,
-                series.EXTERIOR,
-                series.GeneratorKind.truncated(rng.randint(2, 6)),
-            ]
-        )
+        kind = rng.choice([series.POLYNOMIAL, series.EXTERIOR,
+                           series.GeneratorKind.truncated(rng.randint(2, 6))])
         d = rng.randint(1, trunc)
         s = random_series(rng, trunc)
-        if s.mul_factor(kind, d) != s.mul(series.factor_series(kind, d, trunc)):
-            ok = False
-            break
-    out.append(
-        _result(
-            "series",
-            "mul_factor_vs_explicit",
-            ok,
-            f"{n_trials} random (kind, degree) factors against full convolution",
-        )
-    )
+        return s.mul_factor(kind, d) == s.mul(series.factor_series(kind, d, trunc))
 
-    ok = True
-    for _ in range(n_trials):
+    yield ("mul_factor_vs_explicit", all(factor_matches() for _ in range(n_trials)),
+           f"{n_trials} random (kind, degree) factors against full convolution")
+
+    def mul_laws() -> bool:
         trunc = rng.randint(2, 16)
         a, b, c = (random_series(rng, trunc) for _ in range(3))
-        if a.mul(b) != b.mul(a) or a.mul(b).mul(c) != a.mul(b.mul(c)):
-            ok = False
-            break
-    out.append(
-        _result(
-            "series",
-            "mul_commutative_associative",
-            ok,
-            f"{n_trials} random triples",
-        )
-    )
+        return a.mul(b) == b.mul(a) and a.mul(b).mul(c) == a.mul(b.mul(c))
 
-    ok = True
-    for _ in range(n_trials):
-        s = random_series(rng, rng.randint(0, 16))
-        if series.TruncatedSeries.from_json(s.to_json()) != s:
-            ok = False
-            break
-    out.append(_result("series", "json_round_trip", ok, f"{n_trials} random series"))
+    yield ("mul_commutative_associative", all(mul_laws() for _ in range(n_trials)),
+           f"{n_trials} random triples")
 
-    worst = 0.0
-    for k in range(1, 400):
-        s = series.TruncatedSeries([1 << k])
-        worst = max(worst, abs(s.coeff_log(0) - k * math.log(2.0)))
-    out.append(
-        _result(
-            "series",
-            "coeff_log_accuracy",
-            worst < 1e-9,
-            f"ln(2^k) for k < 400, worst abs error {worst:.3e}",
-        )
-    )
+    drawn = (random_series(rng, rng.randint(0, 16)) for _ in range(n_trials))
+    yield ("json_round_trip",
+           all(series.TruncatedSeries.from_json(s.to_json()) == s for s in drawn),
+           f"{n_trials} random series")
 
-    ok = True
-    for _ in range(n_trials):
-        s = random_series(rng, rng.randint(0, 16))
+    worst = max(abs(series.TruncatedSeries([1 << k]).coeff_log(0) - k * math.log(2.0))
+                for k in range(1, 400))
+    yield ("coeff_log_accuracy", worst < 1e-9,
+           f"ln(2^k) for k < 400, worst abs error {worst:.3e}")
+
+    def cumulative_matches(s: series.TruncatedSeries) -> bool:
         cum = s.cumulative()
-        if not s.leq(cum) or cum != s.mul_factor(
-            series.POLYNOMIAL, 1
-        ):
-            ok = False
-            break
-    out.append(
-        _result(
-            "series",
-            "cumulative_is_geometric_unit",
-            ok,
-            f"{n_trials} random series: cumulative == 1/(1-t) product and dominates",
-        )
-    )
-    return out
+        return s.leq(cum) and cum == s.mul_factor(series.POLYNOMIAL, 1)
+
+    drawn = (random_series(rng, rng.randint(0, 16)) for _ in range(n_trials))
+    yield ("cumulative_is_geometric_unit", all(map(cumulative_matches, drawn)),
+           f"{n_trials} random series: cumulative == 1/(1-t) product and dominates")
 
 
 # ---------------------------------------------------------------------------
@@ -200,63 +170,39 @@ def _suite_series(rng: random.Random) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _suite_algebra(rng: random.Random) -> list[CheckResult]:
-    out = []
+def _suite_algebra(rng: random.Random) -> Checks:
     n_specs = 60
-    ok = True
-    bad = ""
-    for _ in range(n_specs):
-        spec = random_spec(rng)
-        trunc = rng.randint(0, 24)
-        if algebra.hilbert(spec, trunc) != algebra._log_derivative_hilbert(spec, trunc):
-            ok, bad = False, f" (failing spec: {algebra.spec_to_text(spec)!r})"
-            break
-    out.append(
-        _result(
-            "algebra",
-            "hilbert_vs_oracle",
-            ok,
-            f"{n_specs} random specs, truncation <= 24{bad}",
-        )
-    )
+    oracle = algebra._log_derivative_hilbert
+    drawn = ((random_spec(rng), rng.randint(0, 24)) for _ in range(n_specs))
+    bad = next((spec for spec, trunc in drawn
+                if algebra.hilbert(spec, trunc) != oracle(spec, trunc)), None)
+    failing = "" if bad is None else f" (failing spec: {algebra.spec_to_text(bad)!r})"
+    yield ("hilbert_vs_oracle", bad is None,
+           f"{n_specs} random specs, truncation <= 24{failing}")
 
-    ok = True
-    for _ in range(n_specs):
-        spec = random_spec(rng)
-        text = algebra.spec_to_text(spec)
-        if algebra.spec_to_text(algebra.parse_spec(text)) != text:
-            ok = False
-            break
-    out.append(
-        _result("algebra", "dsl_round_trip", ok, f"{n_specs} random specs reprinted")
-    )
+    texts = (algebra.spec_to_text(random_spec(rng)) for _ in range(n_specs))
+    yield ("dsl_round_trip",
+           all(algebra.spec_to_text(algebra.parse_spec(text)) == text for text in texts),
+           f"{n_specs} random specs reprinted")
 
-    ok = True
-    for _ in range(20):
+    def split_contained() -> bool:
         k = rng.randint(1, 3)
         specs = [random_spec(rng, max_families=2) for _ in range(k)]
         p = specs[0].p
         specs = [algebra.AlgebraSpec(p, s.families, s.label) for s in specs]
         budgets = [rng.randint(1, 16) for _ in specs]
-        if not algebra.tensor_bracket(specs, budgets).ok:
-            ok = False
-            break
-    out.append(
-        _result("algebra", "tensor_bracket_containment", ok, "20 random tensor splits")
-    )
+        return algebra.tensor_bracket(specs, budgets).ok
 
-    ok = True
-    for _ in range(n_specs):
+    yield ("tensor_bracket_containment", all(split_contained() for _ in range(20)),
+           "20 random tensor splits")
+
+    def degrees_sorted() -> bool:
         spec = random_spec(rng)
-        trunc = rng.randint(4, 30)
-        degrees = [g.degree for g in algebra.instantiate(spec, trunc)]
-        if degrees != sorted(degrees):
-            ok = False
-            break
-    out.append(
-        _result("algebra", "instantiate_sorted", ok, f"{n_specs} random specs")
-    )
-    return out
+        degrees = [g.degree for g in algebra.instantiate(spec, rng.randint(4, 30))]
+        return degrees == sorted(degrees)
+
+    yield ("instantiate_sorted", all(degrees_sorted() for _ in range(n_specs)),
+           f"{n_specs} random specs")
 
 
 # ---------------------------------------------------------------------------
@@ -264,76 +210,35 @@ def _suite_algebra(rng: random.Random) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _suite_presets(rng: random.Random) -> list[CheckResult]:
-    out = []
+def _suite_presets(rng: random.Random) -> Checks:
     h = algebra.hilbert(presets.preset("dual_steenrod", 2), 7)
-    out.append(
-        _result(
-            "presets",
-            "dual_steenrod_2_spot",
-            h.coeffs == (1, 1, 1, 2, 2, 2, 3, 4),
-            f"N = 7 coefficients {list(h.coeffs)}",
-        )
-    )
+    yield ("dual_steenrod_2_spot", h.coeffs == (1, 1, 1, 2, 2, 2, 3, 4),
+           f"N = 7 coefficients {list(h.coeffs)}")
 
-    ok = True
-    for p in (3, 5):
+    def simplified_dominates(p: int) -> bool:
         plain = algebra.hilbert_cumulative(presets.preset("may_e1", p, drop_q0=True), 40)
         simple = algebra.hilbert_cumulative(
-            presets.preset("may_e1", p, drop_q0=True, simplify_odd=True), 40
-        )
-        if not plain.leq(simple):
-            ok = False
-    out.append(
-        _result(
-            "presets",
-            "simplify_odd_dominates_cumulatively",
-            ok,
-            "p in {3, 5}, N = 40, cumulative comparison",
-        )
-    )
+            presets.preset("may_e1", p, drop_q0=True, simplify_odd=True), 40)
+        return plain.leq(simple)
 
-    try:
-        presets.preset("may_e1", 2)
-        ok = False
-    except presets.PresetError:
-        ok = True
-    out.append(
-        _result(
-            "presets",
-            "degree_zero_generator_rejected",
-            ok,
-            "may_e1 without drop_q0 raises",
-        )
-    )
+    yield ("simplify_odd_dominates_cumulatively",
+           all(simplified_dominates(p) for p in (3, 5)),
+           "p in {3, 5}, N = 40, cumulative comparison")
+
+    yield ("degree_zero_generator_rejected",
+           _raises(presets.PresetError, presets.preset, "may_e1", 2),
+           "may_e1 without drop_q0 raises")
 
     a = presets.max_over_h("r_h_e2", 2, 64)
     b = presets.max_over_h("r_h_e2", 2, 64)
-    out.append(
-        _result(
-            "presets",
-            "max_over_h_deterministic",
-            a == b and a.series[64] >= 1,
-            f"argmax h = {a.argmax[64]} at N = 64",
-        )
-    )
+    yield ("max_over_h_deterministic", a == b and a.series[64] >= 1,
+           f"argmax h = {a.argmax[64]} at N = 64")
 
-    ok = True
-    for name in ("may_model", "dual_steenrod", "q_poly"):
-        for p in (2, 3):
-            kwargs = {"drop_q0": True} if name == "q_poly" else {}
-            spec = presets.preset(name, p, **kwargs)
-            if algebra.hilbert(spec, 20) != algebra.oracle_hilbert(spec, 20):
-                ok = False
-    out.append(
-        _result(
-            "presets",
-            "presets_vs_oracle",
-            ok,
-            "may_model/dual_steenrod/q_poly at p in {2, 3}, N = 20",
-        )
-    )
-    return out
+    specs = (presets.preset(name, p, **({"drop_q0": True} if name == "q_poly" else {}))
+             for name in ("may_model", "dual_steenrod", "q_poly") for p in (2, 3))
+    yield ("presets_vs_oracle",
+           all(algebra.hilbert(s, 20) == algebra.oracle_hilbert(s, 20) for s in specs),
+           "may_model/dual_steenrod/q_poly at p in {2, 3}, N = 20")
 
 
 # ---------------------------------------------------------------------------
@@ -497,93 +402,52 @@ def _stable_scan(
     return True, f"p={p}: all n <= {n_max}, min margin {least:.4f}"
 
 
-def _suite_torsion(rng: random.Random) -> list[CheckResult]:
-    out = []
+
+def _suite_torsion(rng: random.Random) -> Checks:
     # each table is built once in this run and shared by the scans using it
     sieves = {p: _valuation_sieve(p) for p in (2, 3, 5)}
     for p in (2, 3, 5):
-        ok, detail = _counting_scan(p, sieves[p])
-        out.append(_result("torsion", f"counting_lemma_exhaustive_p{p}", ok, detail))
-    curves = (
-        ("linear", torsion.LinearCurve()),
-        ("sqrt", torsion.PowerLawCurve(0.5, 1.0)),
-    )
+        yield (f"counting_lemma_exhaustive_p{p}", *_counting_scan(p, sieves[p]))
+    curves = (("linear", torsion.LinearCurve()),
+              ("sqrt", torsion.PowerLawCurve(0.5, 1.0)))
     g_tables = {label: _curve_table(curve) for label, curve in curves}
     for p in (2, 3, 5):
         prefix = _column_prefix(p, sieves[p], _top_column(p))
         logs = _log_table(p)
         for label, curve in curves:
-            ok, detail = _stable_scan(p, curve, prefix, logs, g_tables[label])
-            out.append(
-                _result("torsion", f"stable_bound_exhaustive_p{p}_{label}", ok, detail)
-            )
+            yield (f"stable_bound_exhaustive_p{p}_{label}",
+                   *_stable_scan(p, curve, prefix, logs, g_tables[label]))
 
-    ok = all(_goodwillie_scan(p, sieves[p]) is None for p in (2, 3, 5))
-    out.append(
-        _result(
-            "torsion",
-            "goodwillie_linear_envelope",
-            ok,
-            f"s <= {GOODWILLIE_S}, n <= {GOODWILLIE_N}, p in {{2, 3, 5}}, m = 1",
-        )
-    )
+    yield ("goodwillie_linear_envelope",
+           all(_goodwillie_scan(p, sieves[p]) is None for p in (2, 3, 5)),
+           f"s <= {GOODWILLIE_S}, n <= {GOODWILLIE_N}, p in {{2, 3, 5}}, m = 1")
 
     zeros = sum(1 for u in range(1, SCAN_LIMIT + 1) if torsion.an_e2_exponent(3, u) == 0)
     frac = zeros / SCAN_LIMIT
-    out.append(
-        _result(
-            "torsion",
-            "an_e2_zero_fraction_p3",
-            abs(frac - 0.5) < 0.01,
-            f"fraction {frac:.4f} of u <= {SCAN_LIMIT} give exponent 0 "
-            f"(expected (p-2)/(p-1) = 0.5)",
-        )
-    )
+    yield ("an_e2_zero_fraction_p3", abs(frac - 0.5) < 0.01,
+           f"fraction {frac:.4f} of u <= {SCAN_LIMIT} give exponent 0 "
+           f"(expected (p-2)/(p-1) = 0.5)")
 
-    ok = True
-    for s in range(1, 6):
-        prev = None
-        for n in range(1, 200):
-            b = torsion.barratt_bound(s, 2, n)
-            if prev is not None and b < prev:
-                ok = False
-            prev = b
-    for n in (17, 64, 150):
-        prev = None
-        for s in range(1, 12):
-            b = torsion.barratt_bound(s, 2, n)
-            if prev is not None and b > prev:
-                ok = False
-            prev = b
-    out.append(
-        _result(
-            "torsion",
-            "barratt_monotonicity",
-            ok,
-            "nondecreasing in n (s <= 5), nonincreasing in s (grid)",
-        )
-    )
+    rising = all(a <= b for s in range(1, 6) for a, b in
+                 pairwise(torsion.barratt_bound(s, 2, n) for n in range(1, 200)))
+    falling = all(a >= b for n in (17, 64, 150) for a, b in
+                  pairwise(torsion.barratt_bound(s, 2, n) for s in range(1, 12)))
+    yield ("barratt_monotonicity", rising and falling,
+           "nondecreasing in n (s <= 5), nonincreasing in s (grid)")
 
-    ok = True
-    for p in (2, 3):
+    def local_growth(p: int, n: int) -> bool:
         span = 2 * p - 2
-        for n in rng.sample(range(1, 5000), 50):
-            a = torsion.stable_torsion_bound(p, n, torsion.LinearCurve()).exact_sum
-            b = torsion.stable_torsion_bound(p, n + span, torsion.LinearCurve()).exact_sum
-            hi = (2 * (n + span)) // span
-            # the largest valuation in 1..hi is the largest k with p^k <= hi
-            top = max(k for k in range(hi.bit_length()) if p**k <= hi)
-            if a > b + 1 + top + (1 if p == 2 else 0):
-                ok = False
-    out.append(
-        _result(
-            "torsion",
-            "stable_bound_local_growth",
-            ok,
-            "exact(n) <= exact(n + 2p-2) + (1 + max window valuation), sampled",
-        )
-    )
-    return out
+        a = torsion.stable_torsion_bound(p, n, torsion.LinearCurve()).exact_sum
+        b = torsion.stable_torsion_bound(p, n + span, torsion.LinearCurve()).exact_sum
+        hi = (2 * (n + span)) // span
+        # the largest valuation in 1..hi is the largest k with p^k <= hi
+        top = max(k for k in range(hi.bit_length()) if p**k <= hi)
+        return a <= b + 1 + top + (1 if p == 2 else 0)
+
+    yield ("stable_bound_local_growth",
+           all(local_growth(p, n)
+               for p in (2, 3) for n in rng.sample(range(1, 5000), 50)),
+           "exact(n) <= exact(n + 2p-2) + (1 + max window valuation), sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -591,139 +455,78 @@ def _suite_torsion(rng: random.Random) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _suite_ehp(rng: random.Random) -> list[CheckResult]:
-    out = []
-    ok = all(
-        ehp.verify_ehp_recurrence(p, n, 60) for p in (2, 3) for n in range(1, 9)
-    )
-    out.append(
-        _result("ehp", "ehp_recurrence", ok, "p in {2, 3}, n <= 8, N = 60")
-    )
+def _shifted_set(n: int, top: int) -> dict[tuple[int, ...], int]:
+    """{(j_1, ..., j_k): sum} over the sequences with j_k >= n - 1,
+    j_s > 2 j_{s+1} + 1 and sum <= top, built from the last entry up
+    without `ehp`."""
+    found = {(): 0}
+
+    def grow(suffix: tuple[int, ...], total: int) -> None:
+        found[suffix] = total
+        for j in range(2 * suffix[0] + 2, top - total + 1):
+            grow((j,) + suffix, total + j)
+
+    for j in range(n - 1, top + 1):
+        grow((j,), j)
+    return found
+
+
+def _suite_ehp(rng: random.Random) -> Checks:
+    yield ("ehp_recurrence",
+           all(ehp.verify_ehp_recurrence(p, n, 60) for p in (2, 3) for n in range(1, 9)),
+           "p in {2, 3}, n <= 8, N = 60")
 
     for p, lo in ((2, 2), (3, 3)):
         pa = ehp.admissible_series(p, 60)
-        bad: dict[int, list[int]] = {}
+        excess: set[int] = set()
         for n in range(lo, 9):
             a = ehp.a_series(p, n, 60)
-            degs = [d for d in range(61) if a[d] > pa[d]]
-            if degs:
-                bad[n] = degs
+            excess.update(d for d in range(61) if a[d] > pa[d])
         detail = f"A(n;t) <= P(A;t) for {lo} <= n <= 8, N = 60"
-        if bad:
-            degs = sorted({d for ds in bad.values() for d in ds})
-            detail += (
-                f"; excess coefficients at degrees {degs} "
-                f"(one singleton sequence each, in degrees with no "
-                f"admissible monomial)"
-            )
-        out.append(_result("ehp", f"a_series_below_admissible_p{p}", not bad, detail))
+        if excess:
+            detail += (f"; excess coefficients at degrees {sorted(excess)} "
+                       f"(one singleton sequence each, in degrees with no "
+                       f"admissible monomial)")
+        yield f"a_series_below_admissible_p{p}", not excess, detail
 
-    ok = True
-    for p in (2, 3):
-        for n in range(2, 8):
-            if not ehp.a_series(p, n, 40).leq(ehp.a_series(p, n - 1, 40)):
-                ok = False
-    out.append(
-        _result(
-            "ehp",
-            "a_series_monotone_in_excess",
-            ok,
-            "I(n) within I(n-1): A(n;t) <= A(n-1;t), n <= 7, N = 40",
-        )
-    )
+    yield ("a_series_monotone_in_excess",
+           all(ehp.a_series(p, n, 40).leq(ehp.a_series(p, n - 1, 40))
+               for p in (2, 3) for n in range(2, 8)),
+           "I(n) within I(n-1): A(n;t) <= A(n-1;t), n <= 7, N = 40")
 
-    ok = True
-    for n in range(1, 7):
-        lhs = {}
-        for J in ehp.enumerate_I(2, n, 30):
-            lhs[J.entries] = J.dim
-        # independent enumeration of the shifted set: j_k >= n-1, j_s > 2 j_{s+1} + 1
-        def grow(suffix, total):
-            rhs[suffix] = total
-            j = 2 * suffix[0] + 2
-            while total + j <= 30:
-                grow((j,) + suffix, total + j)
-                j += 1
+    yield ("shift_bijection",
+           all({tuple(i - 1 for i in J.entries): J.dim for J in ehp.enumerate_I(2, n, 30)}
+               == _shifted_set(n, 30) for n in range(1, 7)),
+           "I(n) matches the shifted set (j_k >= n-1, j_s > 2 j_{s+1} + 1), "
+           "n <= 6, dim <= 30")
 
-        rhs = {(): 0}
-        j = n - 1
-        while j <= 30:
-            grow((j,), j)
-            j += 1
-        lhs_shift = {
-            tuple(i - 1 for i in k): v for k, v in lhs.items()
-        }
-        if lhs_shift != rhs:
-            ok = False
-    out.append(
-        _result(
-            "ehp",
-            "shift_bijection",
-            ok,
-            "I(n) matches the shifted set (j_k >= n-1, j_s > 2 j_{s+1} + 1), "
-            "n <= 6, dim <= 30",
-        )
-    )
+    def census_matches(p: int, n: int) -> bool:
+        seqs = ehp.enumerate_I(p, n, 30)
+        counts = [0] * 31
+        for J in seqs:
+            counts[J.dim] += 1
+        entries = [J.entries for J in seqs]
+        return (series.TruncatedSeries(counts) == ehp.a_series(p, n, 30)
+                and entries == sorted(entries) and len(set(entries)) == len(seqs))
 
-    ok = True
-    for p in (2, 3):
-        for n in (1, 2, 5):
-            seqs = ehp.enumerate_I(p, n, 30)
-            counts = [0] * 31
-            for J in seqs:
-                counts[J.dim] += 1
-            if (
-                series.TruncatedSeries(counts) != ehp.a_series(p, n, 30)
-                or [J.entries for J in seqs]
-                != sorted(J.entries for J in seqs)
-                or len({J.entries for J in seqs}) != len(seqs)
-            ):
-                ok = False
-    out.append(
-        _result(
-            "ehp",
-            "enumeration_matches_series",
-            ok,
-            "dim census == A(n;t), lexicographic, duplicate-free (n in {1,2,5})",
-        )
-    )
+    yield ("enumeration_matches_series",
+           all(census_matches(p, n) for p in (2, 3) for n in (1, 2, 5)),
+           "dim census == A(n;t), lexicographic, duplicate-free (n in {1,2,5})")
 
-    ok = True
-    for p, n in ((2, 40), (3, 40)):
-        if ehp._admissible_counts(p, n) != algebra.hilbert(
-            presets.preset("dual_steenrod", p), n
-        ).coeffs:
-            ok = False
-    out.append(
-        _result(
-            "ehp",
-            "admissible_vs_dual_steenrod",
-            ok,
-            "basis count equals Hilbert series, p in {2, 3}, N = 40",
-        )
-    )
+    yield ("admissible_vs_dual_steenrod",
+           all(ehp._admissible_counts(p, 40)
+               == algebra.hilbert(presets.preset("dual_steenrod", p), 40).coeffs
+               for p in (2, 3)),
+           "basis count equals Hilbert series, p in {2, 3}, N = 40")
 
-    ok = True
     varpi = ehp.default_varpi_a(2, 30)
     point = series.TruncatedSeries.unit(30)
     lhs = ehp.unstable_rank_bound(2, point, varpi, 30)
     rhs = ehp.unstable_ext_bound(2, point, varpi, 30).scale(2)
-    if lhs != rhs:
-        ok = False
-    try:
-        ehp.unstable_rank_bound(2, series.TruncatedSeries([0, 1]), varpi, 1)
-        ok = False
-    except series.SeriesError:
-        pass
-    out.append(
-        _result(
-            "ehp",
-            "unstable_bounds_consistent",
-            ok,
-            "doubling identity and connectedness guard",
-        )
-    )
-    return out
+    guarded = _raises(series.SeriesError, ehp.unstable_rank_bound,
+                      2, series.TruncatedSeries([0, 1]), varpi, 1)
+    yield ("unstable_bounds_consistent", lhs == rhs and guarded,
+           "doubling identity and connectedness guard")
 
 
 # ---------------------------------------------------------------------------
@@ -731,46 +534,25 @@ def _suite_ehp(rng: random.Random) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _suite_asymptotics(rng: random.Random) -> list[CheckResult]:
-    out = []
-    ok = True
-    for p in (2, 3, 5, 7):
-        c = asymptotics.constants(p)
-        if not c.k1 < c.k2 < c.k3:
-            ok = False
-    out.append(
-        _result("asymptotics", "constants_ordering", ok, "K1 < K2 < K3, p in {2,3,5,7}")
-    )
+def _suite_asymptotics(rng: random.Random) -> Checks:
+    yield ("constants_ordering",
+           all(c.k1 < c.k2 < c.k3 for c in map(asymptotics.constants, (2, 3, 5, 7))),
+           "K1 < K2 < K3, p in {2,3,5,7}")
 
-    ok = True
-    details = []
-    for p, m in ((2, 6), (3, 4)):
-        for model in asymptotics.BRACKET_MODELS:
-            rep = asymptotics.bracketing_check(p, m, model)
-            details.append(f"{model}(p={p}, m={m})")
-            if not rep.ok:
-                ok = False
-    out.append(
-        _result("asymptotics", "bracketing_small_scales", ok, "; ".join(details))
-    )
+    cases = [(p, m, model) for p, m in ((2, 6), (3, 4))
+             for model in asymptotics.BRACKET_MODELS]
+    yield ("bracketing_small_scales",
+           all(asymptotics.bracketing_check(p, m, model).ok for p, m, model in cases),
+           "; ".join(f"{model}(p={p}, m={m})" for p, m, model in cases))
 
     prof = asymptotics.ratio_profile(
-        presets.preset("may_model", 2), 3, [2**m for m in range(8, 15)]
-    )
+        presets.preset("may_model", 2), 3, [2**m for m in range(8, 15)])
     ratios = [r.ratio for r in prof.rows]
     k3 = asymptotics.constants(2).k3
-    below = all(r < k3 for r in ratios)
-    nondec = all(a <= b for a, b in zip(ratios, ratios[1:]))
-    out.append(
-        _result(
-            "asymptotics",
-            "may_model_ratio_profile",
-            below,
-            f"ratios below K3 = {k3:.5f}; nondecreasing over 2^8..2^14: {nondec} "
-            f"(recorded, not asserted)",
-        )
-    )
-    return out
+    nondec = all(a <= b for a, b in pairwise(ratios))
+    yield ("may_model_ratio_profile", all(r < k3 for r in ratios),
+           f"ratios below K3 = {k3:.5f}; nondecreasing over 2^8..2^14: {nondec} "
+           f"(recorded, not asserted)")
 
 
 # ---------------------------------------------------------------------------
@@ -792,15 +574,13 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of "
                          f"{sorted(SUITES)} or 'all'")
-    return SUITES[name](random.Random(seed))
+    return [CheckResult(name, check, bool(ok), detail)
+            for check, ok, detail in SUITES[name](random.Random(seed))]
 
 
 def run(suite: str = "all", seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if suite == "all":
-        results = []
-        for name in SUITES:
-            results.extend(run_suite(name, seed))
-        return results
+        return [result for name in SUITES for result in run_suite(name, seed)]
     return run_suite(suite, seed)
 
 

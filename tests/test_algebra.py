@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from stemsize.algebra import (
     AlgebraError,
     AlgebraSpec,
+    Generator,
     GeneratorFamily,
     _log_derivative_hilbert,
     _plan,
+    _steps,
     hilbert,
     hilbert_cumulative,
     instantiate,
+    is_prime,
     oracle_hilbert,
     parse_spec,
     spec_to_text,
@@ -426,6 +429,75 @@ class TestPowerStep:
             assert steps[0] == (1, spec.families[0].kind, 1, mult, mult > cap)
             series = hilbert(spec, trunc)
             assert series == _log_derivative_hilbert(spec, trunc) == ascending_fold(spec, trunc)
+
+
+class TestStepCost:
+    """`_steps` counts a unit pass as trunc // g + 1 additions, and two
+    passes for truncated(k), k >= 3, whose fold also subtracts a shifted
+    list."""
+
+    @pytest.mark.parametrize("kind, passes", [
+        (POLYNOMIAL, 1),
+        (EXTERIOR, 1),
+        (GeneratorKind.truncated(2), 1),
+        (GeneratorKind.truncated(3), 2),
+        (GeneratorKind.truncated(5), 2),
+    ])
+    def test_unit_passes(self, kind, passes):
+        cost, steps = _steps([Generator(kind, 4, 3)], 100, 4)
+        assert steps == [(1, kind, 1, 3, False)]
+        assert cost == passes * 3 * (100 // 4 + 1)
+
+    def test_power_step_cost_is_kind_free(self):
+        cap = 2 * (100 // 4 + 1)
+        for kind in (POLYNOMIAL, GeneratorKind.truncated(3)):
+            cost, steps = _steps([Generator(kind, 4, cap + 1)], 100, 4)
+            assert steps == [(1, kind, 1, cap + 1, True)]
+            assert cost == cap * (100 // 4 + 1)
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+class TestIsPrime:
+    """`is_prime` divides by the primes up to 37, then runs Miller-Rabin to
+    those 12 bases, exact below 2^64; larger n are refused."""
+
+    def test_matches_trial_division(self):
+        limit = 200_000
+        assert [n for n in range(-3, limit) if is_prime(n) != _trial_division(n)] == []
+
+    @pytest.mark.parametrize("n, prime", [
+        (561, False),  # Carmichael numbers
+        (41041, False),
+        (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5, 7
+        (3825123056546413051, False),  # strong pseudoprime to the primes up to 23
+        (2**61 - 1, True),
+        (10**18 + 3, True),
+        (2**64 - 59, True),  # the largest prime below 2^64
+        (2**64 - 1, False),
+    ])
+    def test_known_cases(self, n, prime):
+        assert is_prime(n) is prime
+
+    @pytest.mark.parametrize("n", [2**64, 2**64 + 13, 10**40])
+    def test_refuses_2_to_the_64(self, n):
+        with pytest.raises(AlgebraError, match=r"below 2\^64"):
+            is_prime(n)
+
+    def test_dsl_prime_line_refused(self):
+        with pytest.raises(AlgebraError, match=r"below 2\^64"):
+            parse_spec(f"p = {2**64 + 13}\ngen poly deg = 1\n")
 
 
 class TestOracle:

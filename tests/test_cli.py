@@ -11,11 +11,12 @@ from stemsize.algebra import hilbert, parse_spec
 from stemsize.cli import CliError, main, parse_points
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "stemsize.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -230,6 +231,26 @@ class TestTorsion:
         assert code == 1
         assert out == ""
         assert err == f"stemsize: error: p = {p} is not prime\n"
+
+    def test_large_prime_answers_within_two_seconds(self):
+        code, out, err = run_cli("torsion", "--p", str(10**18 + 3), "--n", "5", timeout=2)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["p"] == 10**18 + 3
+
+    def test_p_from_2_to_the_64_exits_one(self):
+        p = 2**64 + 13
+        code, out, err = run_cli("torsion", "--p", str(p), "--n", "5")
+        assert (code, out) == (1, "")
+        assert err == f"stemsize: error: p = {p} is too large: primes are decided below 2^64\n"
+
+    @pytest.mark.parametrize("curve, n", [("linear", 10**400), ("sqrt", 10**700)])
+    def test_closed_form_past_float_range_exits_one(self, curve, n):
+        code, out, err = run_cli("torsion", "--p", "2", "--n", str(n), "--curve", curve)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"stemsize: error: n = {n} is too large: the closed form exceeds the float range"
+        ]
 
 
 class TestImport:

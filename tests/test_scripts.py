@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+from stemsize import verify
 from stemsize.algebra import _plan, instantiate
 from stemsize.presets import preset
 
@@ -30,18 +31,21 @@ def test_growth_report_writes_both_profiles(tmp_path):
         assert [line.partition(",")[0] for line in lines[1:]] == ["64", "128"]
 
 
-def test_performance_report_nilpotent_regime():
+def run_performance_report(call):
+    """stdout of `performance_report.<call>` in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import performance_report as report; "
-         "report.measure_nilpotent(dsl_trunc=200, may_trunc=81)"],
+        [sys.executable, "-c", f"import performance_report as report; report.{call}"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(SCRIPTS), str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH", "")])},
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout
+
+
+def test_performance_report_nilpotent_regime():
+    lines = run_performance_report("measure_nilpotent(dsl_trunc=200, may_trunc=81)").splitlines()
     assert [line.split(",")[0] for line in lines] == [
         "nilpotent generic_fold-shaped DSL spec", "nilpotent may_e1"]
     assert all("generators packed" in line for line in lines)
@@ -55,3 +59,11 @@ def test_performance_report_nilpotent_regime():
         len(picked), len(gens), sum(mult for _, _, _, mult, power in steps if not power),
         sum(power for *_, power in steps), cost,
     )
+
+
+def test_performance_report_times_the_suite_checks():
+    lines = run_performance_report("measure_verify(suites=('series',), repeats=1)").splitlines()
+    checks = [line.split()[1].rstrip(":") for line in lines[:-1]]
+    assert checks == [f"series.{r.name}" for r in verify.run_suite("series")]
+    assert all(re.search(r": \d+\.\d\d ms CPU$", line) for line in lines[:-1])
+    assert lines[-1].startswith("verify   series suite: ")
