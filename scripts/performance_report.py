@@ -62,6 +62,11 @@ and the estimated list coefficient additions.
   census `ehp._admissible_counts` that the tests and `verify` check it
   against, whose O(N^2) rows took 1.1 s and a 310 MB RSS peak (2-vCPU VM,
   Python 3.11.7) against about 2 ms for `hilbert`.
+- listing: `enumerate_I`, the census's oracle and the engine of
+  `stemsize ehp --max-dim`, best of 3 CPU times, with the number of
+  sequences listed or "exit 3" where the 100,000-sequence guard trips:
+  I(1) at p = 2, cap 120 (42,326 sequences), at p = 3, cap 200 (3,708), and
+  at p = 2, cap 200, which trips the guard.
 """
 
 import argparse
@@ -77,8 +82,9 @@ import time
 
 from stemsize import algebra, cli, verify
 from stemsize.algebra import AlgebraSpec, hilbert_cumulative, parse_spec
-from stemsize.ehp import _admissible_counts, a_series, admissible_series
+from stemsize.ehp import _admissible_counts, a_series, admissible_series, enumerate_I
 from stemsize.presets import preset
+from stemsize.series import ResourceLimitError
 
 TRUNC_SPEC = """\
 p = 3
@@ -248,6 +254,22 @@ def measure_nilpotent(dsl_trunc: int = 4096, may_trunc: int = 3**9) -> None:
               f"{plan_totals(spec, trunc)}")
 
 
+LISTING_CASES = ((2, 1, 120), (3, 1, 200), (2, 1, 200))
+
+
+def listing_size(p: int, n: int, cap: int) -> str:
+    try:
+        return f"{len(enumerate_I(p, n, cap))} sequences"
+    except ResourceLimitError:
+        return "exit 3"
+
+
+def measure_listing(cases=LISTING_CASES, repeats: int = 3) -> None:
+    for p, n, cap in cases:
+        elapsed, size = best_cpu(listing_size, p, n, cap, repeats=repeats)
+        print(f"{'listing':8} I({n}), p = {p}, cap {cap}: {elapsed * 1000:.1f} ms CPU, {size}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--stretch", action="store_true",
@@ -267,6 +289,7 @@ def main() -> None:
     measure_census("A(1;t), p = 2, N = 300", a_series, 2, 1, 300)
     measure_census("P(A;t) by hilbert, p = 2, N = 4000", admissible_series, 2, 4000)
     measure_census("P(A;t) by census, p = 2, N = 4000", _admissible_counts, 2, 4000)
+    measure_listing()
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .algebra import (
     tensor_bracket,
 )
 from .presets import max_over_h, preset
-from .series import ResourceLimitError, TruncatedSeries
+from .series import ResourceLimitError
 
 __all__ = [
     "Constants",
@@ -186,15 +186,18 @@ def _check_may_model(p: int, m: int, lower_ceiling: int | None) -> list[BracketC
     top = p**m - 1
     spec = preset("may_model", p)
     lower_deg = (m * (m - 1) // 2) * top
-    # Refuse before the upper check's series is built: a refused request
-    # should not pay for it.
+    # Refuse before any series is built: a refused request should not pay
+    # for it.
     if lower_ceiling is not None and lower_deg > lower_ceiling:
         raise ResourceLimitError(
             f"may_model lower check needs the series through degree "
             f"{lower_deg}, above the ceiling {lower_ceiling}"
         )
     product = _may_model_product(p, m)
-    upper_rank = hilbert_cumulative(spec, top)[top]
+    # lower_deg = C(m, 2) * top >= top, so one fold serves both checks.
+    skip_lower = lower_ceiling is None and lower_deg > DEFAULT_LOWER_CEILING
+    cumrank = hilbert_cumulative(spec, top if skip_lower else lower_deg)
+    upper_rank = cumrank[top]
     checks = [
         BracketCheck(
             "may_model_upper",
@@ -202,7 +205,7 @@ def _check_may_model(p: int, m: int, lower_ceiling: int | None) -> list[BracketC
             f"cumrank({top}) = {upper_rank} <= {product}",
         )
     ]
-    if lower_ceiling is None and lower_deg > DEFAULT_LOWER_CEILING:
+    if skip_lower:
         checks.append(
             BracketCheck(
                 "may_model_lower",
@@ -212,7 +215,7 @@ def _check_may_model(p: int, m: int, lower_ceiling: int | None) -> list[BracketC
             )
         )
         return checks
-    lower_rank = hilbert_cumulative(spec, lower_deg)[lower_deg]
+    lower_rank = cumrank[lower_deg]
     checks.append(
         BracketCheck(
             "may_model_lower",
@@ -253,8 +256,8 @@ def _check_r_h_e2(p: int, m: int) -> list[BracketCheck]:
             f"upper {bracket.upper}",
         )
     ]
-    prod_series = TruncatedSeries.unit(top)
-    for f in factors:
+    prod_series = hilbert(factors[0], top)
+    for f in factors[1:]:
         prod_series = prod_series.mul(hilbert(f, top))
     same = hilbert(preset("r_h_e2", p, h=h), top) == prod_series
     checks.append(

@@ -107,53 +107,30 @@ def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:
         raise ValueError("excess must be >= 1")
     if max_dim < 0:
         raise ValueError("dimension cap must be >= 0")
-    out: list[CUSeq] = [CUSeq(p, n, ())]
-
-    def check_size() -> None:  # every append is followed by a grow call
-        if len(out) > MAX_LISTING:
-            raise ResourceLimitError(
-                f"I({n}) at p = {p} has more than {MAX_LISTING} sequences "
-                f"of dimension <= {max_dim}; lower the dimension cap"
-            )
-
-    if p == 2:
-        # Build right to left: last entry i_k >= n, each prepend i > 2 * head.
-        def grow(suffix: tuple[int, ...], dim: int) -> None:
-            check_size()
-            i = 2 * suffix[0] + 1
-            while dim + (i - 1) <= max_dim:
-                seq = (i,) + suffix
-                out.append(CUSeq(p, n, seq))
-                grow(seq, dim + i - 1)
-                i += 1
-
-        i = n
-        while i - 1 <= max_dim:
-            out.append(CUSeq(p, n, (i,)))
-            grow((i,), i - 1)
-            i += 1
-    else:
-
-        def grow_odd(suffix: tuple, dim: int) -> None:
-            check_size()
-            head_eps, head_i = suffix[0]
-            for eps in (0, 1):
-                i = p * head_i - head_eps + 1  # i > p*head_i - eps_{s+1}
-                while dim + (2 * (p - 1) * i - eps - 1) <= max_dim:
-                    seq = ((eps, i),) + suffix
-                    out.append(CUSeq(p, n, seq))
-                    grow_odd(seq, dim + 2 * (p - 1) * i - eps - 1)
-                    i += 1
-
-        last_lo = (n + 1) // 2  # smallest i_k with 2*i_k >= n
-        for eps in (0, 1):
-            i = last_lo
-            while 2 * (p - 1) * i - eps - 1 <= max_dim:
-                out.append(CUSeq(p, n, ((eps, i),)))
-                grow_odd(((eps, i),), 2 * (p - 1) * i - eps - 1)
-                i += 1
-    out.sort(key=lambda J: J.entries)
-    return out
+    # An entry (eps, i) has dimension w*i - eps - 1 and may stand left of
+    # (eps', j) iff i > p*j - eps'.  At p = 2, eps is 0 and an entry is the
+    # bare i.  Build right to left from the last entry, which has i >= lo.
+    w, epsilons, lo = (1, (0,), n) if p == 2 else (2 * (p - 1), (0, 1), (n + 1) // 2)
+    out: list[tuple] = [()]
+    stack = [((), 0, lo)]  # (suffix, its dim, least i of an entry left of it)
+    while stack:
+        suffix, dim, lo = stack.pop()
+        for eps in epsilons:
+            i, d = lo, dim + w * lo - eps - 1
+            while d <= max_dim:
+                seq = (i if p == 2 else (eps, i),) + suffix
+                out.append(seq)
+                if len(out) > MAX_LISTING:
+                    raise ResourceLimitError(
+                        f"I({n}) at p = {p} has more than {MAX_LISTING} sequences "
+                        f"of dimension <= {max_dim}; lower the dimension cap"
+                    )
+                # stack seq only if an entry left of it, of dim >= w*nxt - 2, fits
+                if d + w * (nxt := p * i - eps + 1) - 2 <= max_dim:
+                    stack.append((seq, d, nxt))
+                i, d = i + 1, d + w
+    out.sort()
+    return [CUSeq(p, n, seq) for seq in out]
 
 
 def _count_chains(trunc: int, entries) -> list[int]:

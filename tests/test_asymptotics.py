@@ -110,8 +110,12 @@ class TestBracketing:
         with pytest.raises(ResourceLimitError):
             bracketing_check(2, 16, "may_model", lower_ceiling=10)
         assert computed == []
+        # One fold at the lower degree 21 serves the upper check at 7 too;
+        # only a skipped lower check folds at the upper degree.
         bracketing_check(2, 3, "may_model", lower_ceiling=21)
-        assert computed == [7, 21]
+        assert computed == [21]
+        bracketing_check(2, 15, "may_model")
+        assert computed == [21, 2**15 - 1]
 
     def test_lower_skipped_above_ceiling_by_default(self):
         # C(15, 2) * (2^15 - 1) = 3,440,535 is above DEFAULT_LOWER_CEILING

@@ -324,6 +324,20 @@ class TestEhp:
             "sequences of dimension <= 400; lower the dimension cap\n"
         )
 
+    @pytest.mark.parametrize("p, exponent", [("2", 300), ("3", 600)])
+    def test_deep_cap_exits_three(self, p, exponent):
+        # Sequences of about 1,000 entries fit under these caps; the guard
+        # must trip (exit 3, no traceback) before any depth matters.
+        cap = str(10**exponent)
+        code, out, err = run_cli(
+            "ehp", "--p", p, "--excess", "1", "--max-dim", cap, timeout=5
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"stemsize: resource guard: I(1) at p = {p} has more than 100000 "
+            f"sequences of dimension <= {cap}; lower the dimension cap\n"
+        )
+
     @pytest.mark.parametrize("p", ["1", "4"])
     def test_non_prime_exits_one(self, p):
         code, out, err = run_cli("ehp", "--p", p, "--excess", "1")

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stemsize import ehp
-from stemsize.algebra import AlgebraError
+from stemsize.algebra import AlgebraError, AlgebraSpec, parse_spec
 from stemsize.ehp import (
     CUSeq,
     _admissible_counts,
@@ -20,7 +21,13 @@ from stemsize.ehp import (
 )
 from stemsize.presets import preset
 from stemsize.algebra import hilbert
-from stemsize.series import ResourceLimitError, SeriesError, TruncatedSeries
+from stemsize.series import (
+    POLYNOMIAL,
+    ResourceLimitError,
+    SeriesError,
+    TruncatedSeries,
+    factor_series,
+)
 
 
 def census(p, n, trunc):
@@ -132,6 +139,28 @@ class TestEnumerate:
             f"I({n}) at p = {p} has more than {count - 1} sequences of "
             f"dimension <= {max_dim}; lower the dimension cap"
         )
+
+    # SHA-256 over the listings of every (p, n, cap) below, each case the
+    # repr of [(entries, dim), ...] or, where the guard trips, its message,
+    # one line per case; pinned from an earlier, recursive implementation.
+    # At the default MAX_LISTING no case trips the guard; at 200, 21 do.
+    @pytest.mark.parametrize("limit, digest", [
+        (None, "a7fd281e5f04d859d86c3377581402a7c7b2dc57f9d752560f9475ec84abada6"),
+        (200, "de54452d73aaaf2677420c8d3f88adf6d74aca2c1683fff25d4cef0c51bb03e3"),
+    ], ids=["default_limit", "limit_200"])
+    def test_listing_digest(self, monkeypatch, limit, digest):
+        if limit is not None:
+            monkeypatch.setattr(ehp, "MAX_LISTING", limit)
+        h = hashlib.sha256()
+        for p in (2, 3, 5, 7):
+            for n in range(1, 9):
+                for cap in (0, 1, 5, 17, 34, 60, 90):
+                    try:
+                        case = [(J.entries, J.dim) for J in enumerate_I(p, n, cap)]
+                    except ResourceLimitError as exc:
+                        case = str(exc)
+                    h.update(repr(case).encode() + b"\n")
+        assert h.hexdigest() == digest
 
 
 def test_import_does_not_load_asymptotics():
@@ -277,6 +306,23 @@ class TestUnstableBounds:
         bad = TruncatedSeries([0, 1, 1])
         with pytest.raises(SeriesError):
             unstable_rank_bound(2, bad, TruncatedSeries.ones(2), 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_rank_bound_is_one_joint_fold(self, p, k):
+        # Every factor is the Hilbert series of a free algebra, so the bound
+        # is twice the Hilbert series of their tensor product: P(A;t) from
+        # dual_steenrod, varpi_A from may_e1, h(Omega S^k) = 1/(1 - t^(k-1)).
+        N = 200
+        h = factor_series(POLYNOMIAL, k - 1, N)
+        families = (
+            preset("dual_steenrod", p).families
+            + preset("may_e1", p, drop_q0=True).families
+            + parse_spec(f"p = {p}\ngen poly deg = {k - 1}\n").families
+        )
+        joint = AlgebraSpec(p, families, "joint")
+        bound = unstable_rank_bound(p, h, default_varpi_a(p, N), N)
+        assert bound == hilbert(joint, N).scale(2)
 
     def test_default_varpi_a_matches_preset(self):
         assert default_varpi_a(2, 10) == hilbert(

@@ -6,6 +6,7 @@ import sys
 
 from stemsize import verify
 from stemsize.algebra import _plan, instantiate
+from stemsize.ehp import a_series
 from stemsize.presets import preset
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
@@ -67,3 +68,14 @@ def test_performance_report_times_the_suite_checks():
     assert checks == [f"series.{r.name}" for r in verify.run_suite("series")]
     assert all(re.search(r": \d+\.\d\d ms CPU$", line) for line in lines[:-1])
     assert lines[-1].startswith("verify   series suite: ")
+
+
+def test_performance_report_times_the_listing():
+    cases = ((2, 1, 12), (3, 2, 20), (2, 1, 200))
+    lines = run_performance_report(f"measure_listing(cases={cases}, repeats=1)").splitlines()
+    assert len(lines) == 3
+    for (p, n, cap), line in zip(cases[:2], lines):
+        count = sum(a_series(p, n, cap))
+        assert re.fullmatch(rf"listing  I\({n}\), p = {p}, cap {cap}: \d+\.\d ms CPU, "
+                            rf"{count} sequences", line)
+    assert re.fullmatch(r"listing  I\(1\), p = 2, cap 200: \d+\.\d ms CPU, exit 3", lines[2])
