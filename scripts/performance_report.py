@@ -67,6 +67,17 @@ and the estimated list coefficient additions.
   sequences listed or "exit 3" where the 100,000-sequence guard trips:
   I(1) at p = 2, cap 120 (42,326 sequences), at p = 3, cap 200 (3,708), and
   at p = 2, cap 200, which trips the guard.
+- output: the peak RSS of a CLI request in a child interpreter, which
+  reads its own high-water mark (VmHWM in /proc/self/status; its
+  ``ru_maxrss`` would also count this script's peak, which Linux carries
+  over exec) after `import stemsize.cli` and after the request:
+  `preset --name may_e1 --p 2 --max-degree 16384 --drop-q0` as JSON on
+  stdout, and `hilbert` of one polynomial generator in degree 1 with
+  multiplicity 10^8 at N = 2000 (coefficients of up to 10,265 digits) as
+  JSON and as CSV to a file.  Series text goes out in pieces of about 2^16
+  bits of digits, so the last two peak about 8.5 MB above the import
+  (2-vCPU VM, Python 3.11.7), near the size of the series itself, against
+  29 and 34 MB when the text was built whole.
 """
 
 import argparse
@@ -254,6 +265,61 @@ def measure_nilpotent(dsl_trunc: int = 4096, may_trunc: int = 3**9) -> None:
               f"{plan_totals(spec, trunc)}")
 
 
+BIG_MULT_SPEC = "p = 2\ngen poly deg = 1 mult = 100000000\n"
+OUTPUT_CODE = """\
+import resource, sys
+import stemsize.cli
+
+def peak_kb():
+    # VmHWM, the high-water mark of this process's own pages: on Linux
+    # ru_maxrss also counts the peak of the process that spawned it, which
+    # the kernel carries over exec
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+base = peak_kb()
+rc = stemsize.cli.main(sys.argv[1:])
+print(rc, base, peak_kb(), file=sys.stderr)
+"""
+
+
+def output_peak(argv: list[str]) -> tuple[int, float, float, int]:
+    """Run `stemsize` argv in a child interpreter: its exit code, its own
+    peak RSS in MB after the import and after the request, and the bytes it
+    wrote to stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", OUTPUT_CODE, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, check=True)
+    rc, base, peak = map(int, proc.stderr.split()[-3:])
+    return rc, base / 1024, peak / 1024, len(proc.stdout)
+
+
+def measure_output(trunc: int = 2**14, big_trunc: int = 2000) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.txt")
+        with open(spec, "w", encoding="utf-8") as fh:
+            fh.write(BIG_MULT_SPEC)
+        cases = [(f"preset may_e1, p = 2, N = {trunc}, JSON to stdout", None,
+                  ["preset", "--name", "may_e1", "--p", "2", "--max-degree", str(trunc),
+                   "--drop-q0", "--format", "json"])]
+        for fmt in ("json", "csv"):
+            out = os.path.join(tmp, f"out.{fmt}")
+            cases.append((f"hilbert of mult 10^8 in degree 1, N = {big_trunc}, "
+                          f"{fmt.upper()} to a file", out,
+                          ["hilbert", "--spec", spec, "--max-degree", str(big_trunc),
+                           "--format", fmt, "--out", out]))
+        for label, out, argv in cases:
+            rc, base, peak, written = output_peak(argv)
+            if out is not None and rc == 0:
+                written = os.path.getsize(out)
+            print(f"{'output':8} {label}: peak RSS {peak:.1f} MB, {peak - base:.1f} MB "
+                  f"above import, {written} bytes, exit {rc}")
+
+
 LISTING_CASES = ((2, 1, 120), (3, 1, 200), (2, 1, 200))
 
 
@@ -290,6 +356,7 @@ def main() -> None:
     measure_census("P(A;t) by hilbert, p = 2, N = 4000", admissible_series, 2, 4000)
     measure_census("P(A;t) by census, p = 2, N = 4000", _admissible_counts, 2, 4000)
     measure_listing()
+    measure_output()
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 
@@ -92,31 +91,43 @@ def _load_curve(arg: str) -> torsion.VanishingCurve:
     raise CliError(f"unknown curve {arg!r}: expected linear, sqrt, or table:<path>")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+class _LazyFile:
+    """The --out file, opened at the first write: a guard that trips before
+    the first byte leaves an existing file as it was."""
+
+    fh = None
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def write(self, text: str) -> None:
+        if self.fh is None:
+            self.fh = open(self.path, "w", encoding="utf-8", newline="")
+        self.fh.write(text)
+
+
+def _emit(write, out: str | None, end: str = "") -> None:
+    """Run write(stream) on stdout, then write `end`, or on the --out file."""
+    file = None if out in (None, "-") else _LazyFile(out)
+    try:
         try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write output {out!r}: {exc}") from None
+            write(file or sys.stdout)
+        finally:
+            if file and file.fh:
+                file.fh.close()
+        if not file:
+            sys.stdout.write(end)
+    except OSError as exc:
+        raise CliError(f"cannot write output {out or '-'!r}: {exc}") from None
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _emit_as(fmt: str, out: str | None, json_text, rows) -> None:
-    """Emit json_text() as JSON or rows() as CSV; both are thunks, so only
-    the requested form is built."""
-    _emit(json_text() if fmt == "json" else _csv_text(rows()), out)
+def _emit_as(fmt: str, out: str | None, write_json, rows) -> None:
+    """Emit JSON by write_json(stream), then a newline on stdout, or rows()
+    as CSV; only the requested form is built, as it is written."""
+    if fmt == "json":
+        _emit(write_json, out, "\n")
+    else:
+        _emit(lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows()), out)
 
 
 def _spec(args) -> algebra.AlgebraSpec:
@@ -148,7 +159,7 @@ def _cmd_series(args) -> int:
 def _cmd_torsion(args) -> int:
     curve = _load_curve(args.curve)
     report = torsion.stable_torsion_bound(args.p, args.n, curve)
-    _emit_as(args.format, args.out, report.to_json, lambda: [
+    _emit_as(args.format, args.out, lambda fh: fh.write(report.to_json()), lambda: [
         ("p", "n", "exact_sum", "closed_form", "curve"),
         (str(report.p), str(report.n), str(report.exact_sum),
          repr(report.closed_form), report.curve["model"]),
@@ -161,7 +172,7 @@ def _cmd_ehp(args) -> int:
         seqs = ehp.enumerate_I(args.p, args.excess, args.max_dim)
         _emit_as(
             args.format, args.out,
-            lambda: json.dumps([J.to_json_obj() for J in seqs], indent=2),
+            lambda fh: fh.write(json.dumps([J.to_json_obj() for J in seqs], indent=2)),
             lambda: [("entries", "dim"),
                      *((repr(list(J.entries)), str(J.dim)) for J in seqs)],
         )
@@ -178,7 +189,8 @@ def _cmd_asymptotics(args) -> int:
         points = parse_points(args.points)
         profile = asymptotics.ratio_profile(_spec(args), args.exponent, points)
         _emit_as(args.format, args.out,
-                 lambda: json.dumps(profile.to_json_obj(), indent=2), profile.csv_rows)
+                 lambda fh: fh.write(json.dumps(profile.to_json_obj(), indent=2)),
+                 profile.csv_rows)
         return EXIT_OK
     if args.name in asymptotics.BRACKET_MODELS:
         if args.n is None:
@@ -187,7 +199,7 @@ def _cmd_asymptotics(args) -> int:
             args.p, args.n, args.name, lower_ceiling=args.lower_ceiling)
         _emit_as(
             args.format, args.out,
-            lambda: json.dumps(report.to_json_obj(), indent=2),
+            lambda fh: fh.write(json.dumps(report.to_json_obj(), indent=2)),
             lambda: [("check", "ok", "detail"),
                      *((c.name, str(c.ok), c.detail) for c in report.checks)],
         )
@@ -195,7 +207,7 @@ def _cmd_asymptotics(args) -> int:
     consts = asymptotics.constants(args.p)
     _emit_as(
         args.format, args.out,
-        lambda: json.dumps(consts.to_json_obj(), indent=2),
+        lambda fh: fh.write(json.dumps(consts.to_json_obj(), indent=2)),
         lambda: [("p", "K1", "K2", "K3"),
                  (str(consts.p), repr(consts.k1), repr(consts.k2), repr(consts.k3))],
     )
@@ -204,7 +216,8 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify.run(args.suite, args.seed)
-    _emit(verify.format_report(results, args.suite, args.seed), args.out)
+    _emit(lambda fh: fh.write(verify.format_report(results, args.suite, args.seed)),
+          args.out)
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
 
 

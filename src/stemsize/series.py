@@ -11,11 +11,12 @@ to the minimum truncation of their operands.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import sys
 from itertools import accumulate, chain, compress
-from operator import add, sub
+from operator import add, le, sub
 from typing import Iterable, Iterator
 
 from ._frozen import Frozen, set_field
@@ -47,8 +48,11 @@ class ResourceLimitError(RuntimeError):
 # length.  Coefficients of one polynomial generator in degree 1 with
 # multiplicity 10^8 cost 1.1e11 at N = 1000 (0.23 s of conversion),
 # 8.2e11 at N = 2000 (1.6 s) and 2.6e12 at N = 3000 (4.9 s), measured on a
-# 2-vCPU VM with Python 3.11; the budget lets through about 4 s.
+# 2-vCPU VM with Python 3.11; the budget lets through about 4 s.  It is
+# checked before the first byte; the text then goes out in pieces of about
+# _PIECE_BITS bits of digits, so JSON at N = 2000 peaks 8.5 MB above import.
 MAX_DECIMAL_COST = 2 * 10**12
+_PIECE_BITS = 2**16
 
 
 class GeneratorKind(Frozen):
@@ -72,14 +76,6 @@ class GeneratorKind(Frozen):
         set_field(self, "order", order)
 
     @classmethod
-    def polynomial(cls) -> "GeneratorKind":
-        return cls("poly")
-
-    @classmethod
-    def exterior(cls) -> "GeneratorKind":
-        return cls("ext")
-
-    @classmethod
     def truncated(cls, k: int) -> "GeneratorKind":
         return cls("trunc", k)
 
@@ -94,8 +90,8 @@ class GeneratorKind(Frozen):
         return f"trunc({self.order})" if self.name == "trunc" else self.name
 
 
-POLYNOMIAL = GeneratorKind.polynomial()
-EXTERIOR = GeneratorKind.exterior()
+POLYNOMIAL = GeneratorKind("poly")
+EXTERIOR = GeneratorKind("ext")
 
 
 class TruncatedSeries:
@@ -181,10 +177,7 @@ class TruncatedSeries:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.trunc, other.trunc)
-        return TruncatedSeries._of(
-            a + b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1])
-        )
+        return TruncatedSeries._of(map(add, self._coeffs, other._coeffs))
 
     def scale(self, c: int) -> "TruncatedSeries":
         if c < 0:
@@ -255,8 +248,7 @@ class TruncatedSeries:
 
     def leq(self, other: "TruncatedSeries") -> bool:
         """Coefficientwise <= on the common truncation."""
-        n = min(self.trunc, other.trunc)
-        return all(a <= b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1]))
+        return all(map(le, self._coeffs, other._coeffs))
 
     def coeff_log(self, n: int) -> float:
         """Natural log of c_n, relative error below 2^-50.
@@ -278,15 +270,20 @@ class TruncatedSeries:
     # -- serialization -------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        return {"trunc": self.trunc, "coeffs": _decimal(self._coeffs)}
+        return {"trunc": self.trunc, "coeffs": [*chain.from_iterable(_decimal(self._coeffs))]}
 
-    def to_json(self) -> str:
-        """`json.dumps(self.to_json_obj())`, written directly: the
-        coefficients are decimal strings, which need no escaping."""
-        return '{"trunc": %d, "coeffs": ["%s"]}' % (
-            self.trunc,
-            '", "'.join(_decimal(self._coeffs)),
-        )
+    def to_json(self, stream=None) -> str | None:
+        """`json.dumps(self.to_json_obj())`, returned, or written piece by
+        piece to `stream`; decimal strings need no escaping."""
+        pieces = _decimal(self._coeffs)
+        out = io.StringIO() if stream is None else stream
+        out.write('{"trunc": %d, "coeffs": [' % self.trunc)
+        sep = '"'
+        for piece in pieces:
+            out.write(sep + '", "'.join(piece))
+            sep = '", "'
+        out.write('"]}')
+        return out.getvalue() if stream is None else None
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TruncatedSeries":
@@ -300,18 +297,14 @@ class TruncatedSeries:
         return cls.from_json_obj(json.loads(text))
 
     def csv_rows(self) -> Iterator[tuple[int, str]]:
-        yield from enumerate(_decimal(self._coeffs))
+        yield from enumerate(chain.from_iterable(_decimal(self._coeffs)))
 
 
-def _decimal(coeffs: tuple[int, ...]) -> list[str]:
-    """The coefficients in decimal, however many digits they have.
-
-    Raises `ResourceLimitError` before converting any of them when the sum
-    of their squared bit lengths exceeds MAX_DECIMAL_COST.  The
-    interpreter's digit limit for int-to-str conversion (Python 3.11 on) is
-    lifted for these conversions only: the output is exact, while parsing
-    decimal input, in the DSL or `from_json`, keeps the limit.
-    """
+def _decimal(coeffs: tuple[int, ...]) -> Iterator[list[str]]:
+    """The coefficients in decimal, however many digits, in lists of
+    _PIECE_BITS // (top + 1) or 1, top the largest bit length, converted as
+    read.  Raises `ResourceLimitError` first if the squared bit lengths sum
+    past MAX_DECIMAL_COST."""
     top = max(coeffs).bit_length()  # coefficients are nonnegative
     if top * top * len(coeffs) > MAX_DECIMAL_COST:
         cost = sum(c.bit_length() ** 2 for c in coeffs)
@@ -320,15 +313,21 @@ def _decimal(coeffs: tuple[int, ...]) -> list[str]:
                 f"writing the series in decimal costs {cost} (sum of squared "
                 f"coefficient bit lengths), above the budget {MAX_DECIMAL_COST}"
             )
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:  # Python 3.10: no limit
-        return list(map(str, coeffs))
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
+    size = _PIECE_BITS // (top + 1) or 1
+    return (_digits(coeffs[s : s + size]) for s in range(0, len(coeffs), size))
+
+
+def _digits(piece: tuple[int, ...]) -> list[str]:
+    """str of each int, with the int-to-str digit limit (Python 3.11 on)
+    lifted only while they convert: DSL and `from_json` input keep it."""
+    # Python 3.10 has no limit: int stands in for get and set
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    set_limit = getattr(sys, "set_int_max_str_digits", int)
+    set_limit(0)
     try:
-        return list(map(str, coeffs))
+        return list(map(str, piece))
     finally:
-        sys.set_int_max_str_digits(limit)
+        set_limit(limit)
 
 
 def _check_trunc(trunc: int) -> None:
@@ -412,6 +411,4 @@ def factor_series(
         else:
             terms = range(1, min(k, j + 2))
             f.append(sum((mult * i - j + i - 1) * f[j + 1 - i] for i in terms) // (j + 1))
-    out = [0] * (trunc + 1)
-    out[::d] = f
-    return TruncatedSeries(out)
+    return TruncatedSeries(_spread(f, d, trunc))

@@ -71,9 +71,7 @@ def _raises(error: type[Exception], fn, *args) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# random spec generation (shared with the test suite)
-# ---------------------------------------------------------------------------
+# -- random spec generation (shared with the test suite) ---------------------
 
 
 def random_spec(rng: random.Random, max_families: int = 5) -> algebra.AlgebraSpec:
@@ -119,9 +117,7 @@ def random_series(rng: random.Random, trunc: int) -> series.TruncatedSeries:
 
 
 
-# ---------------------------------------------------------------------------
-# suite: series
-# ---------------------------------------------------------------------------
+# -- suite: series -----------------------------------------------------------
 
 
 def _suite_series(rng: random.Random) -> Checks:
@@ -165,9 +161,7 @@ def _suite_series(rng: random.Random) -> Checks:
            f"{n_trials} random series: cumulative == 1/(1-t) product and dominates")
 
 
-# ---------------------------------------------------------------------------
-# suite: algebra
-# ---------------------------------------------------------------------------
+# -- suite: algebra ----------------------------------------------------------
 
 
 def _suite_algebra(rng: random.Random) -> Checks:
@@ -205,9 +199,7 @@ def _suite_algebra(rng: random.Random) -> Checks:
            f"{n_specs} random specs")
 
 
-# ---------------------------------------------------------------------------
-# suite: presets
-# ---------------------------------------------------------------------------
+# -- suite: presets ----------------------------------------------------------
 
 
 def _suite_presets(rng: random.Random) -> Checks:
@@ -241,9 +233,7 @@ def _suite_presets(rng: random.Random) -> Checks:
            "may_model/dual_steenrod/q_poly at p in {2, 3}, N = 20")
 
 
-# ---------------------------------------------------------------------------
-# suite: torsion
-# ---------------------------------------------------------------------------
+# -- suite: torsion ----------------------------------------------------------
 
 
 def _span(p: int) -> int:
@@ -450,9 +440,7 @@ def _suite_torsion(rng: random.Random) -> Checks:
            "exact(n) <= exact(n + 2p-2) + (1 + max window valuation), sampled")
 
 
-# ---------------------------------------------------------------------------
-# suite: ehp
-# ---------------------------------------------------------------------------
+# -- suite: ehp --------------------------------------------------------------
 
 
 def _shifted_set(n: int, top: int) -> dict[tuple[int, ...], int]:
@@ -529,9 +517,7 @@ def _suite_ehp(rng: random.Random) -> Checks:
            "doubling identity and connectedness guard")
 
 
-# ---------------------------------------------------------------------------
-# suite: asymptotics
-# ---------------------------------------------------------------------------
+# -- suite: asymptotics ------------------------------------------------------
 
 
 def _suite_asymptotics(rng: random.Random) -> Checks:
@@ -555,9 +541,7 @@ def _suite_asymptotics(rng: random.Random) -> Checks:
            f"(recorded, not asserted)")
 
 
-# ---------------------------------------------------------------------------
-# driver
-# ---------------------------------------------------------------------------
+# -- driver ------------------------------------------------------------------
 
 
 SUITES = {

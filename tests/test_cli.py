@@ -1,4 +1,7 @@
 import contextlib
+import csv
+import functools
+import io
 import json
 import subprocess
 import sys
@@ -6,9 +9,11 @@ import sys
 import pytest
 
 import stemsize
-from stemsize import asymptotics, series
+from stemsize import algebra, asymptotics, series
 from stemsize.algebra import hilbert, parse_spec
 from stemsize.cli import CliError, main, parse_points
+from stemsize.ehp import a_series
+from stemsize.presets import preset
 
 
 def run_cli(*argv, timeout=None):
@@ -473,3 +478,135 @@ class TestSharedParser:
         assert first[1][2].startswith("stemsize: error: ")
         assert first[3][3].splitlines()[:3] == ["0,1", "1,1", "2,1"]
         assert run_round() == first
+
+
+SMALL_SPEC = "p = 2\ngen poly deg = 1\ngen ext deg = 2\n"
+
+
+def series_request(command, n, tmp_path):
+    """argv of a series request truncated at n, and the series it prints."""
+    if command == "hilbert":
+        spec = tmp_path / "small.txt"
+        spec.write_text(SMALL_SPEC)
+        return (["hilbert", "--spec", str(spec), "--max-degree", str(n)],
+                hilbert(parse_spec(SMALL_SPEC), n))
+    if command == "preset":
+        return (["preset", "--name", "dual_steenrod", "--p", "3", "--max-degree", str(n)],
+                hilbert(preset("dual_steenrod", 3), n))
+    return ["ehp", "--p", "2", "--excess", "1", "--max-degree", str(n)], a_series(2, 1, n)
+
+
+def whole_text(s, fmt):
+    """The output text of series s built in one piece, as the CLI wrote it
+    before it wrote in pieces."""
+    digits = [str(c) for c in s]
+    if fmt == "json":
+        return json.dumps({"trunc": s.trunc, "coeffs": digits})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in enumerate(digits):
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def default_digit_limit():
+    """The digit limit the interpreter started with (None before 3.11)."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return None
+    configured = sys.flags.int_max_str_digits
+    return sys.int_info.default_max_str_digits if configured == -1 else configured
+
+
+class TestSeriesOutputInPieces:
+    @pytest.mark.parametrize("command", ["hilbert", "preset", "ehp"])
+    @pytest.mark.parametrize("per_piece, length", [(1, 1), (1, 2), (3, 1), (3, 3), (3, 4)])
+    def test_pieces_match_whole_text(self, tmp_path, capsys, monkeypatch,
+                                     command, per_piece, length):
+        argv, want = series_request(command, length - 1, tmp_path)
+        monkeypatch.setattr(series, "_PIECE_BITS", per_piece * (max(want).bit_length() + 1))
+        sizes = []
+        digits = series._digits
+        monkeypatch.setattr(series, "_digits", lambda piece: sizes.append(len(piece))
+                            or digits(piece))
+        for fmt in ("json", "csv"):
+            text = whole_text(want, fmt)
+            sizes.clear()
+            assert main([*argv, "--format", fmt]) == 0
+            assert capsys.readouterr() == (text + "\n" * (fmt == "json"), "")
+            assert sum(sizes) == length and max(sizes) == min(per_piece, length)
+            out = tmp_path / f"out.{fmt}"
+            assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+            assert out.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_over_budget_writes_nothing(self, tmp_path, capsys, monkeypatch, fmt):
+        # the guard trips before any byte is written or any file opened
+        monkeypatch.setattr(algebra, "hilbert", functools.cache(hilbert))
+        spec = tmp_path / "spec.txt"
+        spec.write_text(BIG_MULT_SPEC)
+        argv = ["hilbert", "--spec", str(spec), "--max-degree", "3000", "--format", fmt]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+        existing = tmp_path / "existing.txt"
+        existing.write_bytes(b"kept\r\nas it was")
+        assert main([*argv, "--out", str(existing)]) == 3
+        assert existing.read_bytes() == b"kept\r\nas it was"
+        absent = tmp_path / "absent.txt"
+        assert main([*argv, "--out", str(absent)]) == 3
+        assert not absent.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, fmt):
+        argv, _ = series_request("hilbert", 5, tmp_path)
+        out = tmp_path / "missing" / "out.txt"
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 1
+        assert not out.parent.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"stemsize: error: cannot write output '{out}': ")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_sees_the_digit_limit(self, tmp_path, monkeypatch, fmt):
+        # c_500 of 1/(1 - t)^(10^12) has 4,866 digits, past the default 4,300
+        spec = tmp_path / "spec.txt"
+        spec.write_text("p = 2\ngen poly deg = 1 mult = 1000000000000\n")
+        limit = default_digit_limit()
+        assert sys.get_int_max_str_digits() == limit
+        seen = []
+
+        class Checking(io.StringIO):
+            def write(self, text):
+                seen.append(sys.get_int_max_str_digits())
+                return super().write(text)
+
+        stdout = Checking()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["hilbert", "--spec", str(spec), "--max-degree", "500",
+                     "--format", fmt]) == 0
+        assert set(seen) == {limit} and sys.get_int_max_str_digits() == limit
+        want = hilbert(parse_spec(spec.read_text()), 500)
+        with no_digit_limit():
+            assert stdout.getvalue() == whole_text(want, fmt) + "\n" * (fmt == "json")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_error_exits_one(self, capsys, monkeypatch, fmt):
+        limit = default_digit_limit()
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+        class Failing:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", Failing())
+            code = main(["ehp", "--p", "2", "--excess", "1", "--format", fmt])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            "stemsize: error: cannot write output '-': "
+            "[Errno 28] No space left on device\n"
+        ))
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from stemsize import verify
-from stemsize.algebra import _plan, instantiate
+from stemsize.algebra import _plan, hilbert, instantiate, parse_spec
 from stemsize.ehp import a_series
 from stemsize.presets import preset
 
@@ -79,3 +79,22 @@ def test_performance_report_times_the_listing():
         assert re.fullmatch(rf"listing  I\({n}\), p = {p}, cap {cap}: \d+\.\d ms CPU, "
                             rf"{count} sequences", line)
     assert re.fullmatch(r"listing  I\(1\), p = 2, cap 200: \d+\.\d ms CPU, exit 3", lines[2])
+
+
+def test_performance_report_measures_output_peaks():
+    lines = run_performance_report("measure_output(trunc=64, big_trunc=50)").splitlines()
+    labels = ["preset may_e1, p = 2, N = 64, JSON to stdout",
+              "hilbert of mult 10^8 in degree 1, N = 50, JSON to a file",
+              "hilbert of mult 10^8 in degree 1, N = 50, CSV to a file"]
+    assert len(lines) == len(labels)
+    sizes = []
+    for label, line in zip(labels, lines):
+        match = re.fullmatch(rf"output   {re.escape(label)}: peak RSS (\d+\.\d) MB, "
+                             r"(-?\d+\.\d) MB above import, (\d+) bytes, exit 0", line)
+        assert match, line
+        assert float(match[1]) > 0 and float(match[2]) >= 0
+        sizes.append(int(match[3]))
+    # the may_e1 JSON, with the newline after it on stdout, and the files
+    assert sizes[0] == len(hilbert(preset("may_e1", 2, drop_q0=True), 64).to_json()) + 1
+    big = hilbert(parse_spec("p = 2\ngen poly deg = 1 mult = 100000000\n"), 50)
+    assert sizes[1:] == [len(big.to_json()), sum(len(f"{n},{c}\n") for n, c in big.csv_rows())]

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import sys
@@ -588,3 +589,108 @@ class TestSerialization:
         with pytest.raises(RuntimeError, match="conversion failed"):
             S(1, 2).to_json()
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def whole_json(a):
+    """The JSON text of `a` built in one piece, as `to_json` did before it
+    wrote in pieces."""
+    return json.dumps({"trunc": a.trunc, "coeffs": [str(c) for c in a]})
+
+
+def digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def default_digit_limit():
+    """The digit limit the interpreter started with (None before 3.11)."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return None
+    configured = sys.flags.int_max_str_digits
+    return sys.int_info.default_max_str_digits if configured == -1 else configured
+
+
+class TestPieces:
+    """Decimal output in pieces of `_PIECE_BITS // (top + 1)` coefficients,
+    top the largest bit length, matches the text built whole."""
+
+    @pytest.mark.parametrize("per_piece, length", [(1, 1), (1, 2), (3, 1), (3, 3), (3, 4)])
+    def test_pieces_match_whole_text(self, monkeypatch, per_piece, length):
+        a = TruncatedSeries(7**i * 10**20 + i for i in range(length))
+        top = max(a).bit_length()
+        monkeypatch.setattr(series, "_PIECE_BITS", per_piece * (top + 1))
+        sizes = [len(piece) for piece in series._decimal(a.coeffs)]
+        assert sizes == [per_piece] * (length // per_piece) + [length % per_piece] * (
+            length % per_piece > 0)
+        stream = io.StringIO()
+        assert a.to_json(stream) is None
+        assert stream.getvalue() == a.to_json() == whole_json(a)
+        assert a.to_json_obj() == json.loads(whole_json(a))
+        assert list(a.csv_rows()) == [(n, str(c)) for n, c in enumerate(a)]
+
+    @pytest.mark.parametrize("bits, length, sizes", [
+        (0, 2**16 + 1, [2**16, 1]),  # all zero: top = 0
+        (10, 6000, [5957, 43]),  # 2^16 // 11 = 5957
+        (2**16, 2, [1, 1]),  # 2^16 // (2^16 + 1) = 0: one per piece
+    ])
+    def test_piece_length(self, bits, length, sizes):
+        a = TruncatedSeries([1 << bits >> 1] * length)
+        assert max(a).bit_length() == bits
+        assert [len(piece) for piece in series._decimal(a.coeffs)] == sizes
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**80), min_size=1, max_size=12),
+           st.integers(min_value=1, max_value=200))
+    def test_any_piece_size(self, coeffs, piece_bits):
+        a = TruncatedSeries(coeffs)
+        old = series._PIECE_BITS
+        series._PIECE_BITS = piece_bits
+        try:
+            stream = io.StringIO()
+            a.to_json(stream)
+            rows = list(a.csv_rows())
+        finally:
+            series._PIECE_BITS = old
+        assert stream.getvalue() == whole_json(a)
+        assert rows == [(n, str(c)) for n, c in enumerate(coeffs)]
+
+    def test_over_budget_writes_nothing(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_DECIMAL_COST", 1)
+        stream = io.StringIO()
+        with pytest.raises(ResourceLimitError):
+            S(1, 2).to_json(stream)
+        assert stream.getvalue() == ""
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"
+    )
+    def test_stream_sees_the_digit_limit(self, monkeypatch):
+        # each piece is one coefficient, of 5001 digits: the limit is lifted
+        # while a piece converts and back in place whenever the stream writes
+        monkeypatch.setattr(series, "_PIECE_BITS", 1)
+        a = S(10**5000, 1, 10**5000)
+        limit = default_digit_limit()
+        assert digit_limit() == limit
+        seen = []
+
+        class Checking(io.StringIO):
+            def write(self, text):
+                seen.append(digit_limit())
+                return super().write(text)
+
+        stream = Checking()
+        a.to_json(stream)
+        assert len(seen) == 5 and set(seen) == {limit}
+        assert digit_limit() == limit
+        assert stream.getvalue() == '{"trunc": 2, "coeffs": ["%s", "1", "%s"]}' % (
+            ("1" + "0" * 5000,) * 2)
+
+    def test_stream_error_restores_digit_limit(self):
+        limit = default_digit_limit()
+        assert digit_limit() == limit
+
+        class Failing:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            S(1, 10**5000).to_json(Failing())
+        assert digit_limit() == limit
