@@ -54,15 +54,22 @@ and the estimated list coefficient additions.
   divisibility chain, so a generator of degree d folds on N // d + 1
   coefficients.  Measured at N = 2^18 - 1 (the m = 18 upper bracketing
   check) and at N = 1,490,853 = C(14, 2) (2^14 - 1) (the m = 14 lower check).
-- ehp: A(1;t) at p = 2, N = 300 (3.0M sequences), counted by the
-  prefix-sum census of `stemsize.ehp`, so the time grows with N, not with
-  the counts; the enumerators it replaced took seconds here.  Then P(A;t)
-  at p = 2, N = 4000, twice: by `admissible_series`, which folds the dual
-  Steenrod algebra in `hilbert` (Milnor's theorem), and by the admissible
-  census `ehp._admissible_counts` that the tests and `verify` check it
-  against, whose O(N^2) rows took 1.1 s and a 310 MB RSS peak (2-vCPU VM,
+- ehp: A(1;t) at p = 2, N = 300 (3.0M sequences) and N = 20000, by the
+  fold of `stemsize.ehp`, which adds the partial products of the dual
+  Steenrod fold, shifted, so the time grows as N log N, not with the
+  counts; best of 3 CPU times of the uncached fold, and the peak RSS of
+  `stemsize ehp --p 2 --excess 1 --max-degree N` in a child interpreter,
+  read as in output below.  The O(N^2) chain census the fold replaced
+  took 0.64 s and peaked at 173 MB at N = 3000, and ran out of a 2 GB
+  address space at N = 20000; the fold takes 0.12 s and 16 MB there,
+  and 0.20 s and 19 MB at N = 20000, as whole CLI requests (2-vCPU VM,
+  Python 3.11.7).  Then P(A;t) at p = 2, N = 4000, twice: by
+  `admissible_series`, which folds the dual Steenrod algebra in `hilbert`
+  (Milnor's theorem), and by the admissible census
+  `ehp._admissible_counts` that the tests and `verify` check it against,
+  whose O(N^2) rows took 1.1 s and a 310 MB RSS peak (2-vCPU VM,
   Python 3.11.7) against about 2 ms for `hilbert`.
-- listing: `enumerate_I`, the census's oracle and the engine of
+- listing: `enumerate_I`, the oracle of `a_series` and the engine of
   `stemsize ehp --max-dim`, best of 3 CPU times, with the number of
   sequences listed or "exit 3" where the 100,000-sequence guard trips:
   I(1) at p = 2, cap 120 (42,326 sequences), at p = 3, cap 200 (3,708), and
@@ -91,9 +98,9 @@ import sys
 import tempfile
 import time
 
-from stemsize import algebra, cli, verify
+from stemsize import algebra, cli, ehp, verify
 from stemsize.algebra import AlgebraSpec, hilbert_cumulative, parse_spec
-from stemsize.ehp import _admissible_counts, a_series, admissible_series, enumerate_I
+from stemsize.ehp import _admissible_counts, admissible_series, enumerate_I
 from stemsize.presets import preset
 from stemsize.series import ResourceLimitError
 
@@ -320,6 +327,16 @@ def measure_output(trunc: int = 2**14, big_trunc: int = 2000) -> None:
                   f"above import, {written} bytes, exit {rc}")
 
 
+def measure_ehp(truncs=(300, 20000), repeats: int = 3) -> None:
+    for trunc in truncs:
+        # `_a_counts` is cached: time the fold beneath the cache
+        elapsed, counts = best_cpu(ehp._a_counts.__wrapped__, 2, 1, trunc, repeats=repeats)
+        rc, _, peak, _ = output_peak(["ehp", "--p", "2", "--excess", "1",
+                                      "--max-degree", str(trunc)])
+        print(f"{'ehp':8} A(1;t) by the fold, p = 2, N = {trunc}: {elapsed * 1000:.1f} ms "
+              f"CPU, {sum(counts)} counted; stemsize ehp peak RSS {peak:.1f} MB, exit {rc}")
+
+
 LISTING_CASES = ((2, 1, 120), (3, 1, 200), (2, 1, 200))
 
 
@@ -352,7 +369,7 @@ def main() -> None:
     measure_nilpotent()
     measure_preset("chain", "may_model", 2**18 - 1)
     measure_preset("chain", "may_model", 14 * 13 // 2 * (2**14 - 1))
-    measure_census("A(1;t), p = 2, N = 300", a_series, 2, 1, 300)
+    measure_ehp()
     measure_census("P(A;t) by hilbert, p = 2, N = 4000", admissible_series, 2, 4000)
     measure_census("P(A;t) by census, p = 2, N = 4000", _admissible_counts, 2, 4000)
     measure_listing()

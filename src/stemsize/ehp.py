@@ -6,15 +6,15 @@ i_s > 2 i_{s+1}; dim(J) = sum (i_s - 1).  At odd p the entries are pairs
 (eps_s, i_s) with eps_s in {0,1}, 2 i_k >= n and i_s > p i_{s+1} - eps_{s+1};
 dim(J) = sum (2(p-1) i_s - eps_s - 1).
 
-A(n;t) is counted by a prefix-sum chain census, whose oracle is the listing
-`enumerate_I`.  The EHP recurrences refer to larger excess, but they do
-ground out: at p = 2, A(m;t) is 1 through degree N once m >= N + 2, and run
-downward from there the recurrence reproduces `a_series` (checked at
-N = 40).  The census stays the production path so that
-`verify_ehp_recurrence` remains a check independent of it.  P(A;t) is the
-Hilbert series of the dual Steenrod algebra (Milnor's theorem), so it comes
-from `hilbert` of the `dual_steenrod` preset; the same census, counting
-admissible monomials, is kept uncached as its independent oracle.
+One fold gives both series.  P(A;t) is the Hilbert series of the dual
+Steenrod algebra (Milnor's theorem), `hilbert` of the `dual_steenrod`
+preset.  Written by its gaps, J in I(n) of length k is m_k(n) plus b_j >= 0
+copies of each degree of the first k dual Steenrod factors, so
+A(n;t) = sum_k t^m_k(n) H_k(t), H_k their product: m_k(n) is
+(n+1)(2^k - 1) - 2k at p = 2 and 2 ceil(n/2)(p^k - 1) - 2k at odd p.  The
+listing `enumerate_I` is the independent oracle of A(n;t);
+`verify_ehp_recurrence` relates folds at different n, and the O(N^2) chain
+census `_admissible_counts` checks P(A;t).
 
 Where A(n;t) <= P(A;t) holds:
 
@@ -32,7 +32,9 @@ Where A(n;t) <= P(A;t) holds:
   further degrees = 4, 5 mod 8 from two-entry sequences.
 - Whether this odd-p grading is the paper's is not settled: the paper's
   abstract does not say.  If it is, unstable_ext_bound is not a valid
-  upper bound at odd p.
+  upper bound at odd p.  P(A;t)/H_k has nonnegative coefficients and
+  constant term 1, so A(n;t) <= S_n(t) P(A;t) at every p, where
+  S_n(t) = sum_k t^m_k(n).
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from functools import lru_cache
 from operator import add
 
 from ._frozen import Frozen, set_field
-from .algebra import hilbert, is_prime
+from .algebra import hilbert, instantiate, is_prime
 from .presets import preset
-from .series import ResourceLimitError, TruncatedSeries, SeriesError
+from .series import ResourceLimitError, TruncatedSeries, SeriesError, _fold
 
 __all__ = [
     "CUSeq",
@@ -98,9 +100,9 @@ def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:
     """Every J in I(n) with dim(J) <= max_dim, exactly once, lexicographically.
 
     Raises `ResourceLimitError` once the listing passes `MAX_LISTING`
-    sequences.  The guard counts as it lists: the census `a_series` would
-    count in advance, but its table has a row of max_dim + 1 entries per
-    singleton, which at a large excess costs far more than the listing.
+    sequences.  The guard counts as it lists: `a_series` would count in
+    advance, but in a list of max_dim + 1 coefficients, and a cap may be
+    far larger than any list.
     """
     _require_prime(p)
     if n < 1:
@@ -133,21 +135,6 @@ def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:
     return [CUSeq(p, n, seq) for seq in out]
 
 
-def _count_chains(trunc: int, entries) -> list[int]:
-    """Count chains of entries by total dimension through trunc, in O(N^2).
-
-    Entries (dim, k) come in nondecreasing dim, and each may stand left of
-    exactly the first k entries.  sums[j] is 1 plus the rows of the first j
-    entries, where an entry's row t^dim * sums[k] counts the chains it starts.
-    """
-    sums = [[1] + [0] * trunc]
-    for dim, k in entries:
-        if dim > trunc:
-            break
-        sums.append(sums[-1][:dim] + list(map(add, sums[-1][dim:], sums[k])))
-    return sums[-1]
-
-
 @lru_cache(maxsize=4096)
 def _a_counts(p: int, n: int, max_dim: int) -> tuple[int, ...]:
     _require_prime(p)
@@ -155,18 +142,19 @@ def _a_counts(p: int, n: int, max_dim: int) -> tuple[int, ...]:
         raise ValueError("excess must be >= 1")
     if max_dim < 0:
         raise ValueError("truncation must be nonnegative")
-    if p == 2:
-        # entry i >= n may precede j >= n iff j <= (i - 1) // 2
-        entries = ((i - 1, max(0, (i - 1) // 2 - n + 1)) for i in range(n, max_dim + 2))
-        return tuple(_count_chains(max_dim, entries))
-    # (eps, i) may precede (eps', j) iff j <= (i - 1 + eps') // p: both
-    # entries of every j <= (i - 1) // p, and (1, i // p) when p | i
-    w, lo = 2 * (p - 1), (n + 1) // 2
-    entries = []
-    for i in range(lo, (max_dim + 2) // w + 1):
-        k = 2 * max(0, (i - 1) // p - lo + 1) + (i % p == 0 and i // p >= lo)
-        entries += [(w * i - 2, k), (w * i - 1, k)]  # (1, i), then (0, i)
-    return tuple(_count_chains(max_dim, entries))
+    # In degree order the dual Steenrod generators are xi_1, xi_2, ... at
+    # p = 2 and tau_0, xi_1, tau_1, xi_2, ... at odd p: H_k is the first k,
+    # or 2k, of them, folded into one list h and added at offset m_k(n).
+    gens = instantiate(preset("dual_steenrod", p), max_dim)
+    step, c = (1, n + 1) if p == 2 else (2, 2 * ((n + 1) // 2))
+    out, h, k = [0] * (max_dim + 1), [1] + [0] * max_dim, 0
+    # m_k(n) = c (p^k - 1) - 2k never decreases in k (module docstring)
+    while (m := c * (p**k - 1) - 2 * k) <= max_dim:
+        out[m:] = map(add, out[m:], h)
+        for kind, d, _ in gens[step * k : step * k + step]:
+            _fold(h, kind, d)
+        k += 1
+    return tuple(out)
 
 
 def a_series(p: int, n: int, trunc: int) -> TruncatedSeries:
@@ -201,18 +189,30 @@ def verify_ehp_recurrence(p: int, n: int, trunc: int) -> bool:
 
 
 def _admissible_counts(p: int, trunc: int) -> tuple[int, ...]:
-    """Admissible Steenrod monomials by grading through trunc, counted by the
-    chain census: the oracle for `admissible_series`."""
+    """Admissible Steenrod monomials by grading through trunc, counted as
+    chains in O(N^2): the oracle for `admissible_series`.
+
+    Entries (dim, k) come in nondecreasing dim, and each may stand left of
+    exactly the first k entries.  sums[j] is 1 plus the rows of the first j
+    entries, where an entry's row t^dim * sums[k] counts the chains it starts.
+    """
     _require_prime(p)
     if p == 2:  # admissible i_s >= 2 i_{s+1}, i_k >= 1, graded by sum i_s
-        return tuple(_count_chains(trunc, ((i, i // 2) for i in range(1, trunc + 1))))
-    # b^e0 P^{i_1} b^e1 ... P^{i_k} b^ek, graded by e0 + sum (2(p-1) i_s + e_s):
-    # (e, i) may precede both entries of every j with i >= p j + e
-    w = 2 * (p - 1)
-    entries = [(w * i + e, 2 * ((i - e) // p))
-               for i in range(1, trunc // w + 1) for e in (0, 1)]
-    counts = _count_chains(trunc, entries)
-    counts[1:] = map(add, counts[1:], counts)  # the leading Bockstein e0
+        entries = [(i, i // 2) for i in range(1, trunc + 1)]
+    else:
+        # b^e0 P^{i_1} b^e1 ... P^{i_k} b^ek, graded by e0 + sum (2(p-1) i_s
+        # + e_s): (e, i) may precede both entries of every j with i >= p j + e
+        w = 2 * (p - 1)
+        entries = [(w * i + e, 2 * ((i - e) // p))
+                   for i in range(1, trunc // w + 1) for e in (0, 1)]
+    sums = [[1] + [0] * trunc]
+    for dim, k in entries:
+        if dim > trunc:
+            break
+        sums.append(sums[-1][:dim] + list(map(add, sums[-1][dim:], sums[k])))
+    counts = sums[-1]
+    if p > 2:
+        counts[1:] = map(add, counts[1:], counts)  # the leading Bockstein e0
     return tuple(counts)
 
 
@@ -236,9 +236,9 @@ def unstable_ext_bound(
     series of the module M.  varpi_a must be a caller-declared upper bound
     for the stable Ext rank series.
 
-    At p = 2 the factor P(A;t) dominates the census A(n;t) for n >= 2.  At
-    odd p, under this module's grading, it does not: at p = 3 the census
-    exceeds it by 1 in degrees 7, 11, 15 and 19 (see the module docstring).
+    At p = 2 the factor P(A;t) dominates A(n;t) for n >= 2.  At odd p,
+    under this module's grading, it does not: at p = 3 A(n;t) exceeds it
+    by 1 in degrees 7, 11, 15 and 19 (see the module docstring).
     There the result is not known to be an upper bound.
     """
     return admissible_series(p, trunc).mul(varpi_a).mul(m_series)

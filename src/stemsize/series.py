@@ -169,10 +169,10 @@ class TruncatedSeries:
         return hash(self._coeffs)
 
     def __repr__(self) -> str:
-        if len(self._coeffs) <= 12:
-            return f"TruncatedSeries({list(self._coeffs)})"
-        head = ", ".join(map(str, self._coeffs[:10]))
-        return f"TruncatedSeries([{head}, ...], trunc={self.trunc})"
+        c = self._coeffs
+        if len(c) <= 12:
+            return f"TruncatedSeries([{', '.join(_digits(c))}])"
+        return f"TruncatedSeries([{', '.join(_digits(c[:10]))}, ...], trunc={self.trunc})"
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
 import subprocess
@@ -308,6 +309,27 @@ class TestEhp:
         )
         assert code == 0
         assert out.splitlines() == ["0,2", "1,1", "2,2", "3,2"]
+
+    # SHA-256 of stdout, pinned from the O(N^2) chain census that computed
+    # A(n;t) before the fold
+    @pytest.mark.parametrize("argv, digest", [
+        (("--p", "2", "--excess", "1", "--max-degree", "3000"),
+         "e02df1bd79362ca3ca9720fd42bc2bc1d5e7c97e71c8c9edfa6d372520b29c72"),
+        (("--p", "3", "--excess", "2", "--max-degree", "3000", "--format", "csv"),
+         "c7df2799e9cafca355dc8a049014ac3c6ab679cda7958800059cd4aadc3c6aaf"),
+    ], ids=["p2_json", "p3_csv"])
+    def test_a_series_digest(self, argv, digest):
+        code, out, err = run_cli("ehp", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_a_series_large_truncation(self):
+        # the census ran out of memory here; the fold needs O(N)
+        code, out, err = run_cli(
+            "ehp", "--p", "2", "--excess", "1", "--max-degree", "20000", timeout=20
+        )
+        assert (code, err) == (0, "")
+        assert out == a_series(2, 1, 20000).to_json() + "\n"
 
     @pytest.mark.parametrize(
         "limit, message",

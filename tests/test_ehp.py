@@ -1,6 +1,8 @@
 import hashlib
 import subprocess
 import sys
+from itertools import count, takewhile
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,41 @@ def census(p, n, trunc):
     for J in enumerate_I(p, n, trunc):
         counts[J.dim] += 1
     return TruncatedSeries(counts)
+
+
+def chain_census(p, n, trunc):
+    """A(n;t) by the O(N^2) prefix-sum census of chains of entries that
+    computed `a_series` before the fold: a reference that reaches
+    truncations the listing cannot.
+
+    Entries (dim, k) come in nondecreasing dim, and each may stand left of
+    exactly the first k entries.  sums[j] is 1 plus the rows of the first j
+    entries, where an entry's row t^dim * sums[k] counts the chains it starts.
+    """
+    if p == 2:
+        # entry i >= n may precede j >= n iff j <= (i - 1) // 2
+        entries = [(i - 1, max(0, (i - 1) // 2 - n + 1)) for i in range(n, trunc + 2)]
+    else:
+        # (eps, i) may precede (eps', j) iff j <= (i - 1 + eps') // p: both
+        # entries of every j <= (i - 1) // p, and (1, i // p) when p | i
+        w, lo = 2 * (p - 1), (n + 1) // 2
+        entries = []
+        for i in range(lo, (trunc + 2) // w + 1):
+            k = 2 * max(0, (i - 1) // p - lo + 1) + (i % p == 0 and i // p >= lo)
+            entries += [(w * i - 2, k), (w * i - 1, k)]  # (1, i), then (0, i)
+    sums = [[1] + [0] * trunc]
+    for dim, k in entries:
+        if dim > trunc:
+            break
+        sums.append(sums[-1][:dim] + list(map(add, sums[-1][dim:], sums[k])))
+    return TruncatedSeries(sums[-1])
+
+
+def shifts(p, n, trunc):
+    """m_k(n) for k = 0, 1, ... while it is at most trunc: the least
+    dimension of a sequence of length k in I(n)."""
+    c = n + 1 if p == 2 else 2 * ((n + 1) // 2)
+    return list(takewhile(lambda m: m <= trunc, (c * (p**k - 1) - 2 * k for k in count())))
 
 
 def admissible_counts_reference(p: int, trunc: int) -> tuple[int, ...]:
@@ -229,9 +266,10 @@ class TestASeries:
 
 
 class TestCensusKernel:
-    """The prefix-sum census against the enumerators it replaced, and the
-    admissible census against `hilbert` of the dual Steenrod algebra
-    (Milnor's theorem), which computes `admissible_series`."""
+    """The fold `a_series` against the listing and against the prefix-sum
+    chain census it replaced, and the admissible census against `hilbert` of
+    the dual Steenrod algebra (Milnor's theorem), which computes
+    `admissible_series`."""
 
     @given(
         st.sampled_from([2, 3, 5, 7]),
@@ -241,6 +279,24 @@ class TestCensusKernel:
     @settings(max_examples=150, deadline=None)
     def test_a_series_matches_enumeration(self, p, n, trunc):
         assert a_series(p, n, trunc) == census(p, n, trunc)
+
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_series_matches_chain_census(self, p, n, trunc):
+        assert a_series(p, n, trunc) == chain_census(p, n, trunc)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_shifts_are_least_dimensions(self, p):
+        # m_k(n) is where the sequences of length k start
+        for n in range(1, 9):
+            least = {}
+            for J in enumerate_I(p, n, 60):
+                least[len(J.entries)] = min(least.get(len(J.entries), J.dim), J.dim)
+            assert sorted(least.values()) == shifts(p, n, 60)
 
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=120))
     @settings(max_examples=100, deadline=None)
@@ -328,6 +384,30 @@ class TestUnstableBounds:
         assert default_varpi_a(2, 10) == hilbert(
             preset("may_e1", 2, drop_q0=True), 10
         )
+
+
+class TestEnvelope:
+    """P(A;t) is H_k times a series with nonnegative coefficients and
+    constant term 1, so each H_k <= P(A;t) and
+    A(n;t) = sum_k t^m_k(n) H_k <= S_n(t) P(A;t), S_n(t) = sum_k t^m_k(n),
+    at every p, where plain A(n;t) <= P(A;t) fails."""
+
+    def test_envelope_holds_where_domination_fails(self):
+        N = 400
+        dominated = {}
+        for p in (2, 3, 5):
+            P = admissible_series(p, N)
+            for n in (1, 2, 3, 5, 8):
+                s_n = [0] * (N + 1)
+                for m in shifts(p, n, N):
+                    s_n[m] += 1  # at p = 2, n = 1, m_0 = m_1 = 0
+                A = a_series(p, n, N)
+                assert A.leq(P.mul(TruncatedSeries(s_n)))
+                dominated[p, n] = A.leq(P)
+        assert [case for case, ok in dominated.items() if not ok] == [
+            (2, 1), (3, 1), (3, 2), (3, 3), (3, 5), (3, 8),
+            (5, 1), (5, 2), (5, 3), (5, 5), (5, 8),
+        ]
 
 
 class TestCUSeqJson:

@@ -98,3 +98,15 @@ def test_performance_report_measures_output_peaks():
     assert sizes[0] == len(hilbert(preset("may_e1", 2, drop_q0=True), 64).to_json()) + 1
     big = hilbert(parse_spec("p = 2\ngen poly deg = 1 mult = 100000000\n"), 50)
     assert sizes[1:] == [len(big.to_json()), sum(len(f"{n},{c}\n") for n, c in big.csv_rows())]
+
+
+def test_performance_report_times_the_ehp_fold():
+    lines = run_performance_report("measure_ehp(truncs=(12, 40), repeats=1)").splitlines()
+    assert len(lines) == 2
+    for trunc, line in zip((12, 40), lines):
+        match = re.fullmatch(rf"ehp      A\(1;t\) by the fold, p = 2, N = {trunc}: \d+\.\d ms "
+                             r"CPU, (\d+) counted; stemsize ehp peak RSS (\d+\.\d) MB, exit 0",
+                             line)
+        assert match, line
+        assert int(match[1]) == sum(a_series(2, 1, trunc))
+        assert float(match[2]) > 0

@@ -548,6 +548,17 @@ class TestSerialization:
         assert list(a.csv_rows()) == [(0, "1"), (1, text)]
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    def test_repr_past_interpreter_limit(self):
+        text = "1" + "0" * 5000
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert repr(S(1, 10**5000)) == f"TruncatedSeries([1, {text}])"
+        # past 12 coefficients only the first 10 are written
+        big = S(10**5000, *range(1, 13))
+        assert repr(big) == (
+            f"TruncatedSeries([{text}, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...], trunc=12)"
+        )
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"
     )
