@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the import and per-request fixed cost of the CLI, cumulative rank
-series at large truncations in three fold regimes, and the EHP series A(n;t)
-and P(A;t).  Run with ``src`` on PYTHONPATH.
+series at large truncations in three fold regimes and on the gcd lattice,
+and the EHP series A(n;t) and P(A;t).  Run with ``src`` on PYTHONPATH.
 
 - import: `import stemsize.cli` in 15 fresh interpreters, by the thread
   time of the import, as median and quartiles; twice.  First with
@@ -54,6 +54,14 @@ and the estimated list coefficient additions.
   divisibility chain, so a generator of degree d folds on N // d + 1
   coefficients.  Measured at N = 2^18 - 1 (the m = 18 upper bracketing
   check) and at N = 1,490,853 = C(14, 2) (2^14 - 1) (the m = 14 lower check).
+- lattice: cumulative ranks of p-power chains, best of 5 CPU times.
+  `hilbert_cumulative` sums the fold's coefficients on the multiples of
+  the gcd g of the degrees and holds each sum over its block of g degrees;
+  `max_over_h` walks the runs on which each cumulative rank is constant.
+  Timed: `max_over_h` of r_h_einf at p = 2, N = 2^12 - 1 (the m = 12
+  bracketing check), and `hilbert_cumulative` of may_model at
+  N = 18396 = C(9, 2) (2^9 - 1) (the m = 9 lower check) and of s_k, k = 1,
+  at N = 2^13, each with its g.
 - ehp: A(1;t) at p = 2, N = 300 (3.0M sequences) and N = 20000, by the
   fold of `stemsize.ehp`, which adds the partial products of the dual
   Steenrod fold, shifted, so the time grows as N log N, not with the
@@ -101,7 +109,7 @@ import time
 from stemsize import algebra, cli, ehp, verify
 from stemsize.algebra import AlgebraSpec, hilbert_cumulative, parse_spec
 from stemsize.ehp import _admissible_counts, admissible_series, enumerate_I
-from stemsize.presets import preset
+from stemsize.presets import max_over_h, preset
 from stemsize.series import ResourceLimitError
 
 TRUNC_SPEC = """\
@@ -327,6 +335,18 @@ def measure_output(trunc: int = 2**14, big_trunc: int = 2000) -> None:
                   f"above import, {written} bytes, exit {rc}")
 
 
+def measure_lattice(max_trunc: int = 2**12 - 1, may_trunc: int = 18396,
+                    s_trunc: int = 2**13, repeats: int = 5) -> None:
+    elapsed, _ = best_cpu(max_over_h, "r_h_einf", 2, max_trunc, repeats=repeats)
+    print(f"{'lattice':8} max_over_h r_h_einf, p = 2, N = {max_trunc}: "
+          f"{elapsed * 1000:.2f} ms CPU")
+    for spec, trunc in ((preset("may_model", 2), may_trunc), (preset("s_k", 2, k=1), s_trunc)):
+        elapsed, _ = best_cpu(hilbert_cumulative, spec, trunc, repeats=repeats)
+        _, g = algebra._lattice_fold(spec, trunc)
+        print(f"{'lattice':8} hilbert_cumulative {spec.label}, N = {trunc}: "
+              f"{elapsed * 1000:.2f} ms CPU, g = {g}")
+
+
 def measure_ehp(truncs=(300, 20000), repeats: int = 3) -> None:
     for trunc in truncs:
         # `_a_counts` is cached: time the fold beneath the cache
@@ -369,6 +389,7 @@ def main() -> None:
     measure_nilpotent()
     measure_preset("chain", "may_model", 2**18 - 1)
     measure_preset("chain", "may_model", 14 * 13 // 2 * (2**14 - 1))
+    measure_lattice()
     measure_ehp()
     measure_census("P(A;t) by hilbert, p = 2, N = 4000", admissible_series, 2, 4000)
     measure_census("P(A;t) by census, p = 2, N = 4000", _admissible_counts, 2, 4000)

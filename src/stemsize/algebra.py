@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import struct
 import typing
+from itertools import accumulate
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -41,6 +42,7 @@ from .series import (
     GeneratorKind,
     TruncatedSeries,
     _fold,
+    _hold,
     _spread,
     factor_series,
 )
@@ -381,7 +383,14 @@ def _family_generators(spec: AlgebraSpec, fam: GeneratorFamily, trunc: int) -> I
 
 def hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
     """Monomial counts per degree of the free graded algebra on the
-    instantiated generators.
+    instantiated generators: `_lattice_fold`, spread to every degree."""
+    out, g = _lattice_fold(spec, trunc)
+    return TruncatedSeries._of(_spread(out, g, trunc))
+
+
+def _lattice_fold(spec: AlgebraSpec, trunc: int) -> tuple[list[int], int]:
+    """(out, g): the Hilbert series through degree trunc, all of it on the
+    multiples of g, as trunc // g + 1 coefficients.
 
     `_plan` decides every step before a coefficient moves, and this runs
     them on one working list: it starts as the packed product E of the
@@ -389,8 +398,7 @@ def hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
     multiples of g; a step spreads it onto a finer lattice where a degree
     lowers the gcd, then folds the generator in unit passes of the
     in-place kernel `series._fold`, or in one `mul` by the exact factor
-    F^m from `factor_series`.  Only the finished list is frozen into the
-    returned series, which shares no storage with any other call's.
+    F^m from `factor_series`.  The list is new on every call.
     """
     _, g, picked, steps = _plan(instantiate(spec, trunc), trunc)
     out = _nilpotent_product(picked, g, trunc) if picked else [1] + [0] * (trunc // g)
@@ -403,7 +411,7 @@ def hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
         else:
             for _ in range(mult):
                 _fold(out, kind, d)
-    return TruncatedSeries._of(_spread(out, g, trunc))
+    return out, g
 
 
 def _steps(gens: list[Generator], trunc: int, g: int) -> tuple[int, list[tuple]]:
@@ -503,8 +511,10 @@ def _nilpotent_product(picked: list[tuple], g: int, trunc: int) -> list[int]:
 
 
 def hilbert_cumulative(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:
-    """Monomial counts through degree n (the cumulative rank)."""
-    return hilbert(spec, trunc).cumulative()
+    """Monomial counts through degree n (the cumulative rank), summed on
+    the lattice of `_lattice_fold` and held over each block of g degrees."""
+    out, g = _lattice_fold(spec, trunc)
+    return TruncatedSeries._of(_hold(accumulate(out), g, trunc))
 
 
 def oracle_hilbert(spec: AlgebraSpec, trunc: int) -> TruncatedSeries:

@@ -183,16 +183,19 @@ def _may_model_product(p: int, m: int) -> int:
 
 
 def _check_may_model(p: int, m: int, lower_ceiling: int | None) -> list[BracketCheck]:
-    top = p**m - 1
-    spec = preset("may_model", p)
-    lower_deg = (m * (m - 1) // 2) * top
     # Refuse before any series is built: a refused request should not pay
-    # for it.
-    if lower_ceiling is not None and lower_deg > lower_ceiling:
+    # for it.  An m past the ceiling's bit length puts p^m - 1 above it, so
+    # p^m is not built either.
+    if lower_ceiling is None:
+        _require_top(p, m, "may_model upper check")
+    elif m > lower_ceiling.bit_length() or m * (m - 1) // 2 * (p**m - 1) > lower_ceiling:
         raise ResourceLimitError(
             f"may_model lower check needs the series through degree "
-            f"{lower_deg}, above the ceiling {lower_ceiling}"
+            f"C({m}, 2) * ({p}^{m} - 1), above the ceiling {lower_ceiling}"
         )
+    top = p**m - 1
+    lower_deg = (m * (m - 1) // 2) * top
+    spec = preset("may_model", p)
     product = _may_model_product(p, m)
     # lower_deg = C(m, 2) * top >= top, so one fold serves both checks.
     skip_lower = lower_ceiling is None and lower_deg > DEFAULT_LOWER_CEILING
@@ -226,7 +229,18 @@ def _check_may_model(p: int, m: int, lower_ceiling: int | None) -> list[BracketC
     return checks
 
 
+def _require_top(p: int, m: int, check: str) -> None:
+    """Refuse a series through p^m - 1 > DEFAULT_LOWER_CEILING before p^m
+    is built (m = 24 ran out of a 2 GB address space)."""
+    if m >= DEFAULT_LOWER_CEILING.bit_length() or p**m - 1 > DEFAULT_LOWER_CEILING:
+        raise ResourceLimitError(
+            f"{check} needs the series through degree {p}^{m} - 1, above the "
+            f"ceiling {DEFAULT_LOWER_CEILING}"
+        )
+
+
 def _check_r_h_einf(p: int, m: int) -> list[BracketCheck]:
+    _require_top(p, m, "r_h_einf check")
     top = p**m - 1
     best = max_over_h("r_h_einf", p, top)
     lnp = math.log(p)
@@ -287,6 +301,9 @@ def bracketing_check(
 
     r_h_einf: ln of the best-over-h cumulative rank at p^m - 1 is at most
     (2 ln p / 75) m^3 + (ln p) m^2.
+
+    p^m - 1 above DEFAULT_LOWER_CEILING raises ResourceLimitError, for
+    may_model without lower_ceiling and for r_h_einf.
 
     r_h_e2: the tensor bracketing for S^h x ... x S^{2h-1} with h = m // 2,
     plus the factorisation of the rank-h Hilbert series into the S^k ones.

@@ -306,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     except series.ResourceLimitError as exc:
         print(f"stemsize: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:  # a backstop: the guards above should trip first
+        print("stemsize: resource guard: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"stemsize: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -11,8 +11,11 @@ generators without degrees): odd-p dual Steenrod degrees |xi_n| = 2(p^n - 1),
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
+
 from ._frozen import Frozen, set_field
-from .algebra import AlgebraSpec, hilbert_cumulative, is_prime, parse_spec
+from .algebra import AlgebraSpec, _lattice_fold, is_prime, parse_spec
 from .series import TruncatedSeries
 
 __all__ = ["PRESET_NAMES", "PresetError", "preset", "max_over_h", "MaxOverH"]
@@ -183,7 +186,12 @@ class MaxOverH(Frozen):
 
 def max_over_h(family: str, p: int, trunc: int) -> MaxOverH:
     """Per-degree max of cumulative ranks of R^h over 1 <= h <= ceil(log_p N)+1,
-    with the smallest maximizing h per degree."""
+    with the smallest maximizing h per degree.
+
+    A cumulative rank is constant from one nonzero coefficient of its
+    lattice fold to the next.  `best`, a max of nondecreasing ranks, is
+    nondecreasing, so where it lies below such a run's value is a prefix of
+    the run, found by bisection."""
     if family not in ("r_h_e2", "r_h_einf"):
         raise PresetError(f"max_over_h expects r_h_e2 or r_h_einf, got {family!r}")
     _require_prime(p)
@@ -191,12 +199,16 @@ def max_over_h(family: str, p: int, trunc: int) -> MaxOverH:
     best: list[int] = [0] * (trunc + 1)
     argmax: list[int] = [1] * (trunc + 1)
     for h in range(1, h_top + 1):
-        cum = hilbert_cumulative(preset(family, p, h=h), trunc)
-        for n, value in enumerate(cum):
-            if value > best[n]:
-                best[n] = value
-                argmax[n] = h
-    return MaxOverH(TruncatedSeries(best), tuple(argmax))
+        lattice, g = _lattice_fold(preset(family, p, h=h), trunc)
+        starts = [j * g for j in compress(range(len(lattice)), lattice)]
+        value = 0
+        for start, stop, v in zip(starts, starts[1:] + [trunc + 1], filter(None, lattice)):
+            value += v
+            end = bisect_left(best, value, start, stop)
+            if end > start:
+                best[start:end] = [value] * (end - start)
+                argmax[start:end] = [h] * (end - start)
+    return MaxOverH(TruncatedSeries._of(best), tuple(argmax))
 
 
 def _ceil_log(p: int, n: int) -> int:

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, le, sub
 from typing import Iterable, Iterator
 
@@ -378,6 +378,22 @@ def _spread(coeffs: list[int], step: int, trunc: int) -> list[int]:
         return coeffs
     out = [0] * (trunc + 1)
     out[::step] = coeffs
+    return out
+
+
+def _hold(coeffs: Iterable[int], step: int, trunc: int) -> Iterable[int]:
+    """The trunc // step + 1 `coeffs` through degree trunc, coeffs[j] held
+    over degrees j * step .. j * step + step - 1: one slice assignment per
+    residue class mod step while step^2 <= trunc, else each value repeated;
+    for step 1, `coeffs` itself."""
+    if step == 1:
+        return coeffs
+    if step * step > trunc:
+        return islice(chain.from_iterable(map(repeat, coeffs, repeat(step))), trunc + 1)
+    coeffs = list(coeffs)
+    out = [0] * (trunc + 1)
+    for r in range(step):
+        out[r::step] = coeffs[: (trunc - r) // step + 1]
     return out
 
 

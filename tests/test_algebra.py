@@ -353,6 +353,46 @@ class TestLatticeFold:
         assert all(type(c) is int for c in hilbert(parse_spec(text), trunc))
 
 
+CHAIN_PRESETS = (("may_model", {}), ("s_k", {"k": 0}), ("s_k", {"k": 1}), ("s_k", {"k": 2}),
+                 ("r_h_e2", {"h": 1}), ("r_h_e2", {"h": 2}), ("r_h_einf", {"h": 2}),
+                 ("r_h_einf", {"h": 3}))
+
+
+class TestCumulativeOnLattice:
+    """`hilbert_cumulative` sums on the gcd lattice and holds each sum over
+    its block of degrees; the running sum of `hilbert` is the reference."""
+
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=300))
+    @example(0, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_random_specs(self, seed, trunc):
+        spec = random_spec(random.Random(seed))
+        assert hilbert_cumulative(spec, trunc) == hilbert(spec, trunc).cumulative()
+
+    @given(lattice_spec_texts(), st.integers(min_value=0, max_value=300))
+    @example("p = 2\ngen poly deg = 50\n", 30)  # N < g
+    @example("p = 3\ngen ext deg = 6 mult = 2\ngen poly deg = 9\n", 100)  # g = 3, 3^2 <= N
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_specs(self, text, trunc):
+        spec = parse_spec(text)
+        assert hilbert_cumulative(spec, trunc) == hilbert(spec, trunc).cumulative()
+
+    @given(st.sampled_from(CHAIN_PRESETS), st.sampled_from([2, 3, 5]),
+           st.integers(min_value=0, max_value=300))
+    @example(("s_k", {"k": 2}), 2, 0)  # N = 0
+    @example(("s_k", {"k": 2}), 2, 3)  # N < g = 4
+    @example(("s_k", {"k": 2}), 2, 15)  # g^2 > N, N not a multiple of g
+    @example(("s_k", {"k": 2}), 2, 17)  # g^2 <= N, N not a multiple of g
+    @example(("s_k", {"k": 1}), 5, 300)  # g = 5, N a multiple of g
+    @example(("r_h_einf", {"h": 2}), 3, 299)  # g = 27
+    @example(("r_h_einf", {"h": 3}), 5, 299)  # no generator below N
+    @settings(max_examples=80, deadline=None)
+    def test_chain_presets(self, named, p, trunc):
+        name, kwargs = named
+        spec = preset(name, p, **kwargs)
+        assert hilbert_cumulative(spec, trunc) == hilbert(spec, trunc).cumulative()
+
+
 PACKED_CASES = [
     # (text, trunc, generators packed, oracle_hilbert affordable)
     ("p = 2\ngen ext deg = 1 mult = 63\n", 200, 1, False),  # B = 2^63: packed

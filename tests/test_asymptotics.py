@@ -117,6 +117,40 @@ class TestBracketing:
         bracketing_check(2, 15, "may_model")
         assert computed == [21, 2**15 - 1]
 
+    def test_upper_checks_refused_before_any_fold(self, monkeypatch):
+        computed = []
+
+        def spy(name):
+            def record(*args):
+                computed.append(name)
+                raise AssertionError(f"{name} called")
+            return record
+
+        monkeypatch.setattr(asymptotics, "hilbert_cumulative", spy("hilbert_cumulative"))
+        monkeypatch.setattr(asymptotics, "max_over_h", spy("max_over_h"))
+        cases = [(2, 22, "may_model"), (2, 40, "may_model"), (3, 14, "may_model"),
+                 (2, 22, "r_h_einf"), (2, 40, "r_h_einf"), (5, 10, "r_h_einf")]
+        for p, m, model in cases:
+            with pytest.raises(ResourceLimitError, match=rf"^{model} (upper )?check needs "
+                               rf"the series through degree {p}\^{m} - 1, above the "
+                               rf"ceiling 2097152$"):
+                bracketing_check(p, m, model)
+        # an explicit lower ceiling decides alone, before p^m is built
+        with pytest.raises(ResourceLimitError, match="^may_model lower check"):
+            bracketing_check(2, 22, "may_model", lower_ceiling=10)
+        with pytest.raises(ResourceLimitError, match=r"degree C\(100000000, 2\) \* "
+                           r"\(3\^100000000 - 1\), above the ceiling 2097152$"):
+            bracketing_check(3, 10**8, "may_model", lower_ceiling=2**21)
+        assert computed == []
+
+    def test_upper_checks_fold_up_to_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "DEFAULT_LOWER_CEILING", 2**5)
+        for model in ("may_model", "r_h_einf"):
+            assert bracketing_check(2, 5, model).ok  # 2^5 - 1 <= 32
+            for p, m in ((2, 6), (3, 4)):
+                with pytest.raises(ResourceLimitError, match="above the ceiling 32$"):
+                    bracketing_check(p, m, model)
+
     def test_lower_skipped_above_ceiling_by_default(self):
         # C(15, 2) * (2^15 - 1) = 3,440,535 is above DEFAULT_LOWER_CEILING
         report = bracketing_check(2, 15, "may_model")

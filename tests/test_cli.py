@@ -6,11 +6,12 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 import stemsize
-from stemsize import algebra, asymptotics, series
+from stemsize import algebra, asymptotics, series, torsion
 from stemsize.algebra import hilbert, parse_spec
 from stemsize.cli import CliError, main, parse_points
 from stemsize.ehp import a_series
@@ -406,6 +407,16 @@ class TestAsymptotics:
         assert code == 3
         assert "resource" in err.lower()
 
+    @pytest.mark.parametrize("model", ["r_h_einf", "may_model"])
+    def test_bracketing_scale_over_the_ceiling_exits_three(self, model):
+        start = time.monotonic()
+        code, out, err = run_cli("asymptotics", "--p", "2", "--name", model, "--n", "40")
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (f"stemsize: resource guard: {model}{' upper' * (model == 'may_model')} "
+                       "check needs the series through degree 2^40 - 1, above the "
+                       "ceiling 2097152\n")
+
     def test_ratio_profile_csv(self):
         code, out, _ = run_cli(
             "asymptotics", "--p", "2", "--name", "s_k", "--h", "0",
@@ -468,6 +479,15 @@ class TestMainEntry:
             f"stemsize: error: cannot write output {str(target)!r}: "
         )
         assert not target.exists()
+
+
+    def test_memory_error_exits_three(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(torsion, "stable_torsion_bound", exhausted)
+        assert main(["torsion", "--p", "2", "--n", "10"]) == 3
+        assert capsys.readouterr() == ("", "stemsize: resource guard: out of memory\n")
 
 
 class TestSharedParser:

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from stemsize import presets
 from stemsize.algebra import (
     hilbert,
     hilbert_cumulative,
@@ -119,7 +122,31 @@ class TestTowerFamilies:
             assert oracle_hilbert(spec, 30) == hilbert(spec, 30)
 
 
+def pointwise_max_over_h(family, p, trunc):
+    """`max_over_h` by comparing every degree for every h."""
+    best = [0] * (trunc + 1)
+    argmax = [1] * (trunc + 1)
+    for h in range(1, presets._ceil_log(p, trunc) + 2):
+        cum = hilbert_cumulative(preset(family, p, h=h), trunc)
+        for n, value in enumerate(cum):
+            if value > best[n]:
+                best[n] = value
+                argmax[n] = h
+    return TruncatedSeries(best), tuple(argmax)
+
+
 class TestMaxOverH:
+    @pytest.mark.parametrize("family", ["r_h_e2", "r_h_einf"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @given(trunc=st.integers(min_value=0, max_value=2000))
+    @example(trunc=0)
+    @example(trunc=1)
+    @example(trunc=2)
+    @settings(max_examples=12, deadline=None)
+    def test_matches_pointwise_loop(self, family, p, trunc):
+        best = max_over_h(family, p, trunc)
+        assert (best.series, best.argmax) == pointwise_max_over_h(family, p, trunc)
+
     def test_rejects_other_families(self):
         with pytest.raises(PresetError):
             max_over_h("may_model", 2, 10)

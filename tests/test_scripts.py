@@ -110,3 +110,14 @@ def test_performance_report_times_the_ehp_fold():
         assert match, line
         assert int(match[1]) == sum(a_series(2, 1, trunc))
         assert float(match[2]) > 0
+
+
+def test_performance_report_times_the_lattice_regime():
+    lines = run_performance_report(
+        "measure_lattice(max_trunc=31, may_trunc=60, s_trunc=64, repeats=1)").splitlines()
+    assert len(lines) == 3
+    assert re.fullmatch(r"lattice  max_over_h r_h_einf, p = 2, N = 31: \d+\.\d\d ms CPU",
+                        lines[0]), lines[0]
+    for label, trunc, line in (("may_model(p=2)", 60, lines[1]), ("s_k(p=2, k=1)", 64, lines[2])):
+        assert re.fullmatch(rf"lattice  hilbert_cumulative {re.escape(label)}, N = {trunc}: "
+                            r"\d+\.\d\d ms CPU, g = 2", line), line

@@ -466,6 +466,30 @@ class TestCumulativeShiftHadamard:
         assert c.shift(k).leq(c)
 
 
+@st.composite
+def hold_cases(draw):
+    """Lattice values, a step and a truncation whose lattice they fill:
+    steps both at most and above sqrt(trunc), truncations on and off the
+    multiples of the step."""
+    step = draw(st.integers(min_value=1, max_value=12))
+    trunc = draw(st.integers(min_value=0, max_value=150))
+    values = st.integers(min_value=0, max_value=2**70)
+    return draw(st.lists(values, min_size=trunc // step + 1, max_size=trunc // step + 1)), step, trunc
+
+
+class TestHold:
+    @given(hold_cases())
+    @example(([7], 1, 0))
+    @example(([7], 5, 0))
+    @example(([7, 8], 4, 7))  # step^2 > trunc: blocks repeated
+    @example(([7, 8, 9, 10, 11], 4, 17))  # step^2 <= trunc: residue slices
+    @example(([7, 8, 9, 10, 11], 4, 16))
+    def test_holds_each_value_over_its_block(self, case):
+        coeffs, step, trunc = case
+        held = list(series._hold(iter(coeffs), step, trunc))
+        assert held == [coeffs[n // step] for n in range(trunc + 1)]
+
+
 class TestLeq:
     def test_examples(self):
         assert S(1, 0).leq(S(1, 1))
