@@ -232,7 +232,7 @@ def _check_may_model(p: int, m: int, lower_ceiling: int | None) -> list[BracketC
 def _require_top(p: int, m: int, check: str) -> None:
     """Refuse a series through p^m - 1 > DEFAULT_LOWER_CEILING before p^m
     is built (m = 24 ran out of a 2 GB address space)."""
-    if m >= DEFAULT_LOWER_CEILING.bit_length() or p**m - 1 > DEFAULT_LOWER_CEILING:
+    if m > DEFAULT_LOWER_CEILING.bit_length() or p**m - 1 > DEFAULT_LOWER_CEILING:
         raise ResourceLimitError(
             f"{check} needs the series through degree {p}^{m} - 1, above the "
             f"ceiling {DEFAULT_LOWER_CEILING}"
