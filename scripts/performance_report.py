@@ -77,6 +77,10 @@ and the estimated list coefficient additions.
   `ehp._admissible_counts` that the tests and `verify` check it against,
   whose O(N^2) rows took 1.1 s and a 310 MB RSS peak (2-vCPU VM,
   Python 3.11.7) against about 2 ms for `hilbert`.
+- presets: building every name of `PRESET_NAMES` at p = 2 and 3 with
+  h = 2, k = 1 and drop_q0, best of 5 CPU times, once on an empty cache
+  (each preset's DSL text parsed) and once warm (each text parsed once per
+  process, so only the checks, the label and the cache lookup remain).
 - listing: `enumerate_I`, the oracle of `a_series` and the engine of
   `stemsize ehp --max-dim`, best of 3 CPU times, with the number of
   sequences listed or "exit 3" where the 100,000-sequence guard trips:
@@ -106,7 +110,7 @@ import sys
 import tempfile
 import time
 
-from stemsize import algebra, cli, ehp, verify
+from stemsize import algebra, cli, ehp, presets, verify
 from stemsize.algebra import AlgebraSpec, hilbert_cumulative, parse_spec
 from stemsize.ehp import _admissible_counts, admissible_series, enumerate_I
 from stemsize.presets import max_over_h, preset
@@ -357,6 +361,22 @@ def measure_ehp(truncs=(300, 20000), repeats: int = 3) -> None:
               f"CPU, {sum(counts)} counted; stemsize ehp peak RSS {peak:.1f} MB, exit {rc}")
 
 
+def build_catalog(primes: tuple[int, ...], cold: bool) -> int:
+    """Build every preset at each prime, on an empty parse cache if cold."""
+    if cold:
+        presets._parse.cache_clear()
+    specs = [preset(name, p, h=2, k=1, drop_q0=True)
+             for p in primes for name in presets.PRESET_NAMES]
+    return len(specs)
+
+
+def measure_presets(primes: tuple[int, ...] = (2, 3), repeats: int = 5) -> None:
+    for state, cold in (("empty cache", True), ("warm cache", False)):
+        elapsed, built = best_cpu(build_catalog, primes, cold, repeats=repeats)
+        print(f"{'presets':8} {built} presets, every name at p = "
+              f"{', '.join(map(str, primes))}, {state}: {elapsed * 1000:.3f} ms CPU")
+
+
 LISTING_CASES = ((2, 1, 120), (3, 1, 200), (2, 1, 200))
 
 
@@ -390,6 +410,7 @@ def main() -> None:
     measure_preset("chain", "may_model", 2**18 - 1)
     measure_preset("chain", "may_model", 14 * 13 // 2 * (2**14 - 1))
     measure_lattice()
+    measure_presets()
     measure_ehp()
     measure_census("P(A;t) by hilbert, p = 2, N = 4000", admissible_series, 2, 4000)
     measure_census("P(A;t) by census, p = 2, N = 4000", _admissible_counts, 2, 4000)

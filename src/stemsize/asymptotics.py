@@ -257,9 +257,16 @@ def _check_r_h_einf(p: int, m: int) -> list[BracketCheck]:
 
 
 def _check_r_h_e2(p: int, m: int) -> list[BracketCheck]:
-    # Tensor decomposition S^h x ... x S^{2h-1} of the rank-h model.
+    # Tensor decomposition S^h x ... x S^{2h-1} of the rank-h model.  The
+    # joint fold of the h factors runs through h * top: refuse it above the
+    # ceiling before p^m or any preset is built (p^m - 1 > 2^14 for m >= 15).
     h = m // 2
-    top = min(p**m - 1, 1 << 14)
+    top = 1 << 14 if m >= 15 else min(p**m - 1, 1 << 14)
+    if h * top > DEFAULT_LOWER_CEILING:
+        raise ResourceLimitError(
+            f"r_h_e2 check needs the tensor series through degree {h} * {top}, "
+            f"above the ceiling {DEFAULT_LOWER_CEILING}"
+        )
     factors = [preset("s_k", p, k=k) for k in range(h, 2 * h)]
     bracket = tensor_bracket(factors, [top] * len(factors))
     checks = [
@@ -306,7 +313,9 @@ def bracketing_check(
     may_model without lower_ceiling and for r_h_einf.
 
     r_h_e2: the tensor bracketing for S^h x ... x S^{2h-1} with h = m // 2,
-    plus the factorisation of the rank-h Hilbert series into the S^k ones.
+    plus the factorisation of the rank-h Hilbert series into the S^k ones,
+    each truncated at top = min(p^m - 1, 2^14).  A joint degree h * top above
+    DEFAULT_LOWER_CEILING raises ResourceLimitError (m >= 258 at p = 2).
     """
     if m < 2:
         raise ValueError("scale parameter m must be >= 2")

@@ -1,8 +1,10 @@
 """Catalog of the named graded algebras used throughout the growth bounds.
 
 Every preset is produced as DSL text and run through the parser, so each one
-can be exported verbatim via the canonical printer.  Degrees are topological
-(t - s) throughout.
+can be exported verbatim via the canonical printer.  One path serves every
+name: `preset` checks its arguments, `_lines` writes the preset's generator
+lines, and the text, with its `p = <p>` header, is parsed once per process
+(`_parse` caches by text).  Degrees are topological (t - s) throughout.
 
 Conventions imported from the standard literature (the source names the
 generators without degrees): odd-p dual Steenrod degrees |xi_n| = 2(p^n - 1),
@@ -12,6 +14,7 @@ generators without degrees): odd-p dual Steenrod degrees |xi_n| = 2(p^n - 1),
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import compress
 
 from ._frozen import Frozen, set_field
@@ -33,6 +36,21 @@ PRESET_NAMES = (
     "q_poly",
 )
 
+_H_FAMILIES = ("r_h_e2", "r_h_einf", "y_h_lifted", "mrs_e2_model", "yn_conj")
+
+_Q0_POLY = ("q_poly contains q_0 in degree 0, which has no Hilbert factor; "
+            "pass drop_q0=True")
+# The presets with a generator in degree 0, keyed by (name, p == 2): they
+# need drop_q0=True.
+_DEGREE_ZERO = {
+    ("may_e1", True): "may_e1 at p=2 contains h_{1,0} in degree 2^1 - 2^0 - 1 = 0, "
+                      "which has no Hilbert factor; pass drop_q0=True",
+    ("may_e1", False): "may_e1 at odd p contains q_0 in degree 2p^0 - 2 = 0, which has "
+                       "no Hilbert factor; pass drop_q0=True",
+    ("q_poly", True): _Q0_POLY,
+    ("q_poly", False): _Q0_POLY,
+}
+
 
 class PresetError(ValueError):
     """Unknown preset or out-of-range parameter."""
@@ -41,12 +59,6 @@ class PresetError(ValueError):
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise PresetError(f"p = {p} is not prime")
-
-
-def _require_h(h: int | None, name: str) -> int:
-    if h is None or h < 1:
-        raise PresetError(f"preset {name!r} needs a parameter h >= 1")
-    return h
 
 
 def preset(
@@ -60,120 +72,77 @@ def preset(
 ) -> AlgebraSpec:
     """Build the named catalog algebra at prime p."""
     _require_prime(p)
+    if name not in PRESET_NAMES:
+        raise PresetError(f"unknown preset {name!r}")
+    refusal = _DEGREE_ZERO.get((name, p == 2))
+    if refusal and not drop_q0:
+        raise PresetError(refusal)
+    if name in _H_FAMILIES and (h is None or h < 1):
+        raise PresetError(f"preset {name!r} needs a parameter h >= 1")
+    if name == "s_k" and (k is None or k < 0):
+        raise PresetError("preset 's_k' needs a parameter k >= 0")
+    fields = compress((f"p={p}", f"h={h}", f"k={k}", "drop_q0", "simplify_odd"),
+                      (True, h is not None, k is not None, drop_q0, simplify_odd))
+    label = f"{name}({', '.join(fields)})"
+    text = "\n".join([f"p = {p}", *_lines(name, p, h, k, simplify_odd)]) + "\n"
+    return AlgebraSpec(p, _parse(text).families, label)
+
+
+@lru_cache(maxsize=256)
+def _parse(text: str) -> AlgebraSpec:
+    # Keyed by the whole text, header included; the families are immutable,
+    # so every spec built from one text shares them.
+    return parse_spec(text)
+
+
+def _lines(name: str, p: int, h: int | None, k: int | None, simplify_odd: bool) -> list[str]:
+    """The generator lines of the named preset's DSL text at prime p."""
     if name == "may_e1":
-        text = _may_e1_text(p, drop_q0, simplify_odd)
-    elif name == "may_model":
-        text = f"p = {p}\ngen poly deg = p^n mult = n for n = 1..inf\n"
-    elif name == "dual_steenrod":
         if p == 2:
-            text = "p = 2\ngen poly deg = 2^n - 1 for n = 1..inf\n"
-        else:
-            text = (
-                f"p = {p}\n"
-                "gen poly deg = 2*p^n - 2 for n = 1..inf\n"
-                "gen ext deg = 2*p^n - 1 for n = 0..inf\n"
-            )
-    elif name == "s_k":
-        if k is None or k < 0:
-            raise PresetError("preset 's_k' needs a parameter k >= 0")
-        text = f"p = {p}\ngen poly deg = p^n for n = {k}..inf\n"
-    elif name == "r_h_e2":
-        h = _require_h(h, name)
-        text = (
-            f"p = {p}\n"
-            f"gen poly deg = p^n mult = min({h}, n - {h} + 1) for n = {h}..inf\n"
-        )
-    elif name == "r_h_einf":
-        h = _require_h(h, name)
-        text = f"p = {p}\ngen poly deg = p^({h} + k) mult = k for k = 1..{h - 1}\n"
-    elif name == "y_h_lifted":
-        h = _require_h(h, name)
-        text = (
-            f"p = {p}\n"
-            f"gen poly deg = 12*p^(1 + i + j) - 10*p^(1 + i - {h} + j)"
-            f" - 2*p^(1 + j) - 2 for i = {h + 1}..inf, j = 0..{h - 1}\n"
-        )
-    elif name == "mrs_e2_model":
-        h = _require_h(h, name)
+            # h_{i,j} in degree 2^(i+j) - 2^j - 1, without the (1,0) entry:
+            # split into the j = 0 row (i >= 2) and the j >= 1 block.
+            return ["gen poly deg = 2^i - 2 for i = 2..inf",
+                    "gen poly deg = 2^(i + j) - 2^j - 1 for i = 1..inf, j = 1..inf"]
+        hij = "deg = 2*p^(i + j) - 2*p^j - 1 for i = 1..inf, j = 0..inf"
+        if simplify_odd:
+            # Each pair (exterior h_{i,j}, polynomial b_{i,j}) is replaced by
+            # one polynomial generator in the degree of h_{i,j}; the
+            # cumulative rank only grows.
+            return ["gen poly deg = 2*p^i - 2 for i = 1..inf", f"gen poly {hij}"]
+        return ["gen poly deg = 2*p^i - 2 for i = 1..inf", f"gen ext {hij}",
+                "gen poly deg = 2*p^(i + j + 1) - 2*p^(j + 1) - 2 for i = 1..inf, j = 0..inf"]
+    if name == "may_model":
+        return ["gen poly deg = p^n mult = n for n = 1..inf"]
+    if name == "dual_steenrod":
+        if p == 2:
+            return ["gen poly deg = 2^n - 1 for n = 1..inf"]
+        return ["gen poly deg = 2*p^n - 2 for n = 1..inf",
+                "gen ext deg = 2*p^n - 1 for n = 0..inf"]
+    if name == "q_poly":
+        return ["gen poly deg = 2*p^i - 2 for i = 1..inf"]
+    if name == "s_k":
+        return [f"gen poly deg = p^n for n = {k}..inf"]
+    if name == "r_h_e2":
+        return [f"gen poly deg = p^n mult = min({h}, n - {h} + 1) for n = {h}..inf"]
+    if name == "r_h_einf":
+        return [f"gen poly deg = p^({h} + k) mult = k for k = 1..{h - 1}"]
+    ij = f"for i = {h + 1}..inf, j = 0..{h - 1}"
+    if name == "y_h_lifted":
+        return [f"gen poly deg = 12*p^(1 + i + j) - 10*p^(1 + i - {h} + j)"
+                f" - 2*p^(1 + j) - 2 {ij}"]
+    if name == "mrs_e2_model":
         # The inverted class q_h itself is omitted: with it every topological
         # degree has infinite rank; counts are relative to the localized tower.
-        lines = [f"p = {p}", f"gen poly deg = 2*p^k - 2 for k = {h + 1}..{2 * h}"]
-        hij = f"2*p^(i + j) - 2*p^j - 1 for i = {h + 1}..inf, j = 0..{h - 1}"
+        hij = f"deg = 2*p^(i + j) - 2*p^j - 1 {ij}"
+        lines = [f"gen poly deg = 2*p^k - 2 for k = {h + 1}..{2 * h}"]
         if p == 2:
-            lines.append(f"gen poly deg = {hij}")
-        else:
-            lines.append(f"gen ext deg = {hij}")
-            lines.append(
-                "gen poly deg = 2*p^(1 + i + j) - 2*p^(j + 1) - 2"
-                f" for i = {h + 1}..inf, j = 0..{h - 1}"
-            )
-        text = "\n".join(lines) + "\n"
-    elif name == "yn_conj":
-        h = _require_h(h, name)
-        # The companion family runs j = 1..h-1 (binom(h,2) generators total),
-        # matching r_h_einf.
-        text = (
-            f"p = {p}\n"
-            f"gen poly deg = 2*p^({h} + i) - 2 for i = 0..{h}\n"
-            f"gen poly deg = 12*p^({h} + 1 + j) mult = j for j = 1..{h - 1}\n"
-        )
-    elif name == "q_poly":
-        if not drop_q0:
-            raise PresetError(
-                "q_poly contains q_0 in degree 0, which has no Hilbert factor; "
-                "pass drop_q0=True"
-            )
-        text = f"p = {p}\ngen poly deg = 2*p^i - 2 for i = 1..inf\n"
-    else:
-        raise PresetError(f"unknown preset {name!r}")
-    spec = parse_spec(text)
-    flags = []
-    if drop_q0:
-        flags.append("drop_q0")
-    if simplify_odd:
-        flags.append("simplify_odd")
-    label = f"{name}(p={p}" + (f", h={h}" if h is not None else "") + (
-        f", k={k}" if k is not None else ""
-    ) + ("".join(", " + f for f in flags)) + ")"
-    return AlgebraSpec(spec.p, spec.families, label)
-
-
-def _may_e1_text(p: int, drop_q0: bool, simplify_odd: bool) -> str:
-    if p == 2:
-        if not drop_q0:
-            raise PresetError(
-                "may_e1 at p=2 contains h_{1,0} in degree 2^1 - 2^0 - 1 = 0, "
-                "which has no Hilbert factor; pass drop_q0=True"
-            )
-        # h_{i,j} in degree 2^(i+j) - 2^j - 1, without the (1,0) entry:
-        # split into the j = 0 row (i >= 2) and the j >= 1 block.
-        return (
-            "p = 2\n"
-            "gen poly deg = 2^i - 2 for i = 2..inf\n"
-            "gen poly deg = 2^(i + j) - 2^j - 1 for i = 1..inf, j = 1..inf\n"
-        )
-    if not drop_q0:
-        raise PresetError(
-            "may_e1 at odd p contains q_0 in degree 2p^0 - 2 = 0, which has "
-            "no Hilbert factor; pass drop_q0=True"
-        )
-    lines = [f"p = {p}", "gen poly deg = 2*p^i - 2 for i = 1..inf"]
-    if simplify_odd:
-        # Each pair (exterior h_{i,j}, polynomial b_{i,j}) is replaced by one
-        # polynomial generator in the degree of h_{i,j}; the cumulative rank
-        # only grows.
-        lines.append(
-            "gen poly deg = 2*p^(i + j) - 2*p^j - 1 for i = 1..inf, j = 0..inf"
-        )
-    else:
-        lines.append(
-            "gen ext deg = 2*p^(i + j) - 2*p^j - 1 for i = 1..inf, j = 0..inf"
-        )
-        lines.append(
-            "gen poly deg = 2*p^(i + j + 1) - 2*p^(j + 1) - 2"
-            " for i = 1..inf, j = 0..inf"
-        )
-    return "\n".join(lines) + "\n"
+            return [*lines, f"gen poly {hij}"]
+        return [*lines, f"gen ext {hij}",
+                f"gen poly deg = 2*p^(1 + i + j) - 2*p^(j + 1) - 2 {ij}"]
+    # yn_conj: the companion family runs j = 1..h-1 (binom(h,2) generators
+    # total), matching r_h_einf.
+    return [f"gen poly deg = 2*p^({h} + i) - 2 for i = 0..{h}",
+            f"gen poly deg = 12*p^({h} + 1 + j) mult = j for j = 1..{h - 1}"]
 
 
 class MaxOverH(Frozen):

@@ -332,13 +332,14 @@ def _goodwillie_scan(p: int, vals: list[int]) -> tuple[int, int] | None:
     valuation sieve vals for p, the exact sum top + legendre[top],
     top = (n - 1) // s, is constant on the block s*top < n <= s*(top + 1)
     for fixed s while 2n/s rises across it, so the block's first n decides
-    the block; top = 0 sums to 0.
+    the block; top = 0 sums to 0.  The verdict is taken in integers, as
+    s * sum > 2n.
     """
     n_max = GOODWILLIE_N
     legendre = list(accumulate(vals[1 : n_max + 1], initial=0))
     for s in range(1, GOODWILLIE_S + 1):
         for top in range(1, (n_max - 1) // s + 1):
-            if top + legendre[top] > 2 * (s * top + 1) / s:
+            if s * (top + legendre[top]) > 2 * (s * top + 1):
                 return s, s * top + 1
     for s in range(1, GOODWILLIE_S + 1):
         top = (n_max - 1) // s

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -142,6 +143,35 @@ class TestBracketing:
                            r"\(3\^100000000 - 1\), above the ceiling 2097152$"):
             bracketing_check(3, 10**8, "may_model", lower_ceiling=2**21)
         assert computed == []
+
+    def test_r_h_e2_refused_before_any_preset(self, monkeypatch):
+        computed = []
+
+        def spy(name):
+            def record(*args, **kwargs):
+                computed.append(name)
+                raise AssertionError(f"{name} called")
+            return record
+
+        for name in ("preset", "hilbert", "tensor_bracket"):
+            monkeypatch.setattr(asymptotics, name, spy(name))
+        # h * top: top = 2^14 from m = 15 on, so p^m is not built either;
+        # at p = 2, m = 257 gives 128 * 2^14 = 2^21, the ceiling itself
+        cases = [(2, 258, 129), (2, 20000, 10000), (3, 10**7, 5 * 10**6), (5, 259, 129)]
+        start = time.monotonic()
+        for p, m, h in cases:
+            with pytest.raises(ResourceLimitError, match=rf"^r_h_e2 check needs the tensor "
+                               rf"series through degree {h} \* 16384, above the ceiling "
+                               rf"2097152$"):
+                bracketing_check(p, m, "r_h_e2")
+        assert time.monotonic() - start < 1.0  # 3^(10^7) alone takes about 5 s
+        assert computed == []
+
+    def test_r_h_e2_folds_up_to_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "DEFAULT_LOWER_CEILING", 2 * (2**5 - 1))
+        assert bracketing_check(2, 5, "r_h_e2").ok  # h = 2, top = 31
+        with pytest.raises(ResourceLimitError, match=r"degree 3 \* 63, above the ceiling 62$"):
+            bracketing_check(2, 6, "r_h_e2")
 
     def test_upper_checks_fold_up_to_the_ceiling(self, monkeypatch):
         monkeypatch.setattr(asymptotics, "DEFAULT_LOWER_CEILING", 2**5)

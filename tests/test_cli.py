@@ -417,6 +417,23 @@ class TestAsymptotics:
                        "check needs the series through degree 2^40 - 1, above the "
                        "ceiling 2097152\n")
 
+    @pytest.mark.parametrize("m", [20000, 100000000])
+    def test_r_h_e2_scale_over_the_ceiling_exits_three(self, m):
+        start = time.monotonic()
+        code, out, err = run_cli("asymptotics", "--p", "2", "--name", "r_h_e2", "--n", str(m))
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (f"stemsize: resource guard: r_h_e2 check needs the tensor series "
+                       f"through degree {m // 2} * 16384, above the ceiling 2097152\n")
+
+    def test_r_h_e2_at_the_ceiling_answers_as_before(self):
+        # 128 * 2^14 = 2^21: the largest scale at p = 2 under the ceiling;
+        # the digest is of the stdout before the guard was added
+        code, out, _ = run_cli("asymptotics", "--p", "2", "--name", "r_h_e2", "--n", "257")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0eb3ae63019b9f75e2d8795cce71b0edef36282d56fa8b6718e9923ed6ddbfe1")
+
     def test_ratio_profile_csv(self):
         code, out, _ = run_cli(
             "asymptotics", "--p", "2", "--name", "s_k", "--h", "0",

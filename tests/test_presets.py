@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,68 @@ class TestCatalog:
             for p in (2, 3):
                 spec = preset(name, p, h=2, k=1, drop_q0=True)
                 assert oracle_hilbert(spec, 16) == hilbert(spec, 16), (name, p)
+
+
+# SHA-256 of the catalog over `catalog_grid`, as `catalog_text` writes it,
+# computed before `preset` took one path for every name.
+CATALOG_SHA256 = "0cd165ebf767e36386282f8410b07d76685f319a2b3284f19195df6e23b33ba8"
+
+
+def catalog_grid():
+    """3,002 argument sets: every name at p in {2, 3, 5} with every h in
+    {None, 0..3}, k in {None, -1..2}, drop_q0 and simplify_odd, then an
+    unknown name and a p that is not prime."""
+    for name, p, h, k, drop_q0, simplify_odd in itertools.product(
+        PRESET_NAMES, (2, 3, 5), (None, 0, 1, 2, 3), (None, -1, 0, 1, 2),
+        (False, True), (False, True),
+    ):
+        yield name, p, {"h": h, "k": k, "drop_q0": drop_q0, "simplify_odd": simplify_odd}
+    yield "nope", 2, {}
+    yield "dual_steenrod", 6, {}
+
+
+def catalog_text():
+    """Per argument set, the printed spec and its label, or the error's type
+    and message."""
+    entries = []
+    for name, p, kwargs in catalog_grid():
+        try:
+            spec = preset(name, p, **kwargs)
+        except Exception as exc:
+            entries.append(f"{type(exc).__name__}\0{exc}\n")
+        else:
+            entries.append(f"{spec_to_text(spec)}\0{spec.label}\n")
+    return "".join(entries)
+
+
+class TestOnePath:
+    def test_catalog_matches_the_pinned_digest(self):
+        assert len(list(catalog_grid())) == 3002
+        assert hashlib.sha256(catalog_text().encode()).hexdigest() == CATALOG_SHA256
+
+    def test_each_text_is_parsed_once(self, monkeypatch):
+        parsed = []
+
+        def counted(text):
+            parsed.append(text)
+            return parse_spec(text)
+
+        monkeypatch.setattr(presets, "parse_spec", counted)
+        presets._parse.cache_clear()
+        first = preset("r_h_e2", 3, h=2)
+        second = preset("r_h_e2", 3, h=2, k=1)
+        assert parsed == ["p = 3\ngen poly deg = p^n mult = min(2, n - 2 + 1) for n = 2..inf\n"]
+        assert first.families is second.families
+        assert (first.label, second.label) == ("r_h_e2(p=3, h=2)", "r_h_e2(p=3, h=2, k=1)")
+        preset("r_h_e2", 5, h=2)
+        assert len(parsed) == 2
+
+    def test_prime_and_name_are_checked_first(self):
+        # the catalog grid checks the order of the later refusals
+        with pytest.raises(PresetError, match="^p = 4 is not prime$"):
+            preset("nope", 4)
+        with pytest.raises(PresetError, match="^unknown preset 'nope'$"):
+            preset("nope", 2, h=0, k=-1)
 
 
 class TestDualSteenrod:

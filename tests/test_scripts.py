@@ -121,3 +121,11 @@ def test_performance_report_times_the_lattice_regime():
     for label, trunc, line in (("may_model(p=2)", 60, lines[1]), ("s_k(p=2, k=1)", 64, lines[2])):
         assert re.fullmatch(rf"lattice  hilbert_cumulative {re.escape(label)}, N = {trunc}: "
                             r"\d+\.\d\d ms CPU, g = 2", line), line
+
+
+def test_performance_report_times_the_preset_catalog():
+    lines = run_performance_report("measure_presets(repeats=1)").splitlines()
+    assert len(lines) == 2
+    for state, line in zip(("empty cache", "warm cache"), lines):
+        assert re.fullmatch(rf"presets  20 presets, every name at p = 2, 3, {state}: "
+                            r"\d+\.\d{3} ms CPU", line), line

@@ -347,6 +347,22 @@ class TestExactScans:
                 for n in range(1, verify.GOODWILLIE_N + 1, 7):
                     assert bound(s, 1, n, p) == goodwillie_bound(s, 1, n, p)
 
+    def test_goodwillie_verdict_in_integers_matches_the_float_form(self):
+        # The scan decides s * exact > 2n, the envelope exact > 2n/s without
+        # the division.  Besides each exact sum, compare the integers next to
+        # 2n/s; at s in {1, 2} that is an integer and the sides can tie.
+        ties = 0
+        for p in (2, 3, 5):
+            legendre = _legendre(verify._valuation_sieve(p))
+            for s in range(1, verify.GOODWILLIE_S + 1):
+                for n in range(1, verify.GOODWILLIE_N + 1):
+                    top = (n - 1) // s
+                    near = 2 * n // s
+                    for value in (top + legendre[top], near - 1, near, near + 1):
+                        assert (s * value > 2 * n) == (value > 2 * n / s), (p, s, n, value)
+                        ties += s * value == 2 * n
+        assert ties >= 2 * 3 * verify.GOODWILLIE_N  # every n at s = 1 and 2
+
     @pytest.mark.parametrize(
         "p, x, bump",
         [(2, 1000, 600), (3, 700, 500), (5, 1, 3), (5, 1500, 1200), (3, 1999, 2000),
