@@ -57,6 +57,10 @@ class Constants(Frozen):
         set_field(self, "k2", k2)
         set_field(self, "k3", k3)
 
+    def csv_rows(self):
+        yield ("p", "K1", "K2", "K3")
+        yield (str(self.p), repr(self.k1), repr(self.k2), repr(self.k3))
+
     def to_json_obj(self) -> dict:
         return {"p": self.p, "K1": self.k1, "K2": self.k2, "K3": self.k3}
 
@@ -164,6 +168,11 @@ class BracketReport(Frozen):
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
+    def csv_rows(self):
+        yield ("check", "ok", "detail")
+        for c in self.checks:
+            yield (c.name, str(c.ok), c.detail)
+
     def to_json_obj(self) -> dict:
         return {
             "p": self.p,
@@ -177,118 +186,107 @@ class BracketReport(Frozen):
         }
 
 
-def _may_model_product(p: int, m: int) -> int:
-    # prod_{i=1}^{m-1} p^{(m-i) i}
-    return p ** sum((m - i) * i for i in range(1, m))
+def _top(p: int, m: int, ceiling: int) -> int | None:
+    """p^m - 1 if it is at most ceiling, else None; p >= 2, so p^m is never
+    built past the ceiling's bit length (m = 24 ran out of a 2 GB space)."""
+    if m <= ceiling.bit_length() and p**m - 1 <= ceiling:
+        return p**m - 1
+    return None
+
+
+def _refusal(check: str, series: str, ceiling: int) -> ResourceLimitError:
+    return ResourceLimitError(f"{check} needs the {series}, above the ceiling {ceiling}")
 
 
 def _check_may_model(p: int, m: int, lower_ceiling: int | None) -> list[BracketCheck]:
     # Refuse before any series is built: a refused request should not pay
-    # for it.  An m past the ceiling's bit length puts p^m - 1 above it, so
-    # p^m is not built either.
+    # for it.  Without lower_ceiling the lower check is skipped above the
+    # default ceiling; with it, the lower degree C(m, 2) * top must fit.
+    ceiling = DEFAULT_LOWER_CEILING if lower_ceiling is None else lower_ceiling
+    top = _top(p, m, ceiling)
+    pairs = m * (m - 1) // 2
     if lower_ceiling is None:
-        _require_top(p, m, "may_model upper check")
-    elif m > lower_ceiling.bit_length() or m * (m - 1) // 2 * (p**m - 1) > lower_ceiling:
-        raise ResourceLimitError(
-            f"may_model lower check needs the series through degree "
-            f"C({m}, 2) * ({p}^{m} - 1), above the ceiling {lower_ceiling}"
-        )
-    top = p**m - 1
-    lower_deg = (m * (m - 1) // 2) * top
-    spec = preset("may_model", p)
-    product = _may_model_product(p, m)
-    # lower_deg = C(m, 2) * top >= top, so one fold serves both checks.
-    skip_lower = lower_ceiling is None and lower_deg > DEFAULT_LOWER_CEILING
-    cumrank = hilbert_cumulative(spec, top if skip_lower else lower_deg)
-    upper_rank = cumrank[top]
-    checks = [
+        if top is None:
+            raise _refusal("may_model upper check",
+                           f"series through degree {p}^{m} - 1", ceiling)
+    elif top is None or pairs * top > ceiling:
+        raise _refusal("may_model lower check",
+                       f"series through degree C({m}, 2) * ({p}^{m} - 1)", ceiling)
+    lower_deg = pairs * top
+    product = p ** sum((m - i) * i for i in range(1, m))
+    # lower_deg >= top, so one fold serves both checks.
+    skip_lower = lower_deg > ceiling
+    cumrank = hilbert_cumulative(preset("may_model", p), top if skip_lower else lower_deg)
+    if skip_lower:
+        lower = (True, f"skipped: degree {lower_deg} exceeds ceiling {ceiling}")
+    else:
+        lower_rank = cumrank[lower_deg]
+        lower = (lower_rank >= product, f"cumrank({lower_deg}) = {lower_rank} >= {product}")
+    return [
         BracketCheck(
             "may_model_upper",
-            upper_rank <= product,
-            f"cumrank({top}) = {upper_rank} <= {product}",
-        )
+            cumrank[top] <= product,
+            f"cumrank({top}) = {cumrank[top]} <= {product}",
+        ),
+        BracketCheck("may_model_lower", *lower),
     ]
-    if skip_lower:
-        checks.append(
-            BracketCheck(
-                "may_model_lower",
-                True,
-                f"skipped: degree {lower_deg} exceeds ceiling "
-                f"{DEFAULT_LOWER_CEILING}",
-            )
-        )
-        return checks
-    lower_rank = cumrank[lower_deg]
-    checks.append(
-        BracketCheck(
-            "may_model_lower",
-            lower_rank >= product,
-            f"cumrank({lower_deg}) = {lower_rank} >= {product}",
-        )
-    )
-    return checks
 
 
-def _require_top(p: int, m: int, check: str) -> None:
-    """Refuse a series through p^m - 1 > DEFAULT_LOWER_CEILING before p^m
-    is built (m = 24 ran out of a 2 GB address space)."""
-    if m > DEFAULT_LOWER_CEILING.bit_length() or p**m - 1 > DEFAULT_LOWER_CEILING:
-        raise ResourceLimitError(
-            f"{check} needs the series through degree {p}^{m} - 1, above the "
-            f"ceiling {DEFAULT_LOWER_CEILING}"
-        )
-
-
-def _check_r_h_einf(p: int, m: int) -> list[BracketCheck]:
-    _require_top(p, m, "r_h_einf check")
-    top = p**m - 1
+def _check_r_h_einf(p: int, m: int, _lower_ceiling: int | None) -> list[BracketCheck]:
+    top = _top(p, m, DEFAULT_LOWER_CEILING)
+    if top is None:
+        raise _refusal("r_h_einf check", f"series through degree {p}^{m} - 1",
+                       DEFAULT_LOWER_CEILING)
     best = max_over_h("r_h_einf", p, top)
+    # ln c <= ln p (2m^3/75 + m^2), decided in integers; floats are reported
+    c = best.series[top]
     lnp = math.log(p)
     bound = (2.0 * lnp / 75.0) * m**3 + lnp * m**2
     value = best.series.coeff_log(top)
     return [
         BracketCheck(
             "r_h_einf_final",
-            value <= bound,
+            c**75 <= p ** (2 * m**3 + 75 * m**2),
             f"ln cumrank({top}) = {value:.6f} <= {bound:.6f} "
             f"(margin {bound - value:.6f}, argmax h = {best.argmax[top]})",
         )
     ]
 
 
-def _check_r_h_e2(p: int, m: int) -> list[BracketCheck]:
+def _check_r_h_e2(p: int, m: int, _lower_ceiling: int | None) -> list[BracketCheck]:
     # Tensor decomposition S^h x ... x S^{2h-1} of the rank-h model.  The
     # joint fold of the h factors runs through h * top: refuse it above the
-    # ceiling before p^m or any preset is built (p^m - 1 > 2^14 for m >= 15).
+    # ceiling before any preset is built.
     h = m // 2
-    top = 1 << 14 if m >= 15 else min(p**m - 1, 1 << 14)
+    top = _top(p, m, 1 << 14) or 1 << 14
     if h * top > DEFAULT_LOWER_CEILING:
-        raise ResourceLimitError(
-            f"r_h_e2 check needs the tensor series through degree {h} * {top}, "
-            f"above the ceiling {DEFAULT_LOWER_CEILING}"
-        )
+        raise _refusal("r_h_e2 check", f"tensor series through degree {h} * {top}",
+                       DEFAULT_LOWER_CEILING)
     factors = [preset("s_k", p, k=k) for k in range(h, 2 * h)]
     bracket = tensor_bracket(factors, [top] * len(factors))
-    checks = [
+    prod_series = hilbert(factors[0], top)
+    for f in factors[1:]:
+        prod_series = prod_series.mul(hilbert(f, top))
+    return [
         BracketCheck(
             "r_h_e2_tensor_bracket",
             bracket.ok,
             f"h = {h}: lower {bracket.lower}, middle {bracket.middle} <= "
             f"upper {bracket.upper}",
-        )
-    ]
-    prod_series = hilbert(factors[0], top)
-    for f in factors[1:]:
-        prod_series = prod_series.mul(hilbert(f, top))
-    same = hilbert(preset("r_h_e2", p, h=h), top) == prod_series
-    checks.append(
+        ),
         BracketCheck(
             "r_h_e2_factorisation",
-            same,
+            hilbert(preset("r_h_e2", p, h=h), top) == prod_series,
             f"hilbert(r_h_e2, h={h}) == prod hilbert(s_k), N = {top}",
-        )
-    )
-    return checks
+        ),
+    ]
+
+
+_CHECKS = {
+    "may_model": _check_may_model,
+    "r_h_e2": _check_r_h_e2,
+    "r_h_einf": _check_r_h_einf,
+}
 
 
 def bracketing_check(
@@ -300,14 +298,17 @@ def bracketing_check(
 ) -> BracketReport:
     """Exact sandwich inequalities at scale m for one model algebra.
 
+    It checks m >= 2, then the model name, then that p is prime, and only
+    then runs the model's check.
+
     may_model: cumulative rank through p^m - 1 is at most
     prod_{i<m} p^{(m-i)i}, and the rank through C(m,2)(p^m - 1) is at least
     that product.  Without lower_ceiling the lower check is skipped when
     its truncation exceeds DEFAULT_LOWER_CEILING; given one, it is computed
     up to that truncation and raises ResourceLimitError above it.
 
-    r_h_einf: ln of the best-over-h cumulative rank at p^m - 1 is at most
-    (2 ln p / 75) m^3 + (ln p) m^2.
+    r_h_einf: ln of the best-over-h cumulative rank c at p^m - 1 is at most
+    (2 ln p / 75) m^3 + (ln p) m^2, decided as c^75 <= p^(2m^3 + 75m^2).
 
     p^m - 1 above DEFAULT_LOWER_CEILING raises ResourceLimitError, for
     may_model without lower_ceiling and for r_h_einf.
@@ -319,13 +320,10 @@ def bracketing_check(
     """
     if m < 2:
         raise ValueError("scale parameter m must be >= 2")
-    if model == "may_model":
-        checks = _check_may_model(p, m, lower_ceiling)
-    elif model == "r_h_einf":
-        checks = _check_r_h_einf(p, m)
-    elif model == "r_h_e2":
-        checks = _check_r_h_e2(p, m)
-    else:
+    check = _CHECKS.get(model)
+    if check is None:
         raise ValueError(f"unknown bracketing model {model!r}; "
                          f"expected one of {BRACKET_MODELS}")
-    return BracketReport(p=p, m=m, model=model, checks=tuple(checks))
+    if not is_prime(p):
+        raise AlgebraError(f"p = {p} is not prime")
+    return BracketReport(p=p, m=m, model=model, checks=tuple(check(p, m, lower_ceiling)))

@@ -32,36 +32,44 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_points(expr: str) -> list[int]:
     """Point lists: '2^6..2^16' (per-exponent powers), '10..20' (unit step),
-    or comma-separated integers, each term allowing base^exp."""
+    or comma-separated integers, each term allowing base^exp.  A point past
+    sys.maxsize raises ResourceLimitError: no series list reaches it."""
+
+    def power(base: int, exp: int, text: str) -> int:
+        # b^e >= 2^(e * (bit_length(b) - 1)): refuse before building it
+        too_big = exp * (base.bit_length() - 1) >= sys.maxsize.bit_length()
+        if too_big or base**exp > sys.maxsize:
+            raise series.ResourceLimitError(
+                f"point {text} is above sys.maxsize = {sys.maxsize}")
+        return base**exp
+
+    def split(s: str) -> tuple[int, int]:
+        base, caret, exp = s.partition("^")
+        return int(base), int(exp) if caret else 1
 
     def term(s: str) -> int:
-        s = s.strip()
-        if "^" in s:
-            base, _, exp = s.partition("^")
-            return int(base) ** int(exp)
-        return int(s)
+        return power(*split(s), s.strip())
 
     try:
-        if ".." in expr:
-            lo_s, _, hi_s = expr.partition("..")
-            if "^" in lo_s and "^" in hi_s:
-                base = int(lo_s.partition("^")[0])
-                base2 = int(hi_s.partition("^")[0])
-                if base != base2:
-                    raise CliError(f"mismatched bases in point range {expr!r}")
-                e0 = int(lo_s.partition("^")[2])
-                e1 = int(hi_s.partition("^")[2])
-                if e1 < e0:
-                    raise CliError(f"empty point range {expr!r}")
-                return [base**e for e in range(e0, e1 + 1)]
+        if ".." not in expr:
+            return [term(s) for s in expr.split(",") if s.strip()]
+        lo_s, _, hi_s = expr.partition("..")
+        powers = "^" in lo_s and "^" in hi_s
+        if powers:
+            (base, lo), (base2, hi) = split(lo_s), split(hi_s)
+            if base != base2:
+                raise CliError(f"mismatched bases in point range {expr!r}")
+        else:
             lo, hi = term(lo_s), term(hi_s)
-            if hi < lo:
-                raise CliError(f"empty point range {expr!r}")
-            if hi - lo > 1_000_000:
-                raise CliError(f"point range {expr!r} is too large")
+        if hi < lo:
+            raise CliError(f"empty point range {expr!r}")
+        term(hi_s)  # the top end decides before any list is built
+        if hi - lo > 1_000_000:
+            raise CliError(f"point range {expr!r} is too large")
+        if not powers:
             return list(range(lo, hi + 1))
-        return [term(s) for s in expr.split(",") if s.strip()]
-    except ValueError as exc:
+        return [power(base, e, f"{base}^{e}") for e in range(lo, hi + 1)]
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad point expression {expr!r}: {exc}") from None
 
 
@@ -187,31 +195,19 @@ def _cmd_asymptotics(args) -> int:
         if args.name is None:
             raise CliError("ratio profiles need --name <preset>")
         points = parse_points(args.points)
-        profile = asymptotics.ratio_profile(_spec(args), args.exponent, points)
-        _emit_as(args.format, args.out,
-                 lambda fh: fh.write(json.dumps(profile.to_json_obj(), indent=2)),
-                 profile.csv_rows)
-        return EXIT_OK
-    if args.name in asymptotics.BRACKET_MODELS:
+        result = asymptotics.ratio_profile(_spec(args), args.exponent, points)
+    elif args.name in asymptotics.BRACKET_MODELS:
         if args.n is None:
             raise CliError("bracketing checks need --n <scale m>")
-        report = asymptotics.bracketing_check(
+        result = asymptotics.bracketing_check(
             args.p, args.n, args.name, lower_ceiling=args.lower_ceiling)
-        _emit_as(
-            args.format, args.out,
-            lambda fh: fh.write(json.dumps(report.to_json_obj(), indent=2)),
-            lambda: [("check", "ok", "detail"),
-                     *((c.name, str(c.ok), c.detail) for c in report.checks)],
-        )
-        return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-    consts = asymptotics.constants(args.p)
-    _emit_as(
-        args.format, args.out,
-        lambda fh: fh.write(json.dumps(consts.to_json_obj(), indent=2)),
-        lambda: [("p", "K1", "K2", "K3"),
-                 (str(consts.p), repr(consts.k1), repr(consts.k2), repr(consts.k3))],
-    )
-    return EXIT_OK
+    else:
+        result = asymptotics.constants(args.p)
+    _emit_as(args.format, args.out,
+             lambda fh: fh.write(json.dumps(result.to_json_obj(), indent=2)),
+             result.csv_rows)
+    # only a bracketing report has a verdict
+    return EXIT_OK if getattr(result, "ok", True) else EXIT_VERIFY_FAILED
 
 
 def _cmd_verify(args) -> int:
@@ -308,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE
     except MemoryError:  # a backstop: the guards above should trip first
         print("stemsize: resource guard: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except OverflowError as exc:  # a backstop too: a size past any index
+        print(f"stemsize: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"stemsize: error: {exc}", file=sys.stderr)

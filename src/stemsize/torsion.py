@@ -45,6 +45,8 @@ def val_p(p: int, m: int) -> int:
     """p-adic valuation |m|_p: largest k with p^k | m."""
     if m < 1:
         raise TorsionError(f"valuation needs m >= 1, got {m}")
+    if p < 2:
+        raise TorsionError(f"p-adic valuation needs p >= 2, got {p}")
     if p == 2:
         return (m & -m).bit_length() - 1
     v = 0
@@ -172,6 +174,8 @@ def an_e2_exponent(p: int, u: int) -> int | None:
     else 1 + |u|_p.  u = 0 holds the non-torsion unit, so None is returned
     as the unbounded-by-this-formula sentinel.
     """
+    if p < 2:
+        raise TorsionError(f"p-adic valuation needs p >= 2, got {p}")
     if u == 0:
         return None
     u = abs(u)
@@ -184,6 +188,8 @@ def an_e2_exponent(p: int, u: int) -> int | None:
 
 def sum_val_p(p: int, b: int) -> int:
     """Sum of |i|_p over 1 <= i <= b (Legendre)."""
+    if p < 2:
+        raise TorsionError(f"p-adic valuation needs p >= 2, got {p}")
     total = 0
     power = p
     while power <= b:
@@ -300,6 +306,8 @@ def barratt_bound(
     if s < 1 or m < 1 or n < 1:
         raise TorsionError("need s >= 1, m >= 1, n >= 1")
     if double_suspension:
+        if p < 2:
+            raise TorsionError(f"double-suspension bound needs p >= 2, got {p}")
         k = 0
         while n > p ** (k + 1) * s:
             k += 1

@@ -1,10 +1,13 @@
+import functools
+import hashlib
+import json
 import math
 import time
 
 import pytest
 
 from stemsize import asymptotics
-from stemsize.algebra import AlgebraSpec, hilbert_cumulative
+from stemsize.algebra import AlgebraError, AlgebraSpec, hilbert_cumulative
 from stemsize.asymptotics import (
     BRACKET_MODELS,
     Constants,
@@ -13,7 +16,8 @@ from stemsize.asymptotics import (
     constants,
     ratio_profile,
 )
-from stemsize.presets import preset
+from stemsize.presets import MaxOverH, max_over_h, preset
+from stemsize.series import TruncatedSeries
 
 
 class TestConstants:
@@ -72,7 +76,8 @@ class TestRatioProfile:
 
 class TestBracketing:
     def test_model_names(self):
-        assert set(BRACKET_MODELS) == {"may_model", "r_h_e2", "r_h_einf"}
+        assert BRACKET_MODELS == ("may_model", "r_h_e2", "r_h_einf")
+        assert tuple(asymptotics._CHECKS) == BRACKET_MODELS
         with pytest.raises(Exception):
             bracketing_check(2, 4, "nope")
 
@@ -187,3 +192,82 @@ class TestBracketing:
         lower = next(c for c in report.checks if "lower" in c.name)
         assert lower.ok
         assert lower.detail == "skipped: degree 3440535 exceeds ceiling 2097152"
+
+    def test_checks_scale_then_model_then_prime(self, monkeypatch):
+        # the front door decides in this order before any check runs, so a
+        # non-prime p is refused alike at every scale
+        monkeypatch.setattr(asymptotics, "_CHECKS", {
+            model: lambda *args: pytest.fail("a check ran") for model in BRACKET_MODELS})
+        with pytest.raises(ValueError, match="^scale parameter m must be >= 2$"):
+            bracketing_check(4, 1, "nope")
+        with pytest.raises(ValueError, match="^unknown bracketing model 'nope'"):
+            bracketing_check(4, 40, "nope")
+        for p in (1, 4, 0, -3):
+            for model in BRACKET_MODELS:
+                for m in (2, 40, 10**8):
+                    with pytest.raises(AlgebraError, match=rf"^p = {p} is not prime$"):
+                        bracketing_check(p, m, model, lower_ceiling=10)
+
+    def test_no_power_past_the_ceiling_is_built(self):
+        # 3^(10^7) alone takes about 5 s; every check refuses without it
+        start = time.monotonic()
+        for model, lower_ceiling in (*((model, None) for model in BRACKET_MODELS),
+                                     ("may_model", 2**21)):
+            with pytest.raises(ResourceLimitError):
+                bracketing_check(3, 10**7, model, lower_ceiling=lower_ceiling)
+        assert time.monotonic() - start < 1.0
+
+    def test_surface_digest(self, monkeypatch):
+        # every report or refusal over the grid, pinned before the bracketing
+        # checks shared one front door and one top-degree helper
+        monkeypatch.setattr(asymptotics, "max_over_h", functools.cache(max_over_h))
+        digest = hashlib.sha256()
+        for p in (2, 3, 5):
+            for m in (1, 2, 4, 6, 9, 22, 40):
+                for model in (*BRACKET_MODELS, "nope"):
+                    for lower_ceiling in (None, 10, 2**21):
+                        try:
+                            report = bracketing_check(p, m, model, lower_ceiling=lower_ceiling)
+                            out = json.dumps(report.to_json_obj(), sort_keys=True)
+                        except Exception as exc:
+                            out = f"{type(exc).__name__}: {exc}"
+                        digest.update(out.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "293ae4ccf2bcd99fb51b8161f55acebabf07fe84534f9b0d1578cbb984c2c7ec")
+
+
+class TestRhEinfInIntegers:
+    def test_agrees_with_the_float_envelope_under_the_ceiling(self, monkeypatch):
+        # ln c <= ln p (2m^3/75 + m^2), the float form the integer verdict
+        # c^75 <= p^(2m^3 + 75m^2) replaced, on all 51 scales up to 2^21
+        seen = []
+
+        def spy(family, p, top):
+            seen.append(max_over_h(family, p, top))
+            return seen[-1]
+
+        monkeypatch.setattr(asymptotics, "max_over_h", spy)
+        margins = []
+        for p in (2, 3, 5, 7, 11):
+            m = 2
+            while p**m - 1 <= asymptotics.DEFAULT_LOWER_CEILING:
+                report = bracketing_check(p, m, "r_h_einf")
+                top = p**m - 1
+                lnp = math.log(p)
+                bound = (2.0 * lnp / 75.0) * m**3 + lnp * m**2
+                value = seen[-1].series.coeff_log(top)
+                assert report.ok == (value <= bound), (p, m)
+                margins.append(bound - value)
+                m += 1
+        assert len(margins) == 51
+        assert min(margins) > 2.9
+
+    def test_a_tie_passes(self, monkeypatch):
+        # c = 2^315 at m = 15, p = 2: c^75 = 2^(2 * 15^3 + 75 * 15^2) exactly
+        top = 2**15 - 1
+        tie = MaxOverH(TruncatedSeries([1] * top + [2**315]), (1,) * (top + 1))
+        monkeypatch.setattr(asymptotics, "max_over_h", lambda *args: tie)
+        assert bracketing_check(2, 15, "r_h_einf").ok
+        over = MaxOverH(TruncatedSeries([1] * top + [2**315 + 1]), (1,) * (top + 1))
+        monkeypatch.setattr(asymptotics, "max_over_h", lambda *args: over)
+        assert not bracketing_check(2, 15, "r_h_einf").ok

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -72,6 +73,33 @@ class TestParsePoints:
     def test_garbage_rejected(self):
         with pytest.raises(CliError):
             parse_points("2^^4")
+
+    @pytest.mark.parametrize("expr, point", [
+        ("10^100000000", "10^100000000"),
+        ("2^1..2^3000000", "2^3000000"),
+        ("2^70", "2^70"),
+        ("2^63", "2^63"),
+        ("3^40", "3^40"),
+        ("16,9223372036854775808", "9223372036854775808"),
+        ("4..2^64", "2^64"),
+    ])
+    def test_point_past_maxsize_refused_before_it_is_built(self, expr, point):
+        start = time.monotonic()
+        with pytest.raises(series.ResourceLimitError,
+                           match=rf"^point {re.escape(point)} is above sys.maxsize = "):
+            parse_points(expr)
+        assert time.monotonic() - start < 0.5  # 10^(10^8) alone takes far longer
+
+    def test_maxsize_itself_is_a_point(self):
+        assert parse_points(f"2^62,{sys.maxsize}") == [2**62, sys.maxsize]
+        assert parse_points("2^60..2^62") == [2**60, 2**61, 2**62]
+
+    @pytest.mark.parametrize("expr", ["2^-1000000000..2^3", "1^0..1^100000000000", "0^-1"])
+    def test_unbuildable_power_ranges_rejected(self, expr):
+        start = time.monotonic()
+        with pytest.raises(CliError):
+            parse_points(expr)
+        assert time.monotonic() - start < 0.5
 
 
 class TestPreset:
@@ -434,6 +462,30 @@ class TestAsymptotics:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0eb3ae63019b9f75e2d8795cce71b0edef36282d56fa8b6718e9923ed6ddbfe1")
 
+    @pytest.mark.parametrize("p", ["1", "4"])
+    def test_non_prime_exits_one(self, p, capsys):
+        requests = [
+            *(["--name", model, "--n", m] for model in asymptotics.BRACKET_MODELS
+              for m in ("4", "300")),
+            ["--name", "s_k", "--h", "0", "--points", "2^4"],
+            [],
+        ]
+        for argv in requests:
+            start = time.monotonic()
+            assert main(["asymptotics", "--p", p, *argv]) == 1, argv
+            assert time.monotonic() - start < 1.0
+            assert capsys.readouterr() == ("", f"stemsize: error: p = {p} is not prime\n")
+
+    @pytest.mark.parametrize("points", ["10^100000000", "2^1..2^3000000"])
+    def test_points_past_maxsize_exit_three(self, points):
+        start = time.monotonic()
+        code, out, err = run_cli("asymptotics", "--p", "2", "--name", "s_k", "--h", "0",
+                                 "--points", points, timeout=10)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("stemsize: resource guard: point ")
+        assert len(err.splitlines()) == 1
+
     def test_ratio_profile_csv(self):
         code, out, _ = run_cli(
             "asymptotics", "--p", "2", "--name", "s_k", "--h", "0",
@@ -505,6 +557,28 @@ class TestMainEntry:
         monkeypatch.setattr(torsion, "stable_torsion_bound", exhausted)
         assert main(["torsion", "--p", "2", "--n", "10"]) == 3
         assert capsys.readouterr() == ("", "stemsize: resource guard: out of memory\n")
+
+    def test_overflow_error_exits_three(self, capsys, monkeypatch):
+        def past_any_index(*args):
+            raise OverflowError("cannot fit 'int' into an index-sized integer")
+
+        monkeypatch.setattr(torsion, "stable_torsion_bound", past_any_index)
+        assert main(["torsion", "--p", "2", "--n", "10"]) == 3
+        assert capsys.readouterr() == (
+            "", "stemsize: resource guard: cannot fit 'int' into an index-sized integer\n")
+
+    @pytest.mark.parametrize("command", ["ehp", "hilbert"])
+    def test_degree_past_any_index_exits_three(self, command, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("p = 2\ngen poly deg = 5\n")
+        argv = (["ehp", "--p", "2", "--excess", "1"] if command == "ehp"
+                else ["hilbert", "--spec", str(spec)])
+        start = time.monotonic()
+        code, out, err = run_cli(*argv, "--max-degree", str(2**70), timeout=10)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == ("stemsize: resource guard: cannot fit 'int' into an "
+                       "index-sized integer\n")
 
 
 class TestSharedParser:

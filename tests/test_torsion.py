@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import random
+import signal
 from itertools import accumulate
 
 import pytest
@@ -44,6 +46,46 @@ def _e2_term(p, i):
     if p == 2:
         return 1 + val_p(2, i) + (1 if i % 2 == 0 else 0)
     return 1 + val_p(p, i)
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail a call that runs longer than `seconds` instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestBaseBelowTwo:
+    # each of these once looped forever or divided by zero at p < 2
+    @pytest.mark.parametrize("call", [
+        lambda p: val_p(p, 8),
+        lambda p: sum_val_p(p, 9),
+        lambda p: an_e2_exponent(p, 4),
+        lambda p: counting_lemma(p, 0, 5),
+        lambda p: goodwillie_bound(1, 1, 10, p),
+        lambda p: norm_torsion_order(p, 1, 4),
+    ], ids=["val_p", "sum_val_p", "an_e2_exponent", "counting_lemma",
+            "goodwillie_bound", "norm_torsion_order"])
+    @pytest.mark.parametrize("p", [1, 0, -2])
+    def test_valuations_refuse(self, call, p):
+        with within(1.0), pytest.raises(TorsionError, match=rf"^p-adic valuation needs "
+                                         rf"p >= 2, got {p}$"):
+            call(p)
+
+    @pytest.mark.parametrize("p", [1, 0, -2])
+    def test_double_suspension_refuses(self, p):
+        with within(1.0), pytest.raises(TorsionError, match=rf"^double-suspension bound "
+                                         rf"needs p >= 2, got {p}$"):
+            barratt_bound(1, 1, 5, p=p, double_suspension=True)
 
 
 class TestValuations:
