@@ -1,11 +1,18 @@
 """`Frozen`: the base of the package's immutable value classes.
 
-A subclass lists its fields in ``__slots__``, in constructor order, and its
-``__init__`` sets them with `set_field`.  From that list the base derives
-equality (only between instances of the same class, field by field), a hash
-that agrees with it, the ``Name(field=value, ...)`` repr, pickling and
-copying by re-construction (so validation runs again), and assignment and
-deletion that raise ``AttributeError``.
+A subclass lists its fields in ``__slots__``, in constructor order.  From
+that list the base derives the constructor, equality (only between instances
+of the same class, field by field), a hash that agrees with it, the
+``Name(field=value, ...)`` repr, pickling and copying by re-construction (so
+validation runs again), and assignment and deletion that raise
+``AttributeError``.
+
+The derived ``__init__`` is a function generated once per class, as
+`collections.namedtuple` builds its ``__new__``: it takes the fields
+positionally or by keyword under Python's own signature rules, and costs per
+object what a hand-written one does.  A default goes on its ``__defaults__``
+(``RatioProfile.__init__.__defaults__ = ((),)``).  A class that validates its
+arguments defines its own ``__init__`` and sets each field with `set_field`.
 
 It stands in for the standard library's frozen data classes: importing their
 module and generating each class's methods cost every cold CLI call about
@@ -23,6 +30,16 @@ set_field = object.__setattr__
 
 class Frozen:
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls.__dict__.get("__slots__")
+        if fields and "__init__" not in cls.__dict__:
+            sets = "".join(f"\n    set_field(self, {name!r}, {name})" for name in fields)
+            namespace = {"set_field": set_field, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(fields)}):{sets}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .algebra import (
     AlgebraError,
     AlgebraSpec,
@@ -51,12 +51,6 @@ class Constants(Frozen):
 
     __slots__ = ("p", "k1", "k2", "k3")
 
-    def __init__(self, p: int, k1: float, k2: float, k3: float) -> None:
-        set_field(self, "p", p)
-        set_field(self, "k1", k1)
-        set_field(self, "k2", k2)
-        set_field(self, "k3", k3)
-
     def csv_rows(self):
         yield ("p", "K1", "K2", "K3")
         yield (str(self.p), repr(self.k1), repr(self.k2), repr(self.k3))
@@ -80,23 +74,9 @@ def constants(p: int) -> Constants:
 class RatioRow(Frozen):
     __slots__ = ("n", "log_rank", "log_n_pow", "ratio")
 
-    def __init__(self, n: int, log_rank: float, log_n_pow: float, ratio: float) -> None:
-        set_field(self, "n", n)
-        set_field(self, "log_rank", log_rank)
-        set_field(self, "log_n_pow", log_n_pow)
-        set_field(self, "ratio", ratio)
-
 
 class RatioProfile(Frozen):
     __slots__ = ("p", "label", "exponent", "rows")
-
-    def __init__(
-        self, p: int, label: str, exponent: int, rows: tuple[RatioRow, ...] = ()
-    ) -> None:
-        set_field(self, "p", p)
-        set_field(self, "label", label)
-        set_field(self, "exponent", exponent)
-        set_field(self, "rows", rows)
 
     def csv_rows(self):
         yield ("n", "log_rank", f"log_n_pow_{self.exponent}", "ratio")
@@ -118,6 +98,9 @@ class RatioProfile(Frozen):
                 for r in self.rows
             ],
         }
+
+
+RatioProfile.__init__.__defaults__ = ((),)  # rows
 
 
 def ratio_profile(spec: AlgebraSpec, exponent: int, points: list[int]) -> RatioProfile:
@@ -147,22 +130,9 @@ def ratio_profile(spec: AlgebraSpec, exponent: int, points: list[int]) -> RatioP
 class BracketCheck(Frozen):
     __slots__ = ("name", "ok", "detail")
 
-    def __init__(self, name: str, ok: bool, detail: str) -> None:
-        set_field(self, "name", name)
-        set_field(self, "ok", ok)
-        set_field(self, "detail", detail)
-
 
 class BracketReport(Frozen):
     __slots__ = ("p", "m", "model", "checks")
-
-    def __init__(
-        self, p: int, m: int, model: str, checks: tuple[BracketCheck, ...]
-    ) -> None:
-        set_field(self, "p", p)
-        set_field(self, "m", m)
-        set_field(self, "model", model)
-        set_field(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

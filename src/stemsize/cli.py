@@ -20,6 +20,10 @@ EXIT_VALIDATION = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_RESOURCE = 3
 
+# Largest spec or curve-table file read, in bytes.  The DSL parses about
+# 1.5 s per MiB, and no spec in the tests reaches 20 KB.
+MAX_INPUT_BYTES = 1 << 20
+
 
 class CliError(ValueError):
     """A validation problem in the command line or its input files."""
@@ -73,6 +77,26 @@ def parse_points(expr: str) -> list[int]:
         raise CliError(f"bad point expression {expr!r}: {exc}") from None
 
 
+def _read_input(path: str, what: str) -> str:
+    """The UTF-8 text of a spec or curve-table file, newlines translated as
+    text-mode `open` does.  A file past MAX_INPUT_BYTES raises
+    ResourceLimitError before any parsing: no more than one byte past the
+    cap is read."""
+    try:
+        with open(path, "rb") as fh:
+            # read(n) allocates n bytes first, which costs a small file about
+            # 20 us at n = 2^20: read the rest only when a first block fills
+            data = fh.read(1 << 16)
+            if len(data) == 1 << 16:
+                data += fh.read(MAX_INPUT_BYTES + 1 - len(data))
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path!r}: {exc}") from None
+    if len(data) > MAX_INPUT_BYTES:
+        raise series.ResourceLimitError(
+            f"{what} {path!r} is larger than the cap of {MAX_INPUT_BYTES} bytes")
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_curve(arg: str) -> torsion.VanishingCurve:
     if arg == "linear":
         return torsion.LinearCurve()
@@ -81,20 +105,16 @@ def _load_curve(arg: str) -> torsion.VanishingCurve:
     if arg.startswith("table:"):
         path = arg[len("table:"):]
         values = []
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
-                    try:
-                        values.append(int(line))
-                    except ValueError:
-                        raise CliError(
-                            f"curve table {path!r}, line {line_no}: "
-                            f"expected an integer, got {line.strip()!r}"
-                        ) from None
-        except OSError as exc:
-            raise CliError(f"cannot read curve table {path!r}: {exc}") from None
+        for line_no, line in enumerate(_read_input(path, "curve table").split("\n"), 1):
+            if not line.strip():
+                continue
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise CliError(
+                    f"curve table {path!r}, line {line_no}: "
+                    f"expected an integer, got {line.strip()!r}"
+                ) from None
         return torsion.TableCurve(tuple(values))
     raise CliError(f"unknown curve {arg!r}: expected linear, sqrt, or table:<path>")
 
@@ -142,11 +162,7 @@ def _spec(args) -> algebra.AlgebraSpec:
     """The algebra a request names: the --spec DSL file, or the preset built
     from --name, --p, --h, --drop-q0 and --simplify-odd (--h is k for s_k)."""
     if args.spec is not None:
-        try:
-            with open(args.spec, encoding="utf-8") as fh:
-                return algebra.parse_spec(fh.read())
-        except OSError as exc:
-            raise CliError(f"cannot read spec {args.spec!r}: {exc}") from None
+        return algebra.parse_spec(_read_input(args.spec, "spec"))
     return presets.preset(
         args.name,
         args.p,
@@ -196,9 +212,11 @@ def _cmd_asymptotics(args) -> int:
             raise CliError("ratio profiles need --name <preset>")
         points = parse_points(args.points)
         result = asymptotics.ratio_profile(_spec(args), args.exponent, points)
-    elif args.name in asymptotics.BRACKET_MODELS:
-        if args.n is None:
-            raise CliError("bracketing checks need --n <scale m>")
+    elif args.name is not None or args.n is not None:
+        if args.name is None or args.n is None:
+            raise CliError("bracketing checks need --name <model> and --n <scale m>; "
+                           "ratio profiles need --name <preset> and --points")
+        # an unknown model exits 1 here, with bracketing_check's message
         result = asymptotics.bracketing_check(
             args.p, args.n, args.name, lower_ceiling=args.lower_ceiling)
     else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Union
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .series import ResourceLimitError
 
 __all__ = [
@@ -54,32 +54,17 @@ class DslError(ValueError):
 class Lit(Frozen):
     __slots__ = ("value",)
 
-    def __init__(self, value: int) -> None:
-        set_field(self, "value", value)
-
 
 class Var(Frozen):
     __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        set_field(self, "name", name)
 
 
 class BinOp(Frozen):
     __slots__ = ("op", "left", "right")  # op is one of + - * ^
 
-    def __init__(self, op: str, left: "DegreeExpr", right: "DegreeExpr") -> None:
-        set_field(self, "op", op)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
 
 class Min(Frozen):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: "DegreeExpr", right: "DegreeExpr") -> None:
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
 
 DegreeExpr = Union[Lit, Var, BinOp, Min]

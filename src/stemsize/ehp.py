@@ -42,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .algebra import hilbert, instantiate, is_prime
 from .presets import preset
 from .series import ResourceLimitError, TruncatedSeries, SeriesError, _fold
@@ -70,11 +70,6 @@ class CUSeq(Frozen):
     """
 
     __slots__ = ("p", "n", "entries")
-
-    def __init__(self, p: int, n: int, entries: tuple) -> None:
-        set_field(self, "p", p)
-        set_field(self, "n", n)
-        set_field(self, "entries", entries)
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .algebra import AlgebraSpec, _lattice_fold, is_prime, parse_spec
 from .series import TruncatedSeries
 
@@ -147,10 +147,6 @@ def _lines(name: str, p: int, h: int | None, k: int | None, simplify_odd: bool) 
 
 class MaxOverH(Frozen):
     __slots__ = ("series", "argmax")
-
-    def __init__(self, series: TruncatedSeries, argmax: tuple[int, ...]) -> None:
-        set_field(self, "series", series)
-        set_field(self, "argmax", argmax)
 
 
 def max_over_h(family: str, p: int, trunc: int) -> MaxOverH:

@@ -141,15 +141,6 @@ class TableCurve(VanishingCurve, Frozen):
 class TorsionReport(Frozen):
     __slots__ = ("p", "n", "exact_sum", "closed_form", "curve")
 
-    def __init__(
-        self, p: int, n: int, exact_sum: int, closed_form: float, curve: dict
-    ) -> None:
-        set_field(self, "p", p)
-        set_field(self, "n", n)
-        set_field(self, "exact_sum", exact_sum)
-        set_field(self, "closed_form", closed_form)
-        set_field(self, "curve", curve)
-
     def to_json(self) -> str:
         return json.dumps(
             {

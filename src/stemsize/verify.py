@@ -35,7 +35,7 @@ from itertools import accumulate, pairwise
 from typing import Iterator
 
 from . import algebra, asymptotics, ehp, presets, series, torsion
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .dsl import BinOp, Lit, Var
 
 __all__ = ["DEFAULT_SEED", "SUITES", "CheckResult", "run_suite", "run", "format_report"]
@@ -50,12 +50,6 @@ Checks = Iterator[tuple[str, bool, str]]
 
 class CheckResult(Frozen):
     __slots__ = ("suite", "name", "ok", "detail")
-
-    def __init__(self, suite: str, name: str, ok: bool, detail: str) -> None:
-        set_field(self, "suite", suite)
-        set_field(self, "name", name)
-        set_field(self, "ok", ok)
-        set_field(self, "detail", detail)
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -725,6 +725,9 @@ VALUE_CLASSES = {
     CheckResult: (("suite", "name", "ok", "detail"), ("series", "x", True, "d"), (3, "e")),
 }
 _CLASSES = list(VALUE_CLASSES)
+# how many trailing fields have defaults (see test_defaults)
+_DEFAULTED = {GeneratorKind: 1, GeneratorFamily: 2, AlgebraSpec: 1, PowerLawCurve: 1,
+              RatioProfile: 1}
 _IDS = [cls.__name__ for cls in _CLASSES]
 
 
@@ -788,6 +791,29 @@ class TestValueClasses:
     def test_defaults(self, make, field, default):
         value = getattr(make(), field)
         assert value == default and type(value) is type(default)
+
+    @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
+    def test_wrong_arguments_raise_type_error(self, cls):
+        fields, values, _ = VALUE_CLASSES[cls]
+        calls = {
+            "too many": lambda: cls(*values, 0),
+            "unknown keyword": lambda: cls(*values, extra=0),
+        }
+        required = len(fields) - _DEFAULTED.get(cls, 0)
+        if required:
+            calls["too few"] = lambda: cls(*values[:required - 1])
+            calls["repeated"] = lambda: cls(*values, **{fields[0]: values[0]})
+        for what, call in calls.items():
+            with pytest.raises(TypeError) as info:
+                call()
+            prefix = f"{cls.__name__}.__init__() " if fields else f"{cls.__name__}() "
+            assert str(info.value).startswith(prefix), what
+
+    @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
+    def test_constructor_belongs_to_the_class_module(self, cls):
+        if VALUE_CLASSES[cls][0]:
+            assert cls.__init__.__module__ == cls.__module__
+            assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
 
     @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
     def test_repr(self, cls):

@@ -14,7 +14,7 @@ import pytest
 import stemsize
 from stemsize import algebra, asymptotics, series, torsion
 from stemsize.algebra import hilbert, parse_spec
-from stemsize.cli import CliError, main, parse_points
+from stemsize.cli import MAX_INPUT_BYTES, CliError, main, parse_points
 from stemsize.ehp import a_series
 from stemsize.presets import preset
 
@@ -486,6 +486,22 @@ class TestAsymptotics:
         assert err.startswith("stemsize: resource guard: point ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--name", "bogus", "--n", "3"], "unknown bracketing model 'bogus'; "
+         "expected one of ('may_model', 'r_h_e2', 'r_h_einf')"),
+        (["--name", "s_k", "--n", "3"], "unknown bracketing model 's_k'; "
+         "expected one of ('may_model', 'r_h_e2', 'r_h_einf')"),
+        (["--n", "5"], "bracketing checks need --name <model> and --n <scale m>; "
+         "ratio profiles need --name <preset> and --points"),
+        (["--name", "s_k", "--h", "2"], "bracketing checks need --name <model> and "
+         "--n <scale m>; ratio profiles need --name <preset> and --points"),
+    ], ids=["unknown-model", "preset-without-points", "n-without-name",
+            "name-without-n-or-points"])
+    def test_input_that_would_be_ignored_exits_one(self, argv, message, capsys):
+        # each of these printed the growth constants with exit 0
+        assert main(["asymptotics", "--p", "2", *argv]) == 1
+        assert capsys.readouterr() == ("", f"stemsize: error: {message}\n")
+
     def test_ratio_profile_csv(self):
         code, out, _ = run_cli(
             "asymptotics", "--p", "2", "--name", "s_k", "--h", "0",
@@ -495,6 +511,31 @@ class TestAsymptotics:
         lines = out.splitlines()
         assert lines[0] == "n,log_rank,log_n_pow_2,ratio"
         assert len(lines) == 3
+
+
+class TestInputFileCap:
+    # the body, then blank lines up to the cap; one byte more is a line that
+    # neither parser accepts, so exit 3 rather than 1 shows it went unparsed
+    @pytest.mark.parametrize("argv, prefix, body, what", [
+        (["hilbert", "--max-degree", "3", "--spec"], "", "p = 2\ngen poly deg = 1\n", "spec"),
+        (["torsion", "--p", "2", "--n", "3", "--curve"], "table:", "1\n2\n3\n",
+         "curve table"),
+    ], ids=["spec", "curve-table"])
+    def test_at_the_cap_and_one_byte_over(self, tmp_path, capsys, argv, prefix, body, what):
+        assert MAX_INPUT_BYTES == 2**20
+        path = tmp_path / "input.txt"
+        at_cap = (body + "\n" * (MAX_INPUT_BYTES - len(body))).encode()
+        assert len(at_cap) == MAX_INPUT_BYTES
+        path.write_bytes(at_cap)
+        assert main([*argv, prefix + str(path), "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[1].startswith(
+            "1," if what == "spec" else "2,3,4,")
+        path.write_bytes(at_cap + b"x")
+        assert main([*argv, prefix + str(path)]) == 3
+        assert capsys.readouterr() == ("", (
+            f"stemsize: resource guard: {what} {str(path)!r} is larger than the "
+            f"cap of 1048576 bytes\n"))
 
 
 class TestVerify:

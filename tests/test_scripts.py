@@ -129,3 +129,35 @@ def test_performance_report_times_the_preset_catalog():
     for state, line in zip(("empty cache", "warm cache"), lines):
         assert re.fullmatch(rf"presets  20 presets, every name at p = 2, 3, {state}: "
                             r"\d+\.\d{3} ms CPU", line), line
+
+
+def test_code_lines_total_is_the_sum_of_the_modules():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "code_lines.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert rows[-1][1] == "total"
+    counts = {name: int(count) for count, name in rows[:-1]}
+    package = SCRIPTS.parent / "src" / "stemsize"
+    assert sorted(counts) == sorted(path.name for path in package.glob("*.py"))
+    assert all(count > 0 for count in counts.values())
+    assert int(rows[-1][0]) == sum(counts.values())
+
+
+def test_code_lines_skip_comments_docstrings_and_blanks(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from code_lines import code_lines
+
+    assert code_lines("import os\n\n\ndef f(x):\n    return [x,\n            os.sep]\n") == 4
+    documented = (
+        '"""A module docstring\n\nover three lines."""\n'
+        "import os  # a trailing comment\n\n"
+        "# a comment line\n\n"
+        "def f(x):\n"
+        "    '''A function docstring.'''\n"
+        "    # another comment\n"
+        "    return [x,\n\n"
+        "            os.sep]\n"
+    )
+    assert code_lines(documented) == 4
+    assert code_lines(documented + "TEXT = '''a string\nthat is code'''\n") == 6
