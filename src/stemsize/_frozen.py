@@ -12,7 +12,9 @@ The derived ``__init__`` is a function generated once per class, as
 positionally or by keyword under Python's own signature rules, and costs per
 object what a hand-written one does.  A default goes on its ``__defaults__``
 (``RatioProfile.__init__.__defaults__ = ((),)``).  A class that validates its
-arguments defines its own ``__init__`` and sets each field with `set_field`.
+fields states the checks in a ``_check`` method, which the derived
+``__init__`` calls once every field is set; a class without one pays nothing
+for it.
 
 It stands in for the standard library's frozen data classes: importing their
 module and generating each class's methods cost every cold CLI call about
@@ -21,7 +23,7 @@ module and generating each class's methods cost every cold CLI call about
 
 from __future__ import annotations
 
-__all__ = ["Frozen", "set_field"]
+__all__ = ["Frozen"]
 
 # Sets a field in __init__, past the raising __setattr__; a module-level name
 # is one lookup cheaper per field than spelling out object.__setattr__.
@@ -35,9 +37,11 @@ class Frozen:
         super().__init_subclass__()
         fields = cls.__dict__.get("__slots__")
         if fields and "__init__" not in cls.__dict__:
-            sets = "".join(f"\n    set_field(self, {name!r}, {name})" for name in fields)
+            body = "".join(f"\n    set_field(self, {name!r}, {name})" for name in fields)
+            if hasattr(cls, "_check"):
+                body += "\n    self._check()"
             namespace = {"set_field": set_field, "__name__": cls.__module__}
-            exec(f"def __init__(self, {', '.join(fields)}):{sets}", namespace)
+            exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
             cls.__init__ = namespace["__init__"]
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 

@@ -25,7 +25,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .dsl import (
     DegreeExpr,
     DslError,
@@ -111,6 +111,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(p: int, error: type[ValueError] = AlgebraError) -> None:
+    """The one refusal of a p that is not prime, raised as `error`."""
+    if not is_prime(p):
+        raise error(f"p = {p} is not prime")
+
+
 _ONE = Lit(1)
 
 
@@ -131,18 +137,8 @@ class GeneratorFamily(Frozen):
 
     __slots__ = ("kind", "degree", "multiplicity", "ranges")
 
-    def __init__(
-        self,
-        kind: GeneratorKind,
-        degree: DegreeExpr,
-        multiplicity: DegreeExpr = _ONE,
-        ranges: tuple[tuple[str, int, int | None], ...] = (),
-    ) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "degree", degree)
-        set_field(self, "multiplicity", multiplicity)
-        set_field(self, "ranges", ranges)
-        names = [name for name, _, _ in ranges]
+    def _check(self) -> None:
+        names = [name for name, _, _ in self.ranges]
         if len(set(names)) != len(names):
             raise AlgebraError(f"duplicate index variable in family ranges {names}")
         unknown = self.free_vars() - set(names) - {"p"}
@@ -153,17 +149,17 @@ class GeneratorFamily(Frozen):
         return expr_free_vars(self.degree) | expr_free_vars(self.multiplicity)
 
 
+GeneratorFamily.__init__.__defaults__ = (_ONE, ())  # multiplicity, ranges
+
+
 class AlgebraSpec(Frozen):
     __slots__ = ("p", "families", "label")
 
-    def __init__(
-        self, p: int, families: tuple[GeneratorFamily, ...], label: str = ""
-    ) -> None:
-        if not is_prime(p):
-            raise AlgebraError(f"p = {p} is not prime")
-        set_field(self, "p", p)
-        set_field(self, "families", families)
-        set_field(self, "label", label)
+    def _check(self) -> None:
+        _require_prime(self.p)
+
+
+AlgebraSpec.__init__.__defaults__ = ("",)  # label
 
 
 class Generator(NamedTuple):

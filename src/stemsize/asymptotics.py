@@ -14,11 +14,10 @@ import math
 
 from ._frozen import Frozen
 from .algebra import (
-    AlgebraError,
     AlgebraSpec,
+    _require_prime,
     hilbert,
     hilbert_cumulative,
-    is_prime,
     tensor_bracket,
 )
 from .presets import max_over_h, preset
@@ -60,8 +59,7 @@ class Constants(Frozen):
 
 
 def constants(p: int) -> Constants:
-    if not is_prime(p):
-        raise AlgebraError(f"p = {p} is not prime")
+    _require_prime(p)
     lp2 = math.log(p) ** 2
     return Constants(
         p=p,
@@ -268,8 +266,9 @@ def bracketing_check(
 ) -> BracketReport:
     """Exact sandwich inequalities at scale m for one model algebra.
 
-    It checks m >= 2, then the model name, then that p is prime, and only
-    then runs the model's check.
+    It checks m >= 2, then the model name, then that p is prime, then that
+    lower_ceiling, if given, is not negative, and only then runs the model's
+    check.
 
     may_model: cumulative rank through p^m - 1 is at most
     prod_{i<m} p^{(m-i)i}, and the rank through C(m,2)(p^m - 1) is at least
@@ -294,6 +293,7 @@ def bracketing_check(
     if check is None:
         raise ValueError(f"unknown bracketing model {model!r}; "
                          f"expected one of {BRACKET_MODELS}")
-    if not is_prime(p):
-        raise AlgebraError(f"p = {p} is not prime")
+    _require_prime(p)
+    if lower_ceiling is not None and lower_ceiling < 0:
+        raise ValueError(f"lower ceiling must be >= 0, got {lower_ceiling}")
     return BracketReport(p=p, m=m, model=model, checks=tuple(check(p, m, lower_ceiling)))

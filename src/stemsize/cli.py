@@ -201,25 +201,46 @@ def _cmd_ehp(args) -> int:
                      *((repr(list(J.entries)), str(J.dim)) for J in seqs)],
         )
         return EXIT_OK
-    series = ehp.a_series(args.p, args.excess, args.max_degree)
+    trunc = 40 if args.max_degree is None else args.max_degree
+    series = ehp.a_series(args.p, args.excess, trunc)
     _emit_as(args.format, args.out, series.to_json, series.csv_rows)
     return EXIT_OK
+
+
+# The flags only a ratio profile reads: --h, --drop-q0 and --simplify-odd
+# build its preset, --exponent sets its power of ln(n).
+_PROFILE_FLAGS = ("h", "drop_q0", "simplify_odd", "exponent")
+
+
+def _refuse_unused(args, mode: str, *names: str) -> None:
+    """Exit 1 on the first of the named flags that was given: `mode` would
+    ignore it.  An absent flag is None, or False for a switch."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise CliError(f"--{name.replace('_', '-')} does not apply to {mode}")
 
 
 def _cmd_asymptotics(args) -> int:
     if args.points is not None:
         if args.name is None:
             raise CliError("ratio profiles need --name <preset>")
+        _refuse_unused(args, "ratio profiles", "n", "lower_ceiling")
         points = parse_points(args.points)
-        result = asymptotics.ratio_profile(_spec(args), args.exponent, points)
+        exponent = 3 if args.exponent is None else args.exponent
+        result = asymptotics.ratio_profile(_spec(args), exponent, points)
     elif args.name is not None or args.n is not None:
         if args.name is None or args.n is None:
             raise CliError("bracketing checks need --name <model> and --n <scale m>; "
                            "ratio profiles need --name <preset> and --points")
+        _refuse_unused(args, "bracketing checks", *_PROFILE_FLAGS)
+        if args.lower_ceiling is not None and args.name != "may_model":
+            raise CliError("--lower-ceiling applies only to the may_model bracketing check")
         # an unknown model exits 1 here, with bracketing_check's message
         result = asymptotics.bracketing_check(
             args.p, args.n, args.name, lower_ceiling=args.lower_ceiling)
     else:
+        _refuse_unused(args, "the growth constants", *_PROFILE_FLAGS, "lower_ceiling")
         result = asymptotics.constants(args.p)
     _emit_as(args.format, args.out,
              lambda fh: fh.write(json.dumps(result.to_json_obj(), indent=2)),
@@ -277,10 +298,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ehp", help="completely unadmissible sequences / A(n;t)")
     p.add_argument("--excess", type=int, required=True, help="excess n")
-    p.add_argument("--max-dim", type=int, default=None,
-                   help="list sequences up to this dimension")
-    p.add_argument("--max-degree", type=int, default=40,
-                   help="series truncation when --max-dim is absent")
+    # argparse counts an option as given only if its value is not the
+    # default object, so --max-degree 40 would pass beside a default of 40
+    listing = p.add_mutually_exclusive_group()
+    listing.add_argument("--max-dim", type=int, default=None,
+                         help="list sequences up to this dimension")
+    listing.add_argument("--max-degree", type=int, default=None,
+                         help="series truncation (default 40)")
     common(p)
     p.set_defaults(fn=_cmd_ehp)
 
@@ -290,7 +314,8 @@ def build_parser() -> _Parser:
                    help="preset for --points profiles, or a bracketing model")
     p.add_argument("--points", default=None,
                    help="sample points, e.g. 2^6..2^16 or 100,200,400")
-    p.add_argument("--exponent", type=int, choices=(2, 3), default=3)
+    p.add_argument("--exponent", type=int, choices=(2, 3), default=None,
+                   help="power of ln(n) in ratio profiles (default 3)")
     p.add_argument("--n", type=int, default=None, help="bracketing scale m")
     p.add_argument("--lower-ceiling", type=int, default=None,
                    help="force the exact lower check up to this rank budget")

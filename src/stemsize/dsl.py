@@ -196,8 +196,6 @@ def expr_to_text(expr: DegreeExpr, parent_prec: int = 0, right_side: bool = Fals
         text = f"{left} {expr.op} {right}"
     if prec < parent_prec or (prec == parent_prec and right_side):
         return f"({text})"
-    if expr.op == "^" and parent_prec > _PRECEDENCE["*"]:
-        return f"({text})"
     return text
 
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 from operator import add
 
 from ._frozen import Frozen
-from .algebra import hilbert, instantiate, is_prime
+from .algebra import _require_prime, hilbert, instantiate
 from .presets import preset
 from .series import ResourceLimitError, TruncatedSeries, SeriesError, _fold
 
@@ -84,11 +84,6 @@ class CUSeq(Frozen):
             "entries": [list(e) if isinstance(e, tuple) else e for e in self.entries],
             "dim": self.dim,
         }
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
 
 
 def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import compress
 
 from ._frozen import Frozen
-from .algebra import AlgebraSpec, _lattice_fold, is_prime, parse_spec
+from .algebra import AlgebraSpec, _lattice_fold, _require_prime, parse_spec
 from .series import TruncatedSeries
 
 __all__ = ["PRESET_NAMES", "PresetError", "preset", "max_over_h", "MaxOverH"]
@@ -56,11 +56,6 @@ class PresetError(ValueError):
     """Unknown preset or out-of-range parameter."""
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise PresetError(f"p = {p} is not prime")
-
-
 def preset(
     name: str,
     p: int,
@@ -71,7 +66,7 @@ def preset(
     simplify_odd: bool = False,
 ) -> AlgebraSpec:
     """Build the named catalog algebra at prime p."""
-    _require_prime(p)
+    _require_prime(p, PresetError)
     if name not in PRESET_NAMES:
         raise PresetError(f"unknown preset {name!r}")
     refusal = _DEGREE_ZERO.get((name, p == 2))
@@ -159,7 +154,7 @@ def max_over_h(family: str, p: int, trunc: int) -> MaxOverH:
     the run, found by bisection."""
     if family not in ("r_h_e2", "r_h_einf"):
         raise PresetError(f"max_over_h expects r_h_e2 or r_h_einf, got {family!r}")
-    _require_prime(p)
+    _require_prime(p, PresetError)
     h_top = _ceil_log(p, trunc) + 1
     best: list[int] = [0] * (trunc + 1)
     argmax: list[int] = [1] * (trunc + 1)

@@ -19,7 +19,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, le, sub
 from typing import Iterable, Iterator
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 
 __all__ = [
     "GeneratorKind",
@@ -64,7 +64,8 @@ class GeneratorKind(Frozen):
 
     __slots__ = ("name", "order")
 
-    def __init__(self, name: str, order: int | None = None) -> None:
+    def _check(self) -> None:
+        name, order = self.name, self.order
         if name not in ("poly", "ext", "trunc"):
             raise SeriesError(f"unknown generator kind {name!r}")
         if name == "trunc":
@@ -72,8 +73,6 @@ class GeneratorKind(Frozen):
                 raise SeriesError("truncated generator needs order k >= 2")
         elif order is not None:
             raise SeriesError(f"kind {name!r} takes no order")
-        set_field(self, "name", name)
-        set_field(self, "order", order)
 
     @classmethod
     def truncated(cls, k: int) -> "GeneratorKind":
@@ -90,6 +89,7 @@ class GeneratorKind(Frozen):
         return f"trunc({self.order})" if self.name == "trunc" else self.name
 
 
+GeneratorKind.__init__.__defaults__ = (None,)  # order
 POLYNOMIAL = GeneratorKind("poly")
 EXTERIOR = GeneratorKind("ext")
 

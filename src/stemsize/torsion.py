@@ -13,8 +13,8 @@ import math
 from math import isqrt
 from typing import Callable
 
-from ._frozen import Frozen, set_field
-from .algebra import hilbert_cumulative, is_prime
+from ._frozen import Frozen
+from .algebra import _require_prime, hilbert_cumulative, is_prime
 from .presets import preset
 
 __all__ = [
@@ -100,13 +100,11 @@ class PowerLawCurve(VanishingCurve, Frozen):
 
     __slots__ = ("exponent", "coefficient")
 
-    def __init__(self, exponent: float, coefficient: float = 1.0) -> None:
-        if not 0 < exponent <= 1:
+    def _check(self) -> None:
+        if not 0 < self.exponent <= 1:
             raise TorsionError("power-law exponent must lie in (0, 1]")
-        if coefficient <= 0:
+        if self.coefficient <= 0:
             raise TorsionError("power-law coefficient must be positive")
-        set_field(self, "exponent", exponent)
-        set_field(self, "coefficient", coefficient)
 
     def raw(self, n: int) -> int:
         if self.exponent == 0.5 and self.coefficient == 1.0:
@@ -121,13 +119,15 @@ class PowerLawCurve(VanishingCurve, Frozen):
         }
 
 
+PowerLawCurve.__init__.__defaults__ = (1.0,)  # coefficient
+
+
 class TableCurve(VanishingCurve, Frozen):
     __slots__ = ("values",)  # values[i] = g(i + 1)
 
-    def __init__(self, values: tuple[int, ...]) -> None:
-        if any(b < a for a, b in zip(values, values[1:])):
+    def _check(self) -> None:
+        if any(b < a for a, b in zip(self.values, self.values[1:])):
             raise TorsionError("table curve must be nondecreasing")
-        set_field(self, "values", values)
 
     def raw(self, n: int) -> int:
         if not 1 <= n <= len(self.values):
@@ -211,8 +211,7 @@ def stable_torsion_bound(p: int, n: int, curve: VanishingCurve) -> TorsionReport
     (5/4)g(n) + log_2(n) + 2 at p = 2 and p/(2(p-1)^2) g(n) + log_p(n) + 1
     at odd p.  exact_sum <= closed_form.
     """
-    if not is_prime(p):
-        raise TorsionError(f"p = {p} is not prime")
+    _require_prime(p, TorsionError)
     if n < 1:
         raise TorsionError("degree must be >= 1")
     g = curve(n)
@@ -250,8 +249,7 @@ def im_j_lower(p: int, n: int) -> int:
             "the 2-primary image-of-J statement is more complicated and is "
             "not provided; use an odd prime"
         )
-    if not is_prime(p):
-        raise TorsionError(f"p = {p} is not prime")
+    _require_prime(p, TorsionError)
     if n < 1:
         raise TorsionError("degree must be >= 1")
     if (n + 1) % (2 * p - 2):

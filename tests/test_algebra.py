@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stemsize._frozen import Frozen
 from stemsize.algebra import (
     AlgebraError,
     AlgebraSpec,
     Generator,
     GeneratorFamily,
     _log_derivative_hilbert,
+    _require_prime,
     _plan,
     _steps,
     hilbert,
@@ -28,6 +30,8 @@ from stemsize.asymptotics import (
     Constants,
     RatioProfile,
     RatioRow,
+    bracketing_check,
+    constants,
 )
 from stemsize.dsl import (
     MAX_POWER_BITS,
@@ -40,8 +44,8 @@ from stemsize.dsl import (
     eval_expr,
     parse_expr,
 )
-from stemsize.ehp import CUSeq
-from stemsize.presets import PRESET_NAMES, MaxOverH, preset
+from stemsize.ehp import CUSeq, a_series, admissible_series, enumerate_I
+from stemsize.presets import PRESET_NAMES, MaxOverH, PresetError, max_over_h, preset
 from stemsize.series import (
     EXTERIOR,
     POLYNOMIAL,
@@ -56,6 +60,8 @@ from stemsize.torsion import (
     TableCurve,
     TorsionError,
     TorsionReport,
+    im_j_lower,
+    stable_torsion_bound,
 )
 from stemsize.verify import CheckResult, random_spec
 
@@ -540,6 +546,36 @@ class TestIsPrime:
             parse_spec(f"p = {2**64 + 13}\ngen poly deg = 1\n")
 
 
+# every public entry that takes p, with the error it raises for a p that is
+# not prime
+NON_PRIME_ENTRIES = {
+    "AlgebraSpec": (lambda p: AlgebraSpec(p, ()), AlgebraError),
+    "preset": (lambda p: preset("dual_steenrod", p), PresetError),
+    "max_over_h": (lambda p: max_over_h("r_h_e2", p, 10), PresetError),
+    "enumerate_I": (lambda p: enumerate_I(p, 1, 10), AlgebraError),
+    "a_series": (lambda p: a_series(p, 1, 10), AlgebraError),
+    "admissible_series": (lambda p: admissible_series(p, 10), PresetError),
+    "stable_torsion_bound": (lambda p: stable_torsion_bound(p, 5, LinearCurve()),
+                             TorsionError),
+    "im_j_lower": (lambda p: im_j_lower(p, 5), TorsionError),
+    "constants": (lambda p: constants(p), AlgebraError),
+    "bracketing_check": (lambda p: bracketing_check(p, 4, "may_model"), AlgebraError),
+}
+
+
+class TestNonPrimeRefusal:
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("entry", NON_PRIME_ENTRIES)
+    def test_type_message_and_origin(self, entry, p):
+        call, error = NON_PRIME_ENTRIES[entry]
+        with pytest.raises(ValueError) as info:
+            call(p)
+        assert type(info.value) is error
+        assert str(info.value) == f"p = {p} is not prime"
+        # one function raises it for every entry
+        assert info.traceback[-1].frame.code.raw is _require_prime.__code__
+
+
 class TestOracle:
     def test_matches_engine_on_dual_steenrod(self):
         spec = parse_spec(DUAL_STEENROD_2)
@@ -808,6 +844,20 @@ class TestValueClasses:
                 call()
             prefix = f"{cls.__name__}.__init__() " if fields else f"{cls.__name__}() "
             assert str(info.value).startswith(prefix), what
+
+    def test_every_class_with_fields_takes_the_derived_constructor(self):
+        # a validating class states its checks in _check; a hand-written
+        # __init__ would be compiled from its module's file, the derived one
+        # is compiled from a string
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        with_fields = {cls for cls in subclasses(Frozen) if cls.__slots__}
+        assert with_fields == {cls for cls in _CLASSES if VALUE_CLASSES[cls][0]}
+        for cls in with_fields:
+            assert cls.__init__.__code__.co_filename == "<string>", cls.__name__
 
     @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
     def test_constructor_belongs_to_the_class_module(self, cls):

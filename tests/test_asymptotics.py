@@ -208,6 +208,25 @@ class TestBracketing:
                     with pytest.raises(AlgebraError, match=rf"^p = {p} is not prime$"):
                         bracketing_check(p, m, model, lower_ceiling=10)
 
+    def test_negative_lower_ceiling_refused_after_the_prime(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_CHECKS", {
+            model: lambda *args: pytest.fail("a check ran") for model in BRACKET_MODELS})
+        with pytest.raises(ValueError, match="^scale parameter m must be >= 2$"):
+            bracketing_check(2, 1, "may_model", lower_ceiling=-5)
+        with pytest.raises(ValueError, match="^unknown bracketing model 'nope'"):
+            bracketing_check(2, 4, "nope", lower_ceiling=-5)
+        with pytest.raises(AlgebraError, match="^p = 4 is not prime$"):
+            bracketing_check(4, 4, "may_model", lower_ceiling=-5)
+        for model in BRACKET_MODELS:
+            with pytest.raises(ValueError) as info:
+                bracketing_check(2, 4, model, lower_ceiling=-5)
+            assert type(info.value) is ValueError
+            assert str(info.value) == "lower ceiling must be >= 0, got -5"
+
+    def test_zero_lower_ceiling_is_a_budget(self):
+        with pytest.raises(ResourceLimitError, match="above the ceiling 0$"):
+            bracketing_check(2, 3, "may_model", lower_ceiling=0)
+
     def test_no_power_past_the_ceiling_is_built(self):
         # 3^(10^7) alone takes about 5 s; every check refuses without it
         start = time.monotonic()

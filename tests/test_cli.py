@@ -339,6 +339,22 @@ class TestEhp:
         assert code == 0
         assert out.splitlines() == ["0,2", "1,1", "2,2", "3,2"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-dim", "5", "--max-degree", "40"],
+         "argument --max-degree: not allowed with argument --max-dim"),
+        (["--max-degree", "3", "--max-dim", "5"],
+         "argument --max-dim: not allowed with argument --max-degree"),
+    ], ids=["dim-then-degree", "degree-then-dim"])
+    def test_listing_and_series_flags_together_exit_one(self, argv, message, capsys):
+        # --max-degree was ignored beside --max-dim, even at its default 40
+        assert main(["ehp", "--p", "2", "--excess", "1", *argv]) == 1
+        assert capsys.readouterr() == ("", f"stemsize: error: {message}\n")
+
+    def test_series_truncation_defaults_to_40(self, capsys):
+        assert main(["ehp", "--p", "2", "--excess", "1", "--format", "csv"]) == 0
+        rows = [f"{d},{c}" for d, c in a_series(2, 1, 40).csv_rows()]
+        assert capsys.readouterr().out.splitlines() == rows
+
     # SHA-256 of stdout, pinned from the O(N^2) chain census that computed
     # A(n;t) before the fold
     @pytest.mark.parametrize("argv, digest", [
@@ -501,6 +517,57 @@ class TestAsymptotics:
         # each of these printed the growth constants with exit 0
         assert main(["asymptotics", "--p", "2", *argv]) == 1
         assert capsys.readouterr() == ("", f"stemsize: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--lower-ceiling", "5"], "--lower-ceiling does not apply to the growth constants"),
+        (["--name", "r_h_e2", "--n", "4", "--lower-ceiling", "5"],
+         "--lower-ceiling applies only to the may_model bracketing check"),
+        (["--name", "r_h_einf", "--n", "4", "--lower-ceiling", "0"],
+         "--lower-ceiling applies only to the may_model bracketing check"),
+        (["--name", "may_model", "--n", "4", "--h", "3", "--drop-q0"],
+         "--h does not apply to bracketing checks"),
+        (["--name", "may_model", "--n", "4", "--h", "0"],
+         "--h does not apply to bracketing checks"),
+        (["--name", "r_h_e2", "--n", "4", "--drop-q0"],
+         "--drop-q0 does not apply to bracketing checks"),
+        (["--name", "may_model", "--n", "4", "--simplify-odd"],
+         "--simplify-odd does not apply to bracketing checks"),
+        (["--name", "may_model", "--n", "4", "--exponent", "3"],
+         "--exponent does not apply to bracketing checks"),
+        (["--h", "0"], "--h does not apply to the growth constants"),
+        (["--exponent", "2"], "--exponent does not apply to the growth constants"),
+        (["--simplify-odd"], "--simplify-odd does not apply to the growth constants"),
+        (["--name", "s_k", "--h", "0", "--points", "2^4", "--n", "4"],
+         "--n does not apply to ratio profiles"),
+        (["--name", "may_model", "--points", "2^4", "--lower-ceiling", "10"],
+         "--lower-ceiling does not apply to ratio profiles"),
+    ], ids=["ceiling-constants", "ceiling-r_h_e2", "ceiling-zero-r_h_einf",
+            "h-and-drop-q0-bracketing", "h-zero-bracketing", "drop-q0-bracketing",
+            "simplify-odd-bracketing", "exponent-bracketing", "h-constants",
+            "exponent-constants", "simplify-odd-constants", "n-points", "ceiling-points"])
+    def test_flag_the_mode_ignores_exits_one(self, argv, message, capsys):
+        # each of these exited 0 with the flag ignored
+        assert main(["asymptotics", "--p", "2", *argv]) == 1
+        assert capsys.readouterr() == ("", f"stemsize: error: {message}\n")
+
+    def test_negative_lower_ceiling_exits_one(self, capsys):
+        argv = ["asymptotics", "--p", "2", "--name", "may_model", "--n", "3"]
+        assert main([*argv, "--lower-ceiling", "-5"]) == 1
+        assert capsys.readouterr() == (
+            "", "stemsize: error: lower ceiling must be >= 0, got -5\n")
+        # zero is a budget: the lower check needs degree 21, above it
+        assert main([*argv, "--lower-ceiling", "0"]) == 3
+        assert capsys.readouterr() == ("", (
+            "stemsize: resource guard: may_model lower check needs the series "
+            "through degree C(3, 2) * (2^3 - 1), above the ceiling 0\n"))
+
+    def test_ratio_profile_exponent_defaults_to_three(self, capsys):
+        argv = ["asymptotics", "--p", "2", "--name", "s_k", "--h", "0", "--points", "2^4"]
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        assert main([*argv, "--exponent", "3"]) == 0
+        assert capsys.readouterr() == default
+        assert json.loads(default.out)["exponent"] == 3
 
     def test_ratio_profile_csv(self):
         code, out, _ = run_cli(
