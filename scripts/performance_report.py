@@ -29,8 +29,9 @@ and the EHP series A(n;t) and P(A;t).  Run with ``src`` on PYTHONPATH.
 `hilbert` folds each generator on the multiples of the gcd of the degrees
 folded so far, largest degree first, so its cost depends on the degrees and
 on the generator kinds.  Each regime's line ends with the totals of the
-fold plan (`algebra._plan`): generators packed, unit passes, power steps
-and the estimated list coefficient additions.
+fold plan (`algebra._plan`): generators folded on the sparse start and the
+support terms planned for them, generators packed, unit passes, power
+steps and the estimated list coefficient additions.
 
 - generic: the May E1 model (p = 2) at N = 2^18.  Its polynomial degrees
   have gcd 1 and form no chain, so nearly every generator folds over all
@@ -50,6 +51,12 @@ and the estimated list coefficient additions.
   and a truncated(3) family, at N = 4096, and may_e1 at p = 3,
   N = 3^9, whose h_ij are exterior.  `hilbert` starts from the product of
   the nilpotent generators the plan packs into one int of 64-bit slots.
+- sparse: `hilbert_cumulative` of the p = 2 presets whose largest degrees
+  are nearly coprime, such as 2^14 - 3 and 2^14 - 5, at N = 2^14, best of
+  5 CPU times: mrs_e2_model (h = 2), dual_steenrod, y_h_lifted (h = 2
+  and 3) and may_e1.  Past two such generators the gcd is 1 while the
+  series has a few nonzero terms, so the plan folds the largest
+  generators on the dict of those terms before the list.
 - chain: the may_model algebra (p = 2), whose degrees 2^n form a
   divisibility chain, so a generator of degree d folds on N // d + 1
   coefficients.  Measured at N = 2^18 - 1 (the m = 18 upper bracketing
@@ -134,13 +141,20 @@ gen poly deg = 11 mult = 2
 
 
 def plan_totals(spec: AlgebraSpec, trunc: int) -> str:
-    """The totals of `hilbert`'s fold plan: generators packed, unit passes,
-    power steps and the estimated list coefficient additions."""
+    """The totals of `hilbert`'s fold plan: generators folded on the sparse
+    start and the support terms planned for them, generators packed, unit
+    passes, power steps and the estimated list coefficient additions."""
     gens = algebra.instantiate(spec, trunc)
     cost, _, picked, steps = algebra._plan(gens, trunc)
-    units = sum(mult for _, _, _, mult, power in steps if not power)
-    powers = sum(power for *_, power in steps)
-    return (f"{len(picked)} of {len(gens)} generators packed, {units} unit passes, "
+    sparse = sum(power is None for *_, power in steps)
+    bits, terms = 1, 0
+    for gen in gens[len(gens) - sparse:][::-1]:
+        bits = algebra._support(bits, gen, trunc)
+        terms += gen.multiplicity * bits.bit_count()
+    units = sum(mult for _, _, _, mult, power in steps if power is False)
+    powers = sum(power is True for *_, power in steps)
+    return (f"{sparse} of {len(gens)} generators fold sparse on {terms} support terms; "
+            f"{len(picked)} of {len(gens)} generators packed, {units} unit passes, "
             f"{powers} power steps, {cost} coefficient additions")
 
 
@@ -284,6 +298,18 @@ def measure_nilpotent(dsl_trunc: int = 4096, may_trunc: int = 3**9) -> None:
               f"{plan_totals(spec, trunc)}")
 
 
+SPARSE_PRESETS = (("mrs_e2_model", {"h": 2}), ("dual_steenrod", {}), ("y_h_lifted", {"h": 2}),
+                  ("y_h_lifted", {"h": 3}), ("may_e1", {"drop_q0": True}))
+
+
+def measure_sparse(trunc: int = 2**14, repeats: int = 5) -> None:
+    for name, kwargs in SPARSE_PRESETS:
+        spec = preset(name, 2, **kwargs)
+        elapsed, _ = best_cpu(hilbert_cumulative, spec, trunc, repeats=repeats)
+        print(f"{'sparse':8} {spec.label}, N = {trunc}: {elapsed * 1000:.1f} ms CPU; "
+              f"{plan_totals(spec, trunc)}")
+
+
 BIG_MULT_SPEC = "p = 2\ngen poly deg = 1 mult = 100000000\n"
 OUTPUT_CODE = """\
 import resource, sys
@@ -407,6 +433,7 @@ def main() -> None:
         measure_preset("generic", "may_e1", 2**20, drop_q0=True)
     measure("trunc", "ext/trunc(3)/trunc(5) families, p = 3", parse_spec(TRUNC_SPEC), 2**16)
     measure_nilpotent()
+    measure_sparse()
     measure_preset("chain", "may_model", 2**18 - 1)
     measure_preset("chain", "may_model", 14 * 13 // 2 * (2**14 - 1))
     measure_lattice()

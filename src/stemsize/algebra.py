@@ -5,7 +5,11 @@ list of generator families (polynomial / exterior / truncated species, a
 degree expression, an optional multiplicity expression, and index ranges).
 `hilbert` runs a plan, `_plan`, made before any coefficient moves.  Where it
 pays, it starts from the product of the nilpotent (exterior and truncated)
-generators, built in one Python int with a 64-bit slot per coefficient.  It
+generators, built in one Python int with a 64-bit slot per coefficient.
+Where it packs nothing, it may start by folding the largest generators on
+a dict of the nonzero terms, while the series is mostly zeros: the plan
+prices that at _SPARSE_TERM per support term and _SPARSE_START once,
+against the list additions it saves, and takes the cheapest prefix.  It
 folds the other single-generator Hilbert factors, largest degree first, on
 the lattice of multiples of the gcd of the degrees folded so far, each in
 unit passes or in one power step.  Two exact oracles
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import typing
 from itertools import accumulate
 from operator import mul
@@ -40,8 +45,10 @@ from .series import (
     EXTERIOR,
     POLYNOMIAL,
     GeneratorKind,
+    ResourceLimitError,
     TruncatedSeries,
     _fold,
+    _fold_terms,
     _hold,
     _spread,
     factor_series,
@@ -74,6 +81,19 @@ _INCREASE_STREAK = 3
 # The fixed cost of packing nilpotent generators in `hilbert`, in list
 # coefficient additions: about 10 us, on a 2-vCPU VM with Python 3.11.
 _PACK_OVERHEAD = 300
+
+# The sparse start's costs in the same units.  A pass on the dict of terms
+# takes about 230 ns a term of its support, a list addition about 40 ns
+# (p = 2 presets at N = 2^14).  The fixed cost, about 0.1 ms, is about
+# 3 us a generator walked and 3 us a pass: may_e1 at p = 2, N = 256,
+# 2484 additions cheaper by its terms alone, ran slower sparse.
+_SPARSE_TERM = 6
+_SPARSE_START = 3000
+
+# The most coefficients a series may have.  One polynomial generator in
+# degree 1, all of whose coefficients are 1, takes 2.3 s and peaks at
+# 245 MB as a CLI request at N = 10^7; about 4 s and 400 MB at the cap.
+_MAX_COEFFS = 2**24
 
 
 class AlgebraError(ValueError):
@@ -390,14 +410,30 @@ def _lattice_fold(spec: AlgebraSpec, trunc: int) -> tuple[list[int], int]:
 
     `_plan` decides every step before a coefficient moves, and this runs
     them on one working list: it starts as the packed product E of the
-    nilpotent generators the plan picks, or as the series 1, on the
-    multiples of g; a step spreads it onto a finer lattice where a degree
-    lowers the gcd, then folds the generator in unit passes of the
-    in-place kernel `series._fold`, or in one `mul` by the exact factor
-    F^m from `factor_series`.  The list is new on every call.
+    nilpotent generators the plan picks, or as the terms of the sparse
+    start, whose steps fold the largest generators on a dict of the
+    nonzero terms (`series._fold_terms`), on the multiples of g; a step
+    spreads it onto a finer lattice where a degree lowers the gcd, then
+    folds the generator in unit passes of the in-place kernel
+    `series._fold`, or in one `mul` by the exact factor F^m from
+    `factor_series`.  The list is new on every call.  A truncation of
+    _MAX_COEFFS or more is refused first; past sys.maxsize, with the
+    OverflowError a list that long raises.
     """
+    if trunc >= _MAX_COEFFS:
+        if trunc >= sys.maxsize:
+            raise OverflowError("cannot fit 'int' into an index-sized integer")
+        raise ResourceLimitError(f"truncation {trunc} is not below the cap {_MAX_COEFFS}")
     _, g, picked, steps = _plan(instantiate(spec, trunc), trunc)
-    out = _nilpotent_product(picked, g, trunc) if picked else [1] + [0] * (trunc // g)
+    terms = {0: 1}
+    while steps and steps[0][4] is None:
+        spread, kind, d, mult, _ = steps.pop(0)
+        g //= spread
+        for _ in range(mult):
+            terms = _fold_terms(terms, kind, d * g, trunc)
+    out = _nilpotent_product(picked, g, trunc) if picked else [0] * (trunc // g + 1)
+    for e, c in terms.items():
+        out[e // g] = c
     for spread, kind, d, mult, power in steps:
         if spread > 1:
             g //= spread
@@ -449,13 +485,15 @@ def _plan(gens: list[Generator], trunc: int) -> tuple[int, int, list[tuple], lis
     of the picked degrees, which can be finer than the lattice they would
     fold on unpacked (a chain of polynomial degrees beside one exterior
     generator in degree 3), so the plan packs only when that fold plus
-    _PACK_OVERHEAD costs less than folding every generator.
+    _PACK_OVERHEAD costs less than folding every generator.  When it packs
+    nothing, the first steps may fold on the sparse start: their power is
+    None (see `_sparse_start`).
     """
     g = gens[-1].degree if gens else 1
     cost, steps = _steps(gens, trunc, g)
     copies = sum(gen.multiplicity for gen in gens if gen.kind.name != "poly")
     if copies * (trunc + 1) <= _PACK_OVERHEAD:  # at least what packing saves
-        return cost, g, [], steps
+        return _sparse_start(gens, trunc, cost, steps), g, [], steps
     picked, rest, bound = [], [], 1
     for gen in gens:
         kind, deg, mult = gen
@@ -472,7 +510,49 @@ def _plan(gens: list[Generator], trunc: int) -> tuple[int, int, list[tuple], lis
         packed, packed_steps = _steps(rest, trunc, packed_g)
         if packed + _PACK_OVERHEAD < cost:
             return packed + _PACK_OVERHEAD, packed_g, picked, packed_steps
-    return cost, g, [], steps
+    return _sparse_start(gens, trunc, cost, steps), g, [], steps
+
+
+def _sparse_start(gens: list[Generator], trunc: int, cost: int, steps: list[tuple]) -> int:
+    """The cost of the cheapest sparse start for the unpacked fold `steps`
+    of `gens`, of cost `cost`, whose steps it marks in place (power None).
+
+    It folds the K largest generators on the dict of the nonzero terms
+    (`series._fold_terms`) at _SPARSE_TERM per term of each pass's support
+    (see `_support`), plus _SPARSE_START once; K = 0 is the plain fold.
+    The walk ends once the start's cost alone reaches the best, since the
+    support only grows.  A polynomial step of lattice degree 1 fills its
+    lattice, so a fold of only such steps (a divisibility chain) is not
+    walked.
+    """
+    if cost <= _SPARSE_START or all(kind.name == "poly" and d == 1 for _, kind, d, _, _ in steps):
+        return cost
+    best, k, start, rest, bits, g = cost, 0, _SPARSE_START, cost, 1, gens[-1].degree
+    for i, gen in enumerate(reversed(gens), 1):
+        if start >= best:
+            break
+        rest -= _steps([gen], trunc, g)[0]
+        g = math.gcd(g, gen.degree)
+        bits = _support(bits, gen, trunc)
+        start += _SPARSE_TERM * gen.multiplicity * bits.bit_count()
+        if start + rest < best:
+            best, k = start + rest, i
+    steps[:k] = [(*step[:4], None) for step in steps[:k]]
+    return best
+
+
+def _support(bits: int, gen: Generator, trunc: int) -> int:
+    """The support, as a bitset over degrees 0..trunc, of a series of
+    support `bits` times the Hilbert factor of `gen`: `bits` shifted by
+    each jd, j <= m (k' - 1) for m truncated(k') generators (exterior:
+    k' = 2), any j for polynomial ones, in doubling shifts."""
+    kind, d, mult = gen
+    top = min(trunc // d, mult * ((kind.nilpotence or trunc + 1) - 1))
+    j = 1  # bits covers the shifts by 0..j-1 multiples
+    while j <= top:
+        bits |= bits << min(j, top + 1 - j) * d
+        j = min(2 * j, top + 1)
+    return bits & ((2 << trunc) - 1)
 
 
 def _nilpotent_product(picked: list[tuple], g: int, trunc: int) -> list[int]:

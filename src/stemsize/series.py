@@ -366,6 +366,31 @@ def _fold(out: list[int], kind: GeneratorKind, d: int) -> None:
         out[kd:] = map(sub, out[kd:], out)
 
 
+def _fold_terms(terms: dict[int, int], kind: GeneratorKind, d: int, trunc: int) -> dict[int, int]:
+    """`_fold` on the nonzero terms {degree: coefficient} of a series, into
+    a new dict: one running sum per residue class mod d that occurs, from
+    its least degree up to trunc, for a polynomial generator, so the work
+    is the product's support; the terms shifted by jd, 0 < j < k, for a
+    truncated(k) one (exterior: k = 2).
+    """
+    k = kind.nilpotence
+    if k is None:
+        out: dict[int, int] = {}
+        for e in sorted(terms):
+            if e not in out:  # the least degree of its class
+                c = 0
+                for f in range(e, trunc + 1, d):
+                    c += terms.get(f, 0)
+                    out[f] = c
+        return out
+    out = dict(terms)
+    for s in range(d, min(k * d, trunc + 1), d):
+        for e, c in terms.items():
+            if e + s <= trunc:
+                out[e + s] = out.get(e + s, 0) + c
+    return out
+
+
 def _spread(coeffs: list[int], step: int, trunc: int) -> list[int]:
     """The coefficient list with t replaced by t^step, truncated at degree
     trunc.

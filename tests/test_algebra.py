@@ -2,9 +2,12 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from stemsize import algebra
 from stemsize._frozen import Frozen
 from stemsize.algebra import (
     AlgebraError,
@@ -15,6 +18,7 @@ from stemsize.algebra import (
     _require_prime,
     _plan,
     _steps,
+    _support,
     hilbert,
     hilbert_cumulative,
     instantiate,
@@ -455,6 +459,91 @@ class TestPackedStart:
         )
         spec = parse_spec(text)
         assert hilbert(spec, trunc) == _log_derivative_hilbert(spec, trunc)
+
+
+def sparse_steps(spec, trunc):
+    """How many steps of `hilbert`'s plan fold on the sparse start."""
+    return sum(step[4] is None for step in _plan(instantiate(spec, trunc), trunc)[3])
+
+
+@st.composite
+def sparse_start_cases(draw):
+    """(DSL text, N): two coprime degrees above N/2, maybe a third, beside
+    smaller polynomial, exterior and truncated generators."""
+    trunc = draw(st.integers(min_value=3, max_value=300))
+    tops = st.integers(min_value=trunc // 2 + 1, max_value=trunc)
+    a, b = draw(tops), draw(tops)
+    assume(math.gcd(a, b) == 1)
+    lines = [f"p = {draw(st.sampled_from([2, 3, 5]))}", f"gen poly deg = {a}",
+             f"gen poly deg = {b}"]
+    small = st.tuples(st.sampled_from(KIND_WORDS), st.integers(min_value=1, max_value=trunc),
+                      st.integers(min_value=1, max_value=3))
+    for kind, deg, mult in draw(st.lists(small, max_size=5)):
+        lines.append(f"gen {kind} deg = {deg} mult = {mult}")
+    return "\n".join(lines) + "\n", trunc
+
+
+# every generator folds on the sparse start; N + 1 <= _PACK_OVERHEAD, so
+# the exterior one is not packed
+EVERY_GENERATOR_SPARSE = "p = 2\ngen poly deg = 199\ngen poly deg = 197\ngen ext deg = 160\n"
+# the two largest, of multiplicity 3 and 2, fold on the sparse start
+MULT_SPARSE = "p = 3\ngen poly deg = 101 mult = 3\ngen poly deg = 100 mult = 2\ngen poly deg = 7\n"
+
+
+class TestSparseStart:
+    """`hilbert` may fold its largest generators on the dict of the nonzero
+    terms first; the plain fold and the log-derivative recurrence, which
+    share none of it, are the references."""
+
+    @pytest.mark.parametrize("start", [0, algebra._SPARSE_START])
+    @given(sparse_start_cases())
+    @example(("p = 2\ngen poly deg = 7\ngen poly deg = 5\n", 0))  # N = 0
+    @example((EVERY_GENERATOR_SPARSE, 290))
+    @example((MULT_SPARSE, 200))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_references(self, start, case):
+        text, trunc = case
+        spec = parse_spec(text)
+        with mock.patch.object(algebra, "_SPARSE_START", start):
+            series = hilbert(spec, trunc)
+            assert series == ascending_fold(spec, trunc) == _log_derivative_hilbert(spec, trunc)
+            assert hilbert_cumulative(spec, trunc) == series.cumulative()
+
+    def test_examples_take_the_sparse_start(self):
+        with mock.patch.object(algebra, "_SPARSE_START", 0):
+            assert sparse_steps(parse_spec(EVERY_GENERATOR_SPARSE), 290) == 3
+            assert sparse_steps(parse_spec(MULT_SPARSE), 200) == 2
+
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=120))
+    @settings(max_examples=60, deadline=None)
+    def test_support_counts_the_nonzero_terms(self, seed, trunc):
+        rng = random.Random(seed)
+        spec = random_spec(rng)
+        spec = AlgebraSpec(rng.choice([2, 3]), spec.families)
+        bits, series = 1, TruncatedSeries.unit(trunc)
+        for gen in reversed(instantiate(spec, trunc)):
+            bits = _support(bits, gen, trunc)
+            for _ in range(gen.multiplicity):
+                series = series.mul_factor(gen.kind, gen.degree)
+            assert bits.bit_count() == sum(c > 0 for c in series)
+            assert bits == sum(1 << e for e, c in enumerate(series) if c)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_small_presets_and_chains_keep_the_plain_start(self, p):
+        for name in PRESET_NAMES:
+            for h in (1, 2, 3):
+                gens = instantiate(preset(name, p, h=h, k=h, drop_q0=True), 200)
+                for trunc in range(201):
+                    below = [gen for gen in gens if gen.degree <= trunc]
+                    assert all(step[4] is not None for step in _plan(below, trunc)[3])
+        for name, kwargs in CHAIN_PRESETS:
+            for trunc in (200, 2**13, 3**8, 5**5, 18396):
+                assert sparse_steps(preset(name, p, **kwargs), trunc) == 0
+
+    @pytest.mark.parametrize("name, h", [("mrs_e2_model", 2), ("dual_steenrod", None),
+                                         ("y_h_lifted", 2), ("y_h_lifted", 3)])
+    def test_large_p2_presets_take_the_sparse_start(self, name, h):
+        assert sparse_steps(preset(name, 2, h=h), 2**14) > 0
 
 
 class TestPowerStep:

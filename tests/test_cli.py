@@ -689,6 +689,29 @@ class TestMainEntry:
                        "index-sized integer\n")
 
 
+    @pytest.mark.parametrize("argv, trunc", [
+        (["asymptotics", "--p", "2", "--name", "s_k", "--h", "0", "--points", "2^30"], 2**30),
+        (["asymptotics", "--p", "2", "--name", "s_k", "--h", "0", "--points", "2^62"], 2**62),
+        (["preset", "--name", "s_k", "--h", "0", "--max-degree", str(2**62)], 2**62),
+    ], ids=["points-2^30", "points-2^62", "preset-2^62"])
+    def test_truncation_at_the_coefficient_cap_exits_three(self, argv, trunc):
+        # each of these folded for seconds before memory ran out
+        start = time.monotonic()
+        code, out, err = run_cli(*argv, timeout=10)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (f"stemsize: resource guard: truncation {trunc} is not below "
+                       f"the cap {algebra._MAX_COEFFS}\n")
+
+    def test_coefficient_cap_boundary(self, monkeypatch):
+        assert algebra._MAX_COEFFS > 10**7  # hilbert of poly deg = 1 at 10^7 still answers
+        monkeypatch.setattr(algebra, "_MAX_COEFFS", 50)
+        spec = parse_spec("p = 2\ngen poly deg = 3\n")
+        assert list(hilbert(spec, 49)) == [int(n % 3 == 0) for n in range(50)]
+        for fn in (hilbert, algebra.hilbert_cumulative):
+            with pytest.raises(series.ResourceLimitError, match="truncation 50 is not below"):
+                fn(spec, 50)
+
 class TestSharedParser:
     def test_repeated_requests_leak_no_state(self, capsys, tmp_path):
         # every main() call in a process parses with the same parser, so a

@@ -62,6 +62,25 @@ def test_performance_report_nilpotent_regime():
     )
 
 
+def test_performance_report_sparse_regime():
+    trunc = 4096
+    lines = run_performance_report(f"measure_sparse(trunc={trunc}, repeats=1)").splitlines()
+    fields = re.compile(r": \d+\.\d ms CPU; (\d+) of (\d+) generators fold sparse on (\d+) support "
+                        r"terms; 0 of \2 generators packed, (\d+) unit passes, 0 power steps, "
+                        r"(\d+) coefficient additions$")
+    assert len(lines) == 5
+    presets = [("mrs_e2_model", {"h": 2}), ("dual_steenrod", {}), ("y_h_lifted", {"h": 2}),
+               ("y_h_lifted", {"h": 3}), ("may_e1", {"drop_q0": True})]
+    for (name, kwargs), line in zip(presets, lines):
+        spec = preset(name, 2, **kwargs)
+        assert line.startswith(f"sparse   {spec.label}, N = {trunc}: ")
+        sparse, count, terms, units, cost = map(int, fields.search(line).groups())
+        gens = instantiate(spec, trunc)
+        plan_cost, _, _, steps = _plan(gens, trunc)
+        assert 0 < sparse == sum(step[4] is None for step in steps)
+        assert (count, units, cost) == (len(gens), len(gens) - sparse, plan_cost)
+        assert 0 < terms <= sparse * (trunc + 1)
+
 def test_performance_report_times_the_suite_checks():
     lines = run_performance_report("measure_verify(suites=('series',), repeats=1)").splitlines()
     checks = [line.split()[1].rstrip(":") for line in lines[:-1]]
