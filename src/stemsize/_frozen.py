@@ -4,8 +4,11 @@ A subclass lists its fields in ``__slots__``, in constructor order.  From
 that list the base derives the constructor, equality (only between instances
 of the same class, field by field), a hash that agrees with it, the
 ``Name(field=value, ...)`` repr, pickling and copying by re-construction (so
-validation runs again), and assignment and deletion that raise
-``AttributeError``.
+validation runs again), assignment and deletion that raise ``AttributeError``,
+and the JSON dict ``to_json_obj()``: the names in the class tuple ``_json``
+(``__slots__`` unless a class sets it to reorder keys or add a property), in
+that order, a value class as its own dict and a tuple as a list.  Only
+`Constants`, whose keys are not its field names, writes its own.
 
 The derived ``__init__`` is a function generated once per class, as
 `collections.namedtuple` builds its ``__new__``: it takes the fields
@@ -30,6 +33,15 @@ __all__ = ["Frozen"]
 set_field = object.__setattr__
 
 
+def _json_value(value):
+    form = _JSON_FORMS.get(type(value))
+    return value if form is None else form(value)
+
+
+# The types not written as they are: tuple, and each Frozen class as defined.
+_JSON_FORMS = {tuple: lambda items: [_json_value(v) for v in items]}
+
+
 class Frozen:
     __slots__ = ()
 
@@ -44,6 +56,11 @@ class Frozen:
             exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
             cls.__init__ = namespace["__init__"]
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._json = cls.__dict__.get("_json", cls.__slots__)
+        _JSON_FORMS[cls] = cls.to_json_obj
+
+    def to_json_obj(self) -> dict:
+        return {name: _json_value(getattr(self, name)) for name in self._json}
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -96,6 +96,15 @@ _SPARSE_START = 3000
 _MAX_COEFFS = 2**24
 
 
+def _require_below_cap(trunc: int) -> None:
+    """Refuse a truncation of _MAX_COEFFS or more before any list is built;
+    past sys.maxsize, with the OverflowError a list that long raises."""
+    if trunc >= _MAX_COEFFS:
+        if trunc >= sys.maxsize:
+            raise OverflowError("cannot fit 'int' into an index-sized integer")
+        raise ResourceLimitError(f"truncation {trunc} is not below the cap {_MAX_COEFFS}")
+
+
 class AlgebraError(ValueError):
     """Invalid algebra specification or instantiation failure."""
 
@@ -416,14 +425,10 @@ def _lattice_fold(spec: AlgebraSpec, trunc: int) -> tuple[list[int], int]:
     spreads it onto a finer lattice where a degree lowers the gcd, then
     folds the generator in unit passes of the in-place kernel
     `series._fold`, or in one `mul` by the exact factor F^m from
-    `factor_series`.  The list is new on every call.  A truncation of
-    _MAX_COEFFS or more is refused first; past sys.maxsize, with the
-    OverflowError a list that long raises.
+    `factor_series`.  The list is new on every call.  `_require_below_cap`
+    refuses the truncation first.
     """
-    if trunc >= _MAX_COEFFS:
-        if trunc >= sys.maxsize:
-            raise OverflowError("cannot fit 'int' into an index-sized integer")
-        raise ResourceLimitError(f"truncation {trunc} is not below the cap {_MAX_COEFFS}")
+    _require_below_cap(trunc)
     _, g, picked, steps = _plan(instantiate(spec, trunc), trunc)
     terms = {0: 1}
     while steps and steps[0][4] is None:

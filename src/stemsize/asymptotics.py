@@ -81,22 +81,6 @@ class RatioProfile(Frozen):
         for r in self.rows:
             yield (str(r.n), repr(r.log_rank), repr(r.log_n_pow), repr(r.ratio))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "label": self.label,
-            "exponent": self.exponent,
-            "rows": [
-                {
-                    "n": r.n,
-                    "log_rank": r.log_rank,
-                    "log_n_pow": r.log_n_pow,
-                    "ratio": r.ratio,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 RatioProfile.__init__.__defaults__ = ((),)  # rows
 
@@ -131,6 +115,7 @@ class BracketCheck(Frozen):
 
 class BracketReport(Frozen):
     __slots__ = ("p", "m", "model", "checks")
+    _json = ("p", "m", "model", "ok", "checks")
 
     @property
     def ok(self) -> bool:
@@ -140,18 +125,6 @@ class BracketReport(Frozen):
         yield ("check", "ok", "detail")
         for c in self.checks:
             yield (c.name, str(c.ok), c.detail)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "model": self.model,
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
 
 
 def _top(p: int, m: int, ceiling: int) -> int | None:

@@ -34,25 +34,33 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def int_or_power(text: str) -> int:
+    """The integer 'N' or 'BASE^EXP' names (--max-degree, parse_points).  A
+    power past sys.maxsize raises OverflowError before it is built."""
+    base, caret, exp = text.partition("^")
+    base, exp = int(base), int(exp) if caret else 1
+    if exp < 0:
+        raise ValueError(f"negative exponent in {text.strip()!r}")
+    # b^e >= 2^(e * (bit_length(b) - 1)): refuse before building it
+    too_big = exp * (base.bit_length() - 1) >= sys.maxsize.bit_length()
+    if caret and (too_big or base**exp > sys.maxsize):
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
+    return base**exp
+
+
 def parse_points(expr: str) -> list[int]:
     """Point lists: '2^6..2^16' (per-exponent powers), '10..20' (unit step),
     or comma-separated integers, each term allowing base^exp.  A point past
     sys.maxsize raises ResourceLimitError: no series list reaches it."""
 
-    def power(base: int, exp: int, text: str) -> int:
-        # b^e >= 2^(e * (bit_length(b) - 1)): refuse before building it
-        too_big = exp * (base.bit_length() - 1) >= sys.maxsize.bit_length()
-        if too_big or base**exp > sys.maxsize:
-            raise series.ResourceLimitError(
-                f"point {text} is above sys.maxsize = {sys.maxsize}")
-        return base**exp
-
-    def split(s: str) -> tuple[int, int]:
-        base, caret, exp = s.partition("^")
-        return int(base), int(exp) if caret else 1
-
     def term(s: str) -> int:
-        return power(*split(s), s.strip())
+        try:
+            if (value := int_or_power(s)) <= sys.maxsize:
+                return value
+        except OverflowError:
+            pass
+        raise series.ResourceLimitError(
+            f"point {s.strip()} is above sys.maxsize = {sys.maxsize}")
 
     try:
         if ".." not in expr:
@@ -60,7 +68,7 @@ def parse_points(expr: str) -> list[int]:
         lo_s, _, hi_s = expr.partition("..")
         powers = "^" in lo_s and "^" in hi_s
         if powers:
-            (base, lo), (base2, hi) = split(lo_s), split(hi_s)
+            (base, lo), (base2, hi) = (map(int, s.split("^")) for s in (lo_s, hi_s))
             if base != base2:
                 raise CliError(f"mismatched bases in point range {expr!r}")
         else:
@@ -72,7 +80,7 @@ def parse_points(expr: str) -> list[int]:
             raise CliError(f"point range {expr!r} is too large")
         if not powers:
             return list(range(lo, hi + 1))
-        return [power(base, e, f"{base}^{e}") for e in range(lo, hi + 1)]
+        return [base**e for e in range(lo, hi + 1)]  # none above the top end
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad point expression {expr!r}: {exc}") from None
 
@@ -181,13 +189,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_torsion(args) -> int:
-    curve = _load_curve(args.curve)
-    report = torsion.stable_torsion_bound(args.p, args.n, curve)
-    _emit_as(args.format, args.out, lambda fh: fh.write(report.to_json()), lambda: [
-        ("p", "n", "exact_sum", "closed_form", "curve"),
-        (str(report.p), str(report.n), str(report.exact_sum),
-         repr(report.closed_form), report.curve["model"]),
-    ])
+    report = torsion.stable_torsion_bound(args.p, args.n, _load_curve(args.curve))
+    _emit_as(args.format, args.out, lambda fh: fh.write(report.to_json()), report.csv_rows)
     return EXIT_OK
 
 
@@ -264,7 +267,7 @@ def build_parser() -> _Parser:
         if prime:
             p.add_argument("--p", type=int, default=2, help="prime p")
         if degree:
-            p.add_argument("--max-degree", type=int, required=True,
+            p.add_argument("--max-degree", type=int_or_power, required=True,
                            help="series truncation N")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -303,7 +306,7 @@ def build_parser() -> _Parser:
     listing = p.add_mutually_exclusive_group()
     listing.add_argument("--max-dim", type=int, default=None,
                          help="list sequences up to this dimension")
-    listing.add_argument("--max-degree", type=int, default=None,
+    listing.add_argument("--max-degree", type=int_or_power, default=None,
                          help="series truncation (default 40)")
     common(p)
     p.set_defaults(fn=_cmd_ehp)

@@ -43,7 +43,7 @@ from functools import lru_cache
 from operator import add
 
 from ._frozen import Frozen
-from .algebra import _require_prime, hilbert, instantiate
+from .algebra import _require_below_cap, _require_prime, hilbert, instantiate
 from .presets import preset
 from .series import ResourceLimitError, TruncatedSeries, SeriesError, _fold
 
@@ -70,20 +70,13 @@ class CUSeq(Frozen):
     """
 
     __slots__ = ("p", "n", "entries")
+    _json = ("p", "n", "entries", "dim")
 
     @property
     def dim(self) -> int:
         if self.p == 2:
             return sum(i - 1 for i in self.entries)
         return sum(2 * (self.p - 1) * i - eps - 1 for eps, i in self.entries)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "entries": [list(e) if isinstance(e, tuple) else e for e in self.entries],
-            "dim": self.dim,
-        }
 
 
 def enumerate_I(p: int, n: int, max_dim: int) -> list[CUSeq]:
@@ -132,6 +125,7 @@ def _a_counts(p: int, n: int, max_dim: int) -> tuple[int, ...]:
         raise ValueError("excess must be >= 1")
     if max_dim < 0:
         raise ValueError("truncation must be nonnegative")
+    _require_below_cap(max_dim)
     # In degree order the dual Steenrod generators are xi_1, xi_2, ... at
     # p = 2 and tau_0, xi_1, tau_1, xi_2, ... at odd p: H_k is the first k,
     # or 2k, of them, folded into one list h and added at offset m_k(n).
@@ -148,7 +142,8 @@ def _a_counts(p: int, n: int, max_dim: int) -> tuple[int, ...]:
 
 
 def a_series(p: int, n: int, trunc: int) -> TruncatedSeries:
-    """A(n; t): coefficient d counts the sequences in I(n) of dimension d."""
+    """A(n; t): coefficient d counts the sequences in I(n) of dimension d;
+    `hilbert`'s coefficient cap applies."""
     return TruncatedSeries._of(_a_counts(p, n, trunc))
 
 

@@ -63,7 +63,7 @@ def val_p(p: int, m: int) -> int:
 
 class VanishingCurve:
     """A model of the E-infinity vanishing curve g(n); 1 <= g(n) <= n and
-    nondecreasing on the queried range."""
+    nondecreasing on the queried range; its JSON names its `model`."""
 
     __slots__ = ()
 
@@ -78,20 +78,16 @@ class VanishingCurve:
             )
         return g
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 class LinearCurve(VanishingCurve, Frozen):
     """g(n) = n, the unconditional (nilpotence-theorem) envelope."""
 
     __slots__ = ()
+    model = "linear"
+    _json = ("model",)
 
     def raw(self, n: int) -> int:
         return n
-
-    def describe(self) -> dict:
-        return {"model": "linear"}
 
 
 class PowerLawCurve(VanishingCurve, Frozen):
@@ -99,6 +95,8 @@ class PowerLawCurve(VanishingCurve, Frozen):
     square-root curve."""
 
     __slots__ = ("exponent", "coefficient")
+    model = "power_law"
+    _json = ("model", "exponent", "coefficient")
 
     def _check(self) -> None:
         if not 0 < self.exponent <= 1:
@@ -111,19 +109,18 @@ class PowerLawCurve(VanishingCurve, Frozen):
             return n if n <= 1 else isqrt(n - 1) + 1  # exact ceil(sqrt(n))
         return math.ceil(self.coefficient * n**self.exponent)
 
-    def describe(self) -> dict:
-        return {
-            "model": "power_law",
-            "exponent": self.exponent,
-            "coefficient": self.coefficient,
-        }
-
 
 PowerLawCurve.__init__.__defaults__ = (1.0,)  # coefficient
 
 
 class TableCurve(VanishingCurve, Frozen):
     __slots__ = ("values",)  # values[i] = g(i + 1)
+    model = "table"
+    _json = ("model", "length")
+
+    @property
+    def length(self) -> int:
+        return len(self.values)
 
     def _check(self) -> None:
         if any(b < a for a, b in zip(self.values, self.values[1:])):
@@ -134,23 +131,19 @@ class TableCurve(VanishingCurve, Frozen):
             raise TorsionError(f"table curve has no entry for n = {n}")
         return self.values[n - 1]
 
-    def describe(self) -> dict:
-        return {"model": "table", "length": len(self.values)}
-
 
 class TorsionReport(Frozen):
+    """curve is the vanishing curve's `to_json_obj()`."""
+
     __slots__ = ("p", "n", "exact_sum", "closed_form", "curve")
 
+    def csv_rows(self):
+        yield ("p", "n", "exact_sum", "closed_form", "curve")
+        yield (str(self.p), str(self.n), str(self.exact_sum), repr(self.closed_form),
+               self.curve["model"])
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "n": self.n,
-                "exact_sum": self.exact_sum,
-                "closed_form": self.closed_form,
-                "curve": self.curve,
-            }
-        )
+        return json.dumps(self.to_json_obj())
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +222,7 @@ def stable_torsion_bound(p: int, n: int, curve: VanishingCurve) -> TorsionReport
         closed = math.inf
     if not math.isfinite(closed):
         raise TorsionError(f"n = {n} is too large: the closed form exceeds the float range")
-    return TorsionReport(p, n, exact, closed, curve.describe())
+    return TorsionReport(p, n, exact, closed, curve.to_json_obj())
 
 
 def _closed_form_coefficients(p: int) -> tuple[float, int]:

@@ -14,7 +14,7 @@ import pytest
 import stemsize
 from stemsize import algebra, asymptotics, series, torsion
 from stemsize.algebra import hilbert, parse_spec
-from stemsize.cli import MAX_INPUT_BYTES, CliError, main, parse_points
+from stemsize.cli import MAX_INPUT_BYTES, CliError, int_or_power, main, parse_points
 from stemsize.ehp import a_series
 from stemsize.presets import preset
 
@@ -874,3 +874,69 @@ class TestSeriesOutputInPieces:
             "[Errno 28] No space left on device\n"
         ))
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+class TestMaxDegreeTerms:
+    """--max-degree takes BASE^EXP as --points does; a decimal is read as
+    before, and a power past sys.maxsize is refused before it is built."""
+
+    def test_int_or_power(self):
+        assert int_or_power("32") == int_or_power("2^5") == int_or_power(" 2^5 ") == 32
+        assert int_or_power("3^0") == 1 and int_or_power("-7") == -7
+        assert int_or_power(str(2**70)) == 2**70  # a decimal is not bounded here
+        assert int_or_power("2^62") == 2**62
+        start = time.monotonic()
+        for text in ("2^63", "3^40", "10^100000000"):
+            with pytest.raises(OverflowError, match="^cannot fit 'int' into an index-sized"):
+                int_or_power(text)
+        assert time.monotonic() - start < 0.5
+        for text in ("2^x", "2^^4", "abc", "2^-1", "0^-1", ""):
+            with pytest.raises(ValueError):
+                int_or_power(text)
+
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--spec", "{spec}"],
+        ["preset", "--name", "dual_steenrod", "--p", "3"],
+        ["ehp", "--p", "2", "--excess", "2"],
+    ], ids=["hilbert", "preset", "ehp"])
+    def test_power_gives_the_decimal_output(self, argv, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("p = 2\ngen poly deg = 3\ngen ext deg = 2^i for i = 0..4\n")
+        argv = [arg.format(spec=spec) for arg in argv]
+        for fmt in ("json", "csv"):
+            outputs = []
+            for degree in ("32", "2^5"):
+                assert main([*argv, "--max-degree", degree, "--format", fmt]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1] and outputs[0].out
+
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--spec", "{spec}"],
+        ["preset", "--name", "s_k", "--h", "0"],
+        ["ehp", "--p", "2", "--excess", "1"],
+    ], ids=["hilbert", "preset", "ehp"])
+    @pytest.mark.parametrize("degree, message", [
+        ("2^62", f"truncation {2**62} is not below the cap {2**24}"),
+        ("2^70", "cannot fit 'int' into an index-sized integer"),
+        ("16777216", f"truncation {2**24} is not below the cap {2**24}"),
+    ])
+    def test_degree_past_the_cap_exits_three(self, argv, degree, message, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("p = 2\ngen poly deg = 5\n")
+        argv = [arg.format(spec=spec) for arg in argv]
+        start = time.monotonic()
+        code, out, err = run_cli(*argv, "--max-degree", degree, timeout=10)
+        assert time.monotonic() - start < 1.0
+        assert (code, out, err) == (3, "", f"stemsize: resource guard: {message}\n")
+
+    @pytest.mark.parametrize("command", ["hilbert", "preset", "ehp"])
+    @pytest.mark.parametrize("degree", ["2^x", "abc", "0^-1", "2^-1"])
+    def test_malformed_degree_exits_one(self, command, degree, capsys):
+        argv = {"hilbert": ["hilbert", "--spec", "unread.txt"],
+                "preset": ["preset", "--name", "s_k"],
+                "ehp": ["ehp", "--excess", "1"]}[command]
+        assert main([*argv, "--max-degree", degree]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("stemsize: error: argument --max-degree: ")
+        assert repr(degree) in err

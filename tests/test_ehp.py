@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 from itertools import count, takewhile
 from operator import add
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stemsize import ehp
+from stemsize import algebra, ehp
 from stemsize.algebra import AlgebraError, AlgebraSpec, parse_spec
 from stemsize.ehp import (
     CUSeq,
@@ -416,3 +417,20 @@ class TestCUSeqJson:
         obj = s.to_json_obj()
         assert obj["entries"] == [3, 1]
         assert obj["dim"] == 2
+
+
+class TestCoefficientCap:
+    def test_a_series_at_the_cap_is_refused_at_once(self):
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError,
+                           match=f"^truncation {2**24} is not below the cap {2**24}$"):
+            a_series(2, 1, 2**24)
+        with pytest.raises(OverflowError, match="index-sized integer"):
+            a_series(3, 1, 2**70)
+        assert time.monotonic() - start < 1.0
+
+    def test_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_MAX_COEFFS", 50)
+        assert a_series(2, 1, 49) == census(2, 1, 49)
+        with pytest.raises(ResourceLimitError, match="truncation 50 is not below the cap 50"):
+            a_series(2, 3, 50)
