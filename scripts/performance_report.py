@@ -19,7 +19,11 @@ and the EHP series A(n;t) and P(A;t).  Run with ``src`` on PYTHONPATH.
   (series, algebra, presets, torsion, ehp), at the default seed, by the CPU
   time the suite's generator runs before it yields the check (drawing its
   inputs included), best of 5, and each suite's total, so the report shows
-  where that workload's verify time goes.  Then both exact oracles on the
+  where that workload's verify time goes.  The torsion suite builds its
+  g(n), log_p(n) and window-sum tables once per process, so a best of 5
+  shows its warm runs only; the whole suite is also timed on empty table
+  caches (each builder's `cache_clear()` before every run) and on warm
+  ones, best of 5 each, as two lines.  Then both exact oracles on the
   60 (spec, truncation) pairs that `hilbert_vs_oracle` draws (the
   log-derivative recurrence the check runs, and the monomial walk
   `oracle_hilbert`), and the recurrence against `hilbert` on may_e1 at
@@ -270,6 +274,26 @@ def measure_verify(suites: tuple[str, ...] = VERIFY_SUITES, repeats: int = 5) ->
               f"best of {repeats} per check")
 
 
+TORSION_TABLES = (verify._log_table, verify._curve_table, verify._window_sums)
+
+
+def torsion_suite(cold: bool) -> int:
+    """Run the torsion suite at the default seed, on empty table caches if
+    cold; the number of checks it yields."""
+    if cold:
+        for builder in TORSION_TABLES:
+            builder.cache_clear()
+    return sum(1 for _ in verify.SUITES["torsion"](random.Random(verify.DEFAULT_SEED)))
+
+
+def measure_torsion_tables(repeats: int = 5) -> None:
+    torsion_suite(cold=False)  # fills the caches
+    for state, cold in (("empty table caches", True), ("warm table caches", False)):
+        elapsed, checks = best_cpu(torsion_suite, cold, repeats=repeats)
+        print(f"{'verify':8} torsion suite, {state}: {elapsed * 1000:.1f} ms CPU "
+              f"for {checks} checks, best of {repeats}")
+
+
 def algebra_draws(seed: int = verify.DEFAULT_SEED) -> list[tuple[AlgebraSpec, int]]:
     """The 60 (spec, truncation) pairs that the algebra suite's
     hilbert_vs_oracle draws first from seed."""
@@ -427,6 +451,7 @@ def main() -> None:
     measure_import()
     measure_cli()
     measure_verify()
+    measure_torsion_tables()
     measure_oracles()
     measure_preset("generic", "may_e1", 2**18, drop_q0=True)
     if args.stretch:

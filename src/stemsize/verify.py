@@ -13,26 +13,33 @@ The algebra suite checks `hilbert` against the log-derivative recurrence
 keeps the monomial walk `oracle_hilbert` on three presets.  `random_spec`
 builds specs without the parser, which `dsl_round_trip` checks instead.
 
-The torsion suite decides its exhaustive grids from exact tables that each
-run builds once: a valuation sieve per p, and from it Legendre prefix sums.
+The torsion suite decides its exhaustive grids from exact tables.  Each
+run builds a valuation sieve per p, and from it Legendre prefix sums.
 The counting-lemma scan over all pairs up to 10^4 settles each b by one
 integer comparison against a running threshold, the largest k with
 p^k <= b^(p-1), which is raised by exact powers of p only at a b whose
-slack exceeds it.  The stable-bound scan to 10^4 runs on prefix sums of
-the column exponents.  The Goodwillie scan (s <= 8, n <= 2000) uses that
-its exact sum is constant on each block of n with the same (n - 1) // s
-while the linear envelope rises, so the first n of a block decides the
-block.  Each scan still cross-checks its tables against direct calls of
-the formula it covers.
+slack exceeds it.  The stable-bound scan to 10^4 runs on the exact window
+sums E(n), read off the prefix of the column exponents.  Those tables,
+with g(n) per vanishing curve and log_p(n) per p, depend on nothing a run
+decides, so they are built once per process (`functools.cache`) and kept
+as read-only views of compact arrays; a curve's 1 <= g(n) <= n check runs
+at that first build.  Every run still reads the closed form's coefficients
+and computes all of its margins.  The Goodwillie scan (s <= 8, n <= 2000)
+uses that its exact sum is constant on each block of n with the same
+(n - 1) // s while the linear envelope rises, so the first n of a block
+decides the block.  Each scan still cross-checks its tables against
+direct calls of the formula it covers.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
-from itertools import accumulate, pairwise
-from typing import Iterator
+from itertools import accumulate, pairwise, repeat
+from operator import truediv
+from typing import Iterator, Sequence
 
 from . import algebra, asymptotics, ehp, presets, series, torsion
 from ._frozen import Frozen
@@ -263,18 +270,42 @@ def _column_prefix(p: int, vals: list[int], top: int) -> list[int]:
     return list(accumulate((1 + v for v in cols), initial=0))
 
 
-def _log_table(p: int) -> list[float]:
-    """log_p(n) for 1 <= n <= SCAN_LIMIT, computed as `stable_torsion_bound`
-    computes it."""
+def _readonly(typecode: str, values) -> memoryview:
+    """values in an `array` of typecode behind a read-only view: a cached
+    table is shared by every later run, so no caller may write to it."""
+    from array import array  # loaded by the first torsion run, not by import
+
+    return memoryview(array(typecode, values)).toreadonly()
+
+
+@functools.cache
+def _log_table(p: int) -> memoryview:
+    """log_p(n) at index n - 1 for 1 <= n <= SCAN_LIMIT, computed as
+    `stable_torsion_bound` computes it; built once per process."""
+    ns = range(1, SCAN_LIMIT + 1)
     if p == 2:
-        return [math.log2(n) for n in range(1, SCAN_LIMIT + 1)]
-    log_p = math.log(p)  # math.log(n, p) is this quotient of the same floats
-    return [math.log(n) / log_p for n in range(1, SCAN_LIMIT + 1)]
+        return _readonly("d", map(math.log2, ns))
+    # math.log(n, p) is this quotient of the same floats
+    return _readonly("d", map(truediv, map(math.log, ns), repeat(math.log(p))))
 
 
-def _curve_table(curve: torsion.VanishingCurve) -> list[int]:
-    """g(n) for 1 <= n <= SCAN_LIMIT; each call checks 1 <= g(n) <= n."""
-    return [curve(n) for n in range(1, SCAN_LIMIT + 1)]
+@functools.cache
+def _curve_table(curve: torsion.VanishingCurve) -> memoryview:
+    """g(n) at index n - 1 for 1 <= n <= SCAN_LIMIT; built once per
+    process, so the curve's 1 <= g(n) <= n check runs at that build."""
+    return _readonly("i", map(curve, range(1, SCAN_LIMIT + 1)))
+
+
+@functools.cache
+def _window_sums(p: int, curve: torsion.VanishingCurve) -> memoryview:
+    """The exact sum E(n) of `stable_torsion_bound` at index n - 1 for
+    1 <= n <= SCAN_LIMIT, as prefix[(n + g(n)) // span] - prefix[n // span]
+    on the column prefix of p (g >= 1, so the window is at worst empty);
+    built once per process."""
+    span = _span(p)
+    prefix = _column_prefix(p, _valuation_sieve(p), _top_column(p))
+    pairs = zip(range(1, SCAN_LIMIT + 1), _curve_table(curve))
+    return _readonly("i", [prefix[(n + g) // span] - prefix[n // span] for n, g in pairs])
 
 
 def _counting_scan(p: int, vals: list[int]) -> tuple[bool, str]:
@@ -347,61 +378,53 @@ def _goodwillie_scan(p: int, vals: list[int]) -> tuple[int, int] | None:
 def _stable_scan(
     p: int,
     curve: torsion.VanishingCurve,
-    prefix: list[int],
-    logs: list[float],
-    gs: list[int],
+    gs: Sequence[int],
+    logs: Sequence[float],
+    sums: Sequence[int],
 ) -> tuple[bool, str]:
-    """exact_sum <= closed_form for all 1 <= n <= SCAN_LIMIT via prefix sums
-    of the per-column term, cross-checked against direct calls.
+    """exact_sum <= closed_form for all 1 <= n <= SCAN_LIMIT on the exact
+    window sums, cross-checked against direct calls.
 
-    prefix and logs are the run's column prefix and log_p table of p, gs
-    its g(n) table of the curve.
+    gs, logs and sums hold g(n), log_p(n) and E(n) at index n - 1, as the
+    tables `_curve_table(curve)`, `_log_table(p)` and `_window_sums(p, curve)`
+    do.  The tables are data; each call reads the closed form's coefficients
+    and computes every margin, so no verdict outlives its run.
     """
     n_max = SCAN_LIMIT
-    span = _span(p)
     slope, const = torsion._closed_form_coefficients(p)
-
-    def exact(n: int) -> int:  # g >= 1, so hi >= lo - 1
-        return prefix[(n + gs[n - 1]) // span] - prefix[n // span]
 
     def closed(n: int) -> float:  # added in stable_torsion_bound's order
         return slope * gs[n - 1] + logs[n - 1] + const
 
-    # margins[n - 1] = closed(n) - exact(n), inlined for speed
-    margins = [
-        slope * g + lg + const - (prefix[(n + g) // span] - prefix[n // span])
-        for n, g, lg in zip(range(1, n_max + 1), gs, logs)
-    ]
+    # margins[n - 1] = closed(n) - E(n), inlined for speed
+    margins = [slope * g + lg + const - e for g, lg, e in zip(gs, logs, sums)]
     least = min(margins)
     if least < 0:  # exact > closed + 1e-9 needs a negative margin
         for n in range(1, n_max + 1):
-            if exact(n) > closed(n) + 1e-9:
+            if sums[n - 1] > closed(n) + 1e-9:
                 return False, f"violation at p={p}, n={n}"
     # near-ties and a sample settled by the direct function
     sample = {i + 1 for i in heapq.nsmallest(5, range(n_max), key=margins.__getitem__)}
     sample.update((1, 2, 3, n_max))
     for n in sorted(sample):
         rep = torsion.stable_torsion_bound(p, n, curve)
-        if rep.exact_sum != exact(n) or rep.exact_sum > rep.closed_form:
+        if rep.exact_sum != sums[n - 1] or rep.exact_sum > rep.closed_form:
             return False, f"direct call mismatch at p={p}, n={n}"
     return True, f"p={p}: all n <= {n_max}, min margin {least:.4f}"
 
 
-
 def _suite_torsion(rng: random.Random) -> Checks:
-    # each table is built once in this run and shared by the scans using it
+    # every run builds its sieves, shared by the counting-lemma and Goodwillie scans
     sieves = {p: _valuation_sieve(p) for p in (2, 3, 5)}
     for p in (2, 3, 5):
         yield (f"counting_lemma_exhaustive_p{p}", *_counting_scan(p, sieves[p]))
     curves = (("linear", torsion.LinearCurve()),
               ("sqrt", torsion.PowerLawCurve(0.5, 1.0)))
-    g_tables = {label: _curve_table(curve) for label, curve in curves}
     for p in (2, 3, 5):
-        prefix = _column_prefix(p, sieves[p], _top_column(p))
-        logs = _log_table(p)
         for label, curve in curves:
             yield (f"stable_bound_exhaustive_p{p}_{label}",
-                   *_stable_scan(p, curve, prefix, logs, g_tables[label]))
+                   *_stable_scan(p, curve, _curve_table(curve), _log_table(p),
+                                 _window_sums(p, curve)))
 
     yield ("goodwillie_linear_envelope",
            all(_goodwillie_scan(p, sieves[p]) is None for p in (2, 3, 5)),

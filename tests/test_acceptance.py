@@ -127,8 +127,7 @@ class TestTorsionChain:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("curve", [LinearCurve(), PowerLawCurve(0.5, 1.0)])
     def test_stable_bound_exhaustive(self, p, curve):
-        prefix = verify._column_prefix(p, verify._valuation_sieve(p), verify._top_column(p))
-        tables = prefix, verify._log_table(p), verify._curve_table(curve)
+        tables = verify._curve_table(curve), verify._log_table(p), verify._window_sums(p, curve)
         ok, detail = verify._stable_scan(p, curve, *tables)
         assert ok, detail
 

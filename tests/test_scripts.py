@@ -89,6 +89,15 @@ def test_performance_report_times_the_suite_checks():
     assert lines[-1].startswith("verify   series suite: ")
 
 
+def test_performance_report_times_the_torsion_suite_cold_and_warm():
+    lines = run_performance_report("measure_torsion_tables(repeats=1)").splitlines()
+    checks = len(verify.run_suite("torsion"))
+    assert len(lines) == 2
+    for state, line in zip(("empty table caches", "warm table caches"), lines):
+        assert re.fullmatch(rf"verify   torsion suite, {state}: \d+\.\d ms CPU "
+                            rf"for {checks} checks, best of 1", line), line
+
+
 def test_performance_report_times_the_listing():
     cases = ((2, 1, 12), (3, 2, 20), (2, 1, 200))
     lines = run_performance_report(f"measure_listing(cases={cases}, repeats=1)").splitlines()

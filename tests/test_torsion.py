@@ -228,11 +228,10 @@ class TestScanTables:
     def test_stable_scan_reports_first_violation(self):
         # a log table pushed far down from n = 100 on makes the closed form
         # fall below the exact sum there and nowhere before
-        prefix = verify._column_prefix(3, verify._valuation_sieve(3), verify._top_column(3))
-        logs = verify._log_table(3)
+        logs = verify._log_table(3).tolist()
         logs[99:] = [-50.0] * (len(logs) - 99)
-        gs = verify._curve_table(LinearCurve())
-        assert verify._stable_scan(3, LinearCurve(), prefix, logs, gs) == (
+        tables = verify._curve_table(LinearCurve()), logs, verify._window_sums(3, LinearCurve())
+        assert verify._stable_scan(3, LinearCurve(), *tables) == (
             False, "violation at p=3, n=100")
 
 
