@@ -32,9 +32,9 @@ and the EHP series A(n;t) and P(A;t).  Run with ``src`` on PYTHONPATH.
 
 `hilbert` folds each generator on the multiples of the gcd of the degrees
 folded so far, largest degree first, so its cost depends on the degrees and
-on the generator kinds.  Each regime's line ends with the totals of the
-fold plan (`algebra._plan`): generators folded on the sparse start and the
-support terms planned for them, generators packed, unit passes, power
+on the generator kinds.  Each regime's line ends with totals read from the
+`Plan` that `algebra._plan` returns: generators folded on the sparse start
+and the support terms planned for them, generators packed, unit passes, power
 steps and the estimated list coefficient additions.
 
 - generic: the May E1 model (p = 2) at N = 2^18.  Its polynomial degrees
@@ -145,21 +145,18 @@ gen poly deg = 11 mult = 2
 
 
 def plan_totals(spec: AlgebraSpec, trunc: int) -> str:
-    """The totals of `hilbert`'s fold plan: generators folded on the sparse
-    start and the support terms planned for them, generators packed, unit
-    passes, power steps and the estimated list coefficient additions."""
+    """The totals of `hilbert`'s fold plan, from its steps' kernels and
+    work: generators folded on the sparse start and the support terms
+    planned for them, generators packed, unit passes, power steps and the
+    estimated list coefficient additions."""
     gens = algebra.instantiate(spec, trunc)
-    cost, _, picked, steps = algebra._plan(gens, trunc)
-    sparse = sum(power is None for *_, power in steps)
-    bits, terms = 1, 0
-    for gen in gens[len(gens) - sparse:][::-1]:
-        bits = algebra._support(bits, gen, trunc)
-        terms += gen.multiplicity * bits.bit_count()
-    units = sum(mult for _, _, _, mult, power in steps if power is False)
-    powers = sum(power is True for *_, power in steps)
-    return (f"{sparse} of {len(gens)} generators fold sparse on {terms} support terms; "
-            f"{len(picked)} of {len(gens)} generators packed, {units} unit passes, "
-            f"{powers} power steps, {cost} coefficient additions")
+    plan = algebra._plan(gens, trunc)
+    sparse = [step.work for step in plan.steps if step.kernel == "sparse"]
+    units = sum(step.mult for step in plan.steps if step.kernel == "unit")
+    powers = sum(step.kernel == "power" for step in plan.steps)
+    return (f"{len(sparse)} of {len(gens)} generators fold sparse on {sum(sparse)} support "
+            f"terms; {len(plan.picked)} of {len(gens)} generators packed, {units} unit passes, "
+            f"{powers} power steps, {plan.cost} coefficient additions")
 
 
 def measure(regime: str, label: str, spec: AlgebraSpec, trunc: int) -> None:

@@ -204,6 +204,22 @@ class TensorBracket(NamedTuple):
     ok: bool
 
 
+class Step(NamedTuple):
+    kernel: str  # "sparse", "unit" or "power"
+    spread: int
+    kind: GeneratorKind
+    d: int
+    mult: int
+    work: int
+
+
+class Plan(NamedTuple):
+    cost: int
+    g: int
+    picked: list[tuple[int, int, int]]
+    steps: list[Step]
+
+
 # ---------------------------------------------------------------------------
 # parsing / printing
 # ---------------------------------------------------------------------------
@@ -418,32 +434,32 @@ def _lattice_fold(spec: AlgebraSpec, trunc: int) -> tuple[list[int], int]:
     multiples of g, as trunc // g + 1 coefficients.
 
     `_plan` decides every step before a coefficient moves, and this runs
-    them on one working list: it starts as the packed product E of the
-    nilpotent generators the plan picks, or as the terms of the sparse
-    start, whose steps fold the largest generators on a dict of the
-    nonzero terms (`series._fold_terms`), on the multiples of g; a step
-    spreads it onto a finer lattice where a degree lowers the gcd, then
-    folds the generator in unit passes of the in-place kernel
-    `series._fold`, or in one `mul` by the exact factor F^m from
+    each by its kernel on one working list: it starts as the packed
+    product E of the nilpotent generators the plan picks, or as the terms
+    of the "sparse" steps, which fold the largest generators on a dict of
+    the nonzero terms (`series._fold_terms`), on the multiples of g; a
+    step spreads it onto a finer lattice where a degree lowers the gcd,
+    then folds the generator in "unit" passes of the in-place kernel
+    `series._fold`, or in one "power" `mul` by the exact factor F^m from
     `factor_series`.  The list is new on every call.  `_require_below_cap`
     refuses the truncation first.
     """
     _require_below_cap(trunc)
     _, g, picked, steps = _plan(instantiate(spec, trunc), trunc)
     terms = {0: 1}
-    while steps and steps[0][4] is None:
-        spread, kind, d, mult, _ = steps.pop(0)
+    while steps and steps[0].kernel == "sparse":
+        _, spread, kind, d, mult, _ = steps.pop(0)
         g //= spread
         for _ in range(mult):
             terms = _fold_terms(terms, kind, d * g, trunc)
     out = _nilpotent_product(picked, g, trunc) if picked else [0] * (trunc // g + 1)
     for e, c in terms.items():
         out[e // g] = c
-    for spread, kind, d, mult, power in steps:
+    for kernel, spread, kind, d, mult, _ in steps:
         if spread > 1:
             g //= spread
             out = _spread(out, spread, trunc // g)
-        if power:
+        if kernel == "power":
             out[:] = factor_series(kind, d, trunc // g, mult).mul(TruncatedSeries._of(out))
         else:
             for _ in range(mult):
@@ -451,37 +467,38 @@ def _lattice_fold(spec: AlgebraSpec, trunc: int) -> tuple[list[int], int]:
     return out, g
 
 
-def _steps(gens: list[Generator], trunc: int, g: int) -> tuple[int, list[tuple]]:
-    """(cost, steps): the fold of `gens`, largest degree first, into a
-    series on the multiples of g, and its cost in list coefficient
-    additions.
+def _steps(gens: list[Generator], trunc: int, g: int) -> Plan:
+    """The plan that folds `gens`, largest degree first, into a series on
+    the multiples of g, packing nothing; a step's work is its cost in list
+    coefficient additions.
 
     While g divides every degree folded so far, the series is one in t^g
-    with trunc // g + 1 coefficients.  A step (spread, kind, d, mult, power)
-    spreads it onto the lattice g // spread where a degree lowers the gcd,
-    then folds mult generators of lattice degree d: in mult unit passes of
-    trunc // g + 1 additions (two for truncated(k), k >= 3, whose pass also
-    subtracts a shifted list), or in a power step, one `mul` by F^mult (the
-    left operand, so that `mul` skips its zero coefficients) of about
+    with trunc // g + 1 coefficients.  A step spreads it onto the lattice
+    g // spread where a degree lowers the gcd, then folds mult generators
+    of lattice degree d: in mult "unit" passes of trunc // g + 1 additions
+    (two for truncated(k), k >= 3, whose pass also subtracts a shifted
+    list), or in a "power" step, one `mul` by F^mult (the left operand, so
+    that `mul` skips its zero coefficients) of about
     (trunc // deg + 1) * (trunc // g + 1) / 2 multiply-adds, each worth
     about four additions, which wins once mult exceeds 2 * (trunc // deg + 1).
     """
-    cost, steps = 0, []
+    cost, steps, lattice = 0, [], g
     for kind, deg, mult in reversed(gens):
-        spread = g // math.gcd(g, deg)
-        g //= spread
+        spread = lattice // math.gcd(lattice, deg)
+        lattice //= spread
         cap = 2 * (trunc // deg + 1)
-        power = mult > cap
-        steps.append((spread, kind, deg // g, mult, power))
         passes = 2 if kind.name == "trunc" and kind.order > 2 else 1
-        cost += (trunc // g + 1) * (cap if power else passes * mult)
-    return cost, steps
+        power = mult > cap
+        work = (trunc // lattice + 1) * (cap if power else passes * mult)
+        steps.append(Step("power" if power else "unit", spread, kind, deg // lattice, mult, work))
+        cost += work
+    return Plan(cost, g, [], steps)
 
 
-def _plan(gens: list[Generator], trunc: int) -> tuple[int, int, list[tuple], list[tuple]]:
-    """(cost, g, picked, steps): the fold of `gens` (see `_steps`) into the
-    product of the nilpotent generators `picked`, as (degree, mult, k'),
-    on the multiples of g, and its cost in list coefficient additions.
+def _plan(gens: list[Generator], trunc: int) -> Plan:
+    """The fold of `gens` (see `_steps`) into the product of the nilpotent
+    generators `picked`, as (degree, mult, k'), on the multiples of g, and
+    its cost in list coefficient additions.
 
     Below degree trunc a truncated(k) factor in degree d (exterior: k = 2)
     is a truncated(k') one, k' = min(k, trunc // d + 1).  In `instantiate`
@@ -491,59 +508,55 @@ def _plan(gens: list[Generator], trunc: int) -> tuple[int, int, list[tuple], lis
     fold on unpacked (a chain of polynomial degrees beside one exterior
     generator in degree 3), so the plan packs only when that fold plus
     _PACK_OVERHEAD costs less than folding every generator.  When it packs
-    nothing, the first steps may fold on the sparse start: their power is
-    None (see `_sparse_start`).
+    nothing, its first steps may be "sparse" (see `_sparse_start`).
     """
-    g = gens[-1].degree if gens else 1
-    cost, steps = _steps(gens, trunc, g)
+    plain = _steps(gens, trunc, gens[-1].degree if gens else 1)
     copies = sum(gen.multiplicity for gen in gens if gen.kind.name != "poly")
-    if copies * (trunc + 1) <= _PACK_OVERHEAD:  # at least what packing saves
-        return _sparse_start(gens, trunc, cost, steps), g, [], steps
-    picked, rest, bound = [], [], 1
-    for gen in gens:
-        kind, deg, mult = gen
-        k = kind.nilpotence
-        if k and mult < 64:
-            k = min(k, trunc // deg + 1)
-            if k <= 64 and bound * k**mult < 2**64:
-                bound *= k**mult
-                picked.append((deg, mult, k))
-                continue
-        rest.append(gen)
-    if picked:
-        packed_g = math.gcd(*(deg for deg, _, _ in picked))
-        packed, packed_steps = _steps(rest, trunc, packed_g)
-        if packed + _PACK_OVERHEAD < cost:
-            return packed + _PACK_OVERHEAD, packed_g, picked, packed_steps
-    return _sparse_start(gens, trunc, cost, steps), g, [], steps
+    if copies * (trunc + 1) > _PACK_OVERHEAD:  # packing may save more than it costs
+        picked, rest, bound = [], [], 1
+        for gen in gens:
+            kind, deg, mult = gen
+            k = kind.nilpotence
+            if k and mult < 64:
+                k = min(k, trunc // deg + 1)
+                if k <= 64 and bound * k**mult < 2**64:
+                    bound *= k**mult
+                    picked.append((deg, mult, k))
+                    continue
+            rest.append(gen)
+        if picked:
+            packed = _steps(rest, trunc, math.gcd(*(deg for deg, _, _ in picked)))
+            if packed.cost + _PACK_OVERHEAD < plain.cost:
+                return packed._replace(cost=packed.cost + _PACK_OVERHEAD, picked=picked)
+    return _sparse_start(gens, trunc, plain)
 
 
-def _sparse_start(gens: list[Generator], trunc: int, cost: int, steps: list[tuple]) -> int:
-    """The cost of the cheapest sparse start for the unpacked fold `steps`
-    of `gens`, of cost `cost`, whose steps it marks in place (power None).
+def _sparse_start(gens: list[Generator], trunc: int, plan: Plan) -> Plan:
+    """The cheapest plan that folds the K largest generators of the unpacked
+    `plan` of `gens` in "sparse" steps, on the dict of the nonzero terms
+    (`series._fold_terms`); K = 0 is `plan`.
 
-    It folds the K largest generators on the dict of the nonzero terms
-    (`series._fold_terms`) at _SPARSE_TERM per term of each pass's support
-    (see `_support`), plus _SPARSE_START once; K = 0 is the plain fold.
+    A sparse step's work is mult times the support of its product (see
+    `_support`), priced at _SPARSE_TERM a term, plus _SPARSE_START once.
     The walk ends once the start's cost alone reaches the best, since the
     support only grows.  A polynomial step of lattice degree 1 fills its
     lattice, so a fold of only such steps (a divisibility chain) is not
     walked.
     """
-    if cost <= _SPARSE_START or all(kind.name == "poly" and d == 1 for _, kind, d, _, _ in steps):
-        return cost
-    best, k, start, rest, bits, g = cost, 0, _SPARSE_START, cost, 1, gens[-1].degree
-    for i, gen in enumerate(reversed(gens), 1):
+    cost, g, _, steps = plan
+    if cost <= _SPARSE_START or all(s.kind.name == "poly" and s.d == 1 for s in steps):
+        return plan
+    best, k, start, rest, bits, sparse = cost, 0, _SPARSE_START, cost, 1, []
+    for step, gen in zip(steps, reversed(gens)):
         if start >= best:
             break
-        rest -= _steps([gen], trunc, g)[0]
-        g = math.gcd(g, gen.degree)
+        rest -= step.work
         bits = _support(bits, gen, trunc)
-        start += _SPARSE_TERM * gen.multiplicity * bits.bit_count()
+        sparse.append(step._replace(kernel="sparse", work=step.mult * bits.bit_count()))
+        start += _SPARSE_TERM * sparse[-1].work
         if start + rest < best:
-            best, k = start + rest, i
-    steps[:k] = [(*step[:4], None) for step in steps[:k]]
-    return best
+            best, k = start + rest, len(sparse)
+    return Plan(best, g, [], sparse[:k] + steps[k:])
 
 
 def _support(bits: int, gen: Generator, trunc: int) -> int:
@@ -670,6 +683,8 @@ def tensor_bracket(
         raise AlgebraError("need one degree budget per tensor factor")
     if not subspecs:
         raise AlgebraError("tensor bracket needs at least one factor")
+    if min(budgets) < 0:
+        raise AlgebraError(f"degree budget {min(budgets)} is negative")
     p = subspecs[0].p
     for s in subspecs:
         if s.p != p:

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -14,6 +16,7 @@ from stemsize.algebra import (
     AlgebraSpec,
     Generator,
     GeneratorFamily,
+    Step,
     _log_derivative_hilbert,
     _require_prime,
     _plan,
@@ -429,7 +432,7 @@ class TestPackedStart:
     def test_matches_references(self, text, trunc, packed, walk):
         spec = parse_spec(text)
         gens = instantiate(spec, trunc)
-        assert len(_plan(gens, trunc)[2]) == packed
+        assert len(_plan(gens, trunc).picked) == packed
         series = hilbert(spec, trunc)
         assert all(type(c) is int for c in series)
         assert series == ascending_fold(spec, trunc) == _log_derivative_hilbert(spec, trunc)
@@ -463,7 +466,7 @@ class TestPackedStart:
 
 def sparse_steps(spec, trunc):
     """How many steps of `hilbert`'s plan fold on the sparse start."""
-    return sum(step[4] is None for step in _plan(instantiate(spec, trunc), trunc)[3])
+    return sum(step.kernel == "sparse" for step in _plan(instantiate(spec, trunc), trunc).steps)
 
 
 @st.composite
@@ -535,7 +538,7 @@ class TestSparseStart:
                 gens = instantiate(preset(name, p, h=h, k=h, drop_q0=True), 200)
                 for trunc in range(201):
                     below = [gen for gen in gens if gen.degree <= trunc]
-                    assert all(step[4] is not None for step in _plan(below, trunc)[3])
+                    assert all(step.kernel != "sparse" for step in _plan(below, trunc).steps)
         for name, kwargs in CHAIN_PRESETS:
             for trunc in (200, 2**13, 3**8, 5**5, 18396):
                 assert sparse_steps(preset(name, p, **kwargs), trunc) == 0
@@ -559,9 +562,11 @@ class TestPowerStep:
             spec = parse_spec(
                 f"p = 3\ngen {kind} deg = {deg} mult = {mult}\n" + "gen poly deg = 2\n" * extra
             )
-            _, g, picked, steps = _plan(instantiate(spec, trunc), trunc)
-            assert (g, picked) == (deg, [])
-            assert steps[0] == (1, spec.families[0].kind, 1, mult, mult > cap)
+            plan = _plan(instantiate(spec, trunc), trunc)
+            assert (plan.g, plan.picked) == (deg, [])
+            step = plan.steps[0]
+            assert (step.spread, step.kind, step.d, step.mult, step.kernel == "power") == (
+                1, spec.families[0].kind, 1, mult, mult > cap)
             series = hilbert(spec, trunc)
             assert series == _log_derivative_hilbert(spec, trunc) == ascending_fold(spec, trunc)
 
@@ -579,16 +584,134 @@ class TestStepCost:
         (GeneratorKind.truncated(5), 2),
     ])
     def test_unit_passes(self, kind, passes):
-        cost, steps = _steps([Generator(kind, 4, 3)], 100, 4)
-        assert steps == [(1, kind, 1, 3, False)]
-        assert cost == passes * 3 * (100 // 4 + 1)
+        plan = _steps([Generator(kind, 4, 3)], 100, 4)
+        assert plan.steps == [Step("unit", 1, kind, 1, 3, passes * 3 * (100 // 4 + 1))]
+        assert plan.cost == passes * 3 * (100 // 4 + 1)
 
     def test_power_step_cost_is_kind_free(self):
         cap = 2 * (100 // 4 + 1)
         for kind in (POLYNOMIAL, GeneratorKind.truncated(3)):
-            cost, steps = _steps([Generator(kind, 4, cap + 1)], 100, 4)
-            assert steps == [(1, kind, 1, cap + 1, True)]
-            assert cost == cap * (100 // 4 + 1)
+            plan = _steps([Generator(kind, 4, cap + 1)], 100, 4)
+            assert plan.steps == [Step("power", 1, kind, 1, cap + 1, cap * (100 // 4 + 1))]
+            assert plan.cost == cap * (100 // 4 + 1)
+
+
+PLAN_TRUNCS = (0, 100, 1000, 2**12, 2**14)
+SPARSE_EXAMPLES = ((EVERY_GENERATOR_SPARSE, 290), (MULT_SPARSE, 200))
+# The SHA-256 of `plan_decisions` over `plan_cases`, then over the sparse
+# examples with _SPARSE_START = 0.  Computed while each step was a tuple
+# (spread, kind, d, mult, power), with power True, False and None read as
+# the kernels "power", "unit" and "sparse".
+PLAN_DIGEST = "0fa19abba0a3a460b286df6d450d2427870347c86769a88a0eb35728ec49d14f"
+
+
+def plan_cases():
+    """Every preset at p in {2, 3, 5}, h = k in {1, 2, 3} and N in
+    PLAN_TRUNCS, then the sparse examples and PACKED_CASES."""
+    for name in PRESET_NAMES:
+        for p in (2, 3, 5):
+            for h in (1, 2, 3):
+                spec = preset(name, p, h=h, k=h, drop_q0=True)
+                for trunc in PLAN_TRUNCS:
+                    yield spec, trunc
+    for text, trunc in (*SPARSE_EXAMPLES, *((text, trunc) for text, trunc, _, _ in PACKED_CASES)):
+        yield parse_spec(text), trunc
+
+
+def plan_decisions(spec, trunc):
+    """(cost, g, picked) and (kernel, spread, kind, d, mult) per step, as
+    one line of JSON."""
+    cost, g, picked, steps = _plan(instantiate(spec, trunc), trunc)
+    rows = [[step.kernel, step.spread, str(step.kind), step.d, step.mult] for step in steps]
+    return json.dumps([cost, g, [list(row) for row in picked], rows]).encode() + b"\n"
+
+
+def test_plan_decisions_are_pinned():
+    digest = hashlib.sha256()
+    for spec, trunc in plan_cases():
+        digest.update(plan_decisions(spec, trunc))
+    with mock.patch.object(algebra, "_SPARSE_START", 0):
+        for text, trunc in SPARSE_EXAMPLES:
+            digest.update(plan_decisions(parse_spec(text), trunc))
+    assert digest.hexdigest() == PLAN_DIGEST
+
+
+def run_kernels(spec, trunc):
+    """`hilbert(spec, trunc)` with its kernels wrapped: the list length
+    times the passes of each `_fold` call, the size of each dict that
+    `_fold_terms` returns, and the arguments of each `factor_series` call."""
+    fold, fold_terms, factor = algebra._fold, algebra._fold_terms, algebra.factor_series
+    folds, sizes, factors = [], [], []
+
+    def count_fold(out, kind, d):
+        folds.append(len(out) * (2 if kind.name == "trunc" and kind.order > 2 else 1))
+        fold(out, kind, d)
+
+    def count_terms(*args):
+        terms = fold_terms(*args)
+        sizes.append(len(terms))
+        return terms
+
+    def count_factor(*args):
+        factors.append(args)
+        return factor(*args)
+
+    with mock.patch.object(algebra, "_fold", side_effect=count_fold), \
+            mock.patch.object(algebra, "_fold_terms", side_effect=count_terms), \
+            mock.patch.object(algebra, "factor_series", side_effect=count_factor):
+        hilbert(spec, trunc)
+    return folds, sizes, factors
+
+
+class TestPlanPredictsWhatRuns:
+    """Each kernel runs as often, and on as much, as the plan's steps say."""
+
+    def check(self, spec, trunc):
+        plan = _plan(instantiate(spec, trunc), trunc)
+        folds, sizes, factors = run_kernels(spec, trunc)
+        unit = [step for step in plan.steps if step.kernel == "unit"]
+        assert len(folds) == sum(step.mult for step in unit)
+        assert sum(folds) == sum(step.work for step in unit)
+        g, planned = plan.g, []
+        for step in plan.steps:
+            g //= step.spread
+            if step.kernel == "power":
+                planned.append((step.kind, step.d, trunc // g, step.mult))
+        assert factors == planned
+        sparse = [step for step in plan.steps if step.kernel == "sparse"]
+        assert len(sizes) == sum(step.mult for step in sparse)
+        passes = iter(sizes)
+        for step in sparse:
+            last = [next(passes) for _ in range(step.mult)][-1]
+            assert last == step.work // step.mult
+        return {step.kernel for step in plan.steps}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_presets(self, p):
+        for name in PRESET_NAMES:
+            for h in (1, 2):
+                for trunc in (0, 200, 2048):
+                    self.check(preset(name, p, h=h, k=h, drop_q0=True), trunc)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("may_e1", {"drop_q0": True}), ("mrs_e2_model", {"h": 2}), ("dual_steenrod", {}),
+        ("y_h_lifted", {"h": 2}), ("y_h_lifted", {"h": 3}),
+    ])
+    def test_sparse_presets(self, name, kwargs):
+        assert "sparse" in self.check(preset(name, 2, **kwargs), 2**14)
+
+    def test_sparse_examples(self):
+        with mock.patch.object(algebra, "_SPARSE_START", 0):
+            for text, trunc in SPARSE_EXAMPLES:
+                assert "sparse" in self.check(parse_spec(text), trunc)
+
+    @pytest.mark.parametrize("kind", ["poly", "ext", "trunc(3)"])
+    @pytest.mark.parametrize("mult, kernels", [(68, {"unit"}), (69, {"power", "unit"})])
+    def test_unit_and_power_steps(self, kind, mult, kernels):
+        """At N = 100 a generator in degree 3 takes a power step once mult
+        exceeds 2 * (100 // 3 + 1) = 68."""
+        spec = parse_spec(f"p = 3\ngen {kind} deg = 3 mult = {mult}\ngen poly deg = 2\n")
+        assert self.check(spec, 100) == kernels
 
 
 def _trial_division(n):
@@ -805,6 +928,21 @@ class TestTensorBracket:
         a = parse_spec("p = 2\ngen poly deg = 1\n")
         with pytest.raises(AlgebraError):
             tensor_bracket([a, a], [2])
+
+    @pytest.mark.parametrize("budgets", [[5, 5, -1], [5, -1], [-1], [-3, 0, 2]])
+    def test_negative_budget_rejected_before_any_fold(self, budgets):
+        """A negative budget is not an index from the end of a series."""
+        a = parse_spec("p = 2\ngen poly deg = 1\n")
+        b = parse_spec("p = 2\ngen ext deg = 2\n")
+        factors = [a, a, b][:len(budgets)]
+        with mock.patch.object(algebra, "_lattice_fold") as fold:
+            with pytest.raises(AlgebraError, match="is negative"):
+                tensor_bracket(factors, budgets)
+        assert not fold.called
+
+    def test_zero_budget_allowed(self):
+        a = parse_spec("p = 2\ngen poly deg = 1\n")
+        assert tensor_bracket([a, a], [0, 3]) == (4, 10, 16, True)
 
 
 # ---------------------------------------------------------------------------

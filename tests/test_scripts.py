@@ -55,10 +55,10 @@ def test_performance_report_nilpotent_regime():
     totals = [tuple(map(int, fields.search(line).groups())) for line in lines]
     assert totals[0][0] > 0  # the DSL spec packs at N = 200
     gens = instantiate(preset("may_e1", 3, drop_q0=True), 81)
-    cost, _, picked, steps = _plan(gens, 81)
+    plan = _plan(gens, 81)
     assert totals[1] == (
-        len(picked), len(gens), sum(mult for _, _, _, mult, power in steps if not power),
-        sum(power for *_, power in steps), cost,
+        len(plan.picked), len(gens), sum(s.mult for s in plan.steps if s.kernel != "power"),
+        sum(s.kernel == "power" for s in plan.steps), plan.cost,
     )
 
 
@@ -76,9 +76,9 @@ def test_performance_report_sparse_regime():
         assert line.startswith(f"sparse   {spec.label}, N = {trunc}: ")
         sparse, count, terms, units, cost = map(int, fields.search(line).groups())
         gens = instantiate(spec, trunc)
-        plan_cost, _, _, steps = _plan(gens, trunc)
-        assert 0 < sparse == sum(step[4] is None for step in steps)
-        assert (count, units, cost) == (len(gens), len(gens) - sparse, plan_cost)
+        plan = _plan(gens, trunc)
+        assert 0 < sparse == sum(step.kernel == "sparse" for step in plan.steps)
+        assert (count, units, cost) == (len(gens), len(gens) - sparse, plan.cost)
         assert 0 < terms <= sparse * (trunc + 1)
 
 def test_performance_report_times_the_suite_checks():
