@@ -61,6 +61,12 @@ steps and the estimated list coefficient additions.
   and 3) and may_e1.  Past two such generators the gcd is 1 while the
   series has a few nonzero terms, so the plan folds the largest
   generators on the dict of those terms before the list.
+- starts: `hilbert` on eight specs between N = 300 and 2^14 (NILPOTENT_SPEC,
+  may_e1, dual_steenrod and mrs_e2_model at p = 3, TRUNC_SPEC) and two
+  DSL specs of the `generic_fold` pool at N = 4096: the start the plan
+  takes (packed, sparse or plain) with its predicted cost, then the best of
+  5 CPU times with each start forced in turn, by patching
+  `algebra._PACK_OVERHEAD` and `algebra._SPARSE_START`.
 - chain: the may_model algebra (p = 2), whose degrees 2^n form a
   divisibility chain, so a generator of degree d folds on N // d + 1
   coefficients.  Measured at N = 2^18 - 1 (the m = 18 upper bracketing
@@ -120,6 +126,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 from stemsize import algebra, cli, ehp, presets, verify
 from stemsize.algebra import AlgebraSpec, hilbert_cumulative, parse_spec
@@ -319,6 +326,62 @@ def measure_nilpotent(dsl_trunc: int = 4096, may_trunc: int = 3**9) -> None:
               f"{plan_totals(spec, trunc)}")
 
 
+# Two DSL specs of the generic_fold benchmark pool (generic_dsl-031 and
+# generic_dsl-011), one with an exterior family and one with a truncated(3)
+# family.
+GENERIC_SPECS = (
+    "p = 2\ngen poly deg = 3*i^2 + 5*i + 2 for i = 1..inf\ngen poly deg = 7^i + 6 for i = 0..inf\n"
+    "gen ext deg = 9*j + 2 for j = 0..17\ngen poly deg = 2 mult = 1\n",
+    "p = 3\ngen poly deg = 3*i^2 + 3*i + 1 for i = 1..inf\ngen poly deg = 5^i + 2 for i = 0..inf\n"
+    "gen trunc(3) deg = 27*j + 4 for j = 0..19\ngen poly deg = 24 mult = 1\n",
+)
+
+# Each start forced by the plan's constants: a cost of -FORCE for a start
+# takes it wherever it exists, of FORCE rules it out.
+FORCE = 10**18
+STARTS = (("packed", -FORCE, FORCE), ("sparse", FORCE, -FORCE), ("plain", FORCE, FORCE))
+
+
+def start_of(plan: algebra.Plan) -> str:
+    if plan.picked:
+        return "packed"
+    return "sparse" if any(step.kernel == "sparse" for step in plan.steps) else "plain"
+
+
+def starts_cases() -> list[tuple[str, AlgebraSpec, int]]:
+    nilpotent = parse_spec(NILPOTENT_SPEC)
+    may_e1 = preset("may_e1", 3, drop_q0=True)
+    return [
+        ("NILPOTENT_SPEC", nilpotent, 300), ("NILPOTENT_SPEC", nilpotent, 1024),
+        ("NILPOTENT_SPEC", nilpotent, 4096), ("may_e1, p = 3", may_e1, 3**6),
+        ("may_e1, p = 3", may_e1, 3**9), ("dual_steenrod, p = 3", preset("dual_steenrod", 3), 4096),
+        ("TRUNC_SPEC", parse_spec(TRUNC_SPEC), 2**14),
+        ("mrs_e2_model, p = 3, h = 2", preset("mrs_e2_model", 3, h=2), 3**8),
+        *((f"generic_fold DSL spec {i}", parse_spec(text), 4096)
+          for i, text in enumerate(GENERIC_SPECS, start=1)),
+    ]
+
+
+def measure_starts(trunc: int | None = None, repeats: int = 5) -> None:
+    """For each case: the start `algebra._plan` takes and its predicted
+    cost, then `hilbert`'s best CPU time with each start forced, or n/a
+    where that start does not exist."""
+    for label, spec, n in starts_cases():
+        n = n if trunc is None else trunc
+        plan = algebra._plan(algebra.instantiate(spec, n), n)
+        times = []
+        for name, pack, sparse in STARTS:
+            with mock.patch.object(algebra, "_PACK_OVERHEAD", pack), \
+                    mock.patch.object(algebra, "_SPARSE_START", sparse):
+                if start_of(algebra._plan(algebra.instantiate(spec, n), n)) != name:
+                    times.append(f"{name} n/a")
+                    continue
+                elapsed, _ = best_cpu(algebra.hilbert, spec, n, repeats=repeats)
+            times.append(f"{name} {elapsed * 1000:.2f} ms")
+        print(f"{'starts':8} {label}, N = {n}: plan starts {start_of(plan)}, "
+              f"{plan.cost} coefficient additions; {', '.join(times)} CPU")
+
+
 SPARSE_PRESETS = (("mrs_e2_model", {"h": 2}), ("dual_steenrod", {}), ("y_h_lifted", {"h": 2}),
                   ("y_h_lifted", {"h": 3}), ("may_e1", {"drop_q0": True}))
 
@@ -456,6 +519,7 @@ def main() -> None:
     measure("trunc", "ext/trunc(3)/trunc(5) families, p = 3", parse_spec(TRUNC_SPEC), 2**16)
     measure_nilpotent()
     measure_sparse()
+    measure_starts()
     measure_preset("chain", "may_model", 2**18 - 1)
     measure_preset("chain", "may_model", 14 * 13 // 2 * (2**14 - 1))
     measure_lattice()

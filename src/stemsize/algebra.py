@@ -3,17 +3,17 @@
 An `AlgebraSpec` describes a free graded-commutative algebra over F_p as a
 list of generator families (polynomial / exterior / truncated species, a
 degree expression, an optional multiplicity expression, and index ranges).
-`hilbert` runs a plan, `_plan`, made before any coefficient moves.  Where it
-pays, it starts from the product of the nilpotent (exterior and truncated)
-generators, built in one Python int with a 64-bit slot per coefficient.
-Where it packs nothing, it may start by folding the largest generators on
-a dict of the nonzero terms, while the series is mostly zeros: the plan
-prices that at _SPARSE_TERM per support term and _SPARSE_START once,
-against the list additions it saves, and takes the cheapest prefix.  It
-folds the other single-generator Hilbert factors, largest degree first, on
-the lattice of multiples of the gcd of the degrees folded so far, each in
-unit passes or in one power step.  Two exact oracles
-check it and share nothing with the fold past `instantiate`:
+`hilbert` runs a plan, `_plan`, made before any coefficient moves.  It
+prices three starts in list coefficient additions and takes the cheapest:
+none; the product of generators that are truncated below N (exterior,
+truncated, and polynomial ones of large degree), built in one Python int
+with a 64-bit slot per coefficient, at _PACK_OVERHEAD and its shifted
+additions; or the largest generators folded on a dict of the nonzero
+terms while the series is mostly zeros, at _SPARSE_TERM per support term
+and _SPARSE_START once.  It folds the other single-generator Hilbert
+factors, largest degree first, on the lattice of multiples of the gcd of
+the degrees folded so far, each in unit passes or in one power step.  Two
+exact oracles check it and share nothing with the fold past `instantiate`:
 `oracle_hilbert` recounts monomials by brute-force multiset enumeration, the
 definition of the series, up to truncation 60; `_log_derivative_hilbert`
 solves Euler's log-derivative recurrence in O(N^2) exact products, so it
@@ -78,9 +78,20 @@ ORACLE_MAX_TRUNC = 60
 _WALK_BUDGET_FLOOR = 64
 _INCREASE_STREAK = 3
 
-# The fixed cost of packing nilpotent generators in `hilbert`, in list
-# coefficient additions: about 10 us, on a 2-vCPU VM with Python 3.11.
+# The fixed cost of packing generators in `hilbert`, in list coefficient
+# additions: about 10 us, on a 2-vCPU VM with Python 3.11.
 _PACK_OVERHEAD = 300
+
+# A round of shifted additions on the packed int of n + 1 slots, priced at
+# (n + 1) // _PACK_ROUND additions.  It takes about 3.4 ns a slot and 0.3 us
+# once, a list addition about 35 ns (N = 30 to 4096); an eighth served the
+# generic_fold DSL specs at N = 4096 and the small requests best.
+_PACK_ROUND = 8
+
+# The rounds `_nilpotent_product` runs for one copy of a truncated(k)
+# factor, k <= 64: one per binary digit of k after the first, and one more
+# for each 1 among them.
+_ROUNDS = [max(k.bit_length() + k.bit_count() - 2, 0) for k in range(65)]
 
 # The sparse start's costs in the same units.  A pass on the dict of terms
 # takes about 230 ns a term of its support, a list addition about 40 ns
@@ -435,7 +446,7 @@ def _lattice_fold(spec: AlgebraSpec, trunc: int) -> tuple[list[int], int]:
 
     `_plan` decides every step before a coefficient moves, and this runs
     each by its kernel on one working list: it starts as the packed
-    product E of the nilpotent generators the plan picks, or as the terms
+    product E of the generators the plan picks, or as the terms
     of the "sparse" steps, which fold the largest generators on a dict of
     the nonzero terms (`series._fold_terms`), on the multiples of g; a
     step spreads it onto a finer lattice where a degree lowers the gcd,
@@ -467,6 +478,9 @@ def _lattice_fold(spec: AlgebraSpec, trunc: int) -> tuple[list[int], int]:
     return out, g
 
 
+_new = tuple.__new__  # builds a Step without the Python-level NamedTuple __new__
+
+
 def _steps(gens: list[Generator], trunc: int, g: int) -> Plan:
     """The plan that folds `gens`, largest degree first, into a series on
     the multiples of g, packing nothing; a step's work is its cost in list
@@ -490,73 +504,118 @@ def _steps(gens: list[Generator], trunc: int, g: int) -> Plan:
         passes = 2 if kind.name == "trunc" and kind.order > 2 else 1
         power = mult > cap
         work = (trunc // lattice + 1) * (cap if power else passes * mult)
-        steps.append(Step("power" if power else "unit", spread, kind, deg // lattice, mult, work))
+        steps.append(_new(Step, ("power" if power else "unit", spread, kind, deg // lattice,
+                                 mult, work)))
         cost += work
     return Plan(cost, g, [], steps)
 
 
 def _plan(gens: list[Generator], trunc: int) -> Plan:
-    """The fold of `gens` (see `_steps`) into the product of the nilpotent
-    generators `picked`, as (degree, mult, k'), on the multiples of g, and
-    its cost in list coefficient additions.
-
-    Below degree trunc a truncated(k) factor in degree d (exterior: k = 2)
-    is a truncated(k') one, k' = min(k, trunc // d + 1).  In `instantiate`
-    order, a generator with k' <= 64 is picked if B, the product of k'^m
-    over those picked, stays below 2^64.  The rest then fold from the gcd
-    of the picked degrees, which can be finer than the lattice they would
-    fold on unpacked (a chain of polynomial degrees beside one exterior
-    generator in degree 3), so the plan packs only when that fold plus
-    _PACK_OVERHEAD costs less than folding every generator.  When it packs
-    nothing, its first steps may be "sparse" (see `_sparse_start`).
-    """
+    """The cheapest fold of `gens` in list coefficient additions: the plain
+    one of `_steps`, one from a packed start (see `_packed_start`), or one
+    with a sparse start (see `_sparse_start`)."""
     plain = _steps(gens, trunc, gens[-1].degree if gens else 1)
-    copies = sum(gen.multiplicity for gen in gens if gen.kind.name != "poly")
-    if copies * (trunc + 1) > _PACK_OVERHEAD:  # packing may save more than it costs
-        picked, rest, bound = [], [], 1
-        for gen in gens:
-            kind, deg, mult = gen
-            k = kind.nilpotence
-            if k and mult < 64:
-                k = min(k, trunc // deg + 1)
-                if k <= 64 and bound * k**mult < 2**64:
-                    bound *= k**mult
-                    picked.append((deg, mult, k))
-                    continue
-            rest.append(gen)
-        if picked:
-            packed = _steps(rest, trunc, math.gcd(*(deg for deg, _, _ in picked)))
-            if packed.cost + _PACK_OVERHEAD < plain.cost:
-                return packed._replace(cost=packed.cost + _PACK_OVERHEAD, picked=picked)
-    return _sparse_start(gens, trunc, plain)
+    best = _packed_start(gens, trunc, plain) if plain.cost > _PACK_OVERHEAD else plain
+    return _sparse_start(gens, trunc, plain, best)
 
 
-def _sparse_start(gens: list[Generator], trunc: int, plan: Plan) -> Plan:
-    """The cheapest plan that folds the K largest generators of the unpacked
-    `plan` of `gens` in "sparse" steps, on the dict of the nonzero terms
-    (`series._fold_terms`); K = 0 is `plan`.
+def _packed_start(gens: list[Generator], trunc: int, plain: Plan) -> Plan:
+    """The cheapest of the unpacked `plain` and the folds of `gens` from
+    the product of the generators `picked`, as (degree, mult, k'), on the
+    multiples of g.
+
+    Below degree trunc a generator in degree d is a truncated(k') factor:
+    k' = trunc // d + 1 for a polynomial one, min(k, trunc // d + 1) for a
+    truncated(k) one (exterior: k = 2).  Packed, a copy saves its unit
+    passes and costs _ROUNDS[k'] shifted additions, each priced at a
+    1/_PACK_ROUND of a pass of the packed slots; a generator with k' <= 64
+    and mult < 64 is a candidate if that saves.  Ranked by what a copy
+    saves per bit of k', a candidate is picked if B, the product of
+    k'^mult over those picked, stays below 2^64.  The rest fold from the
+    gcd g of the picked degrees, which can be finer than the lattice they
+    would fold on unpacked (a chain of polynomial degrees beside one
+    exterior generator in degree 3), so each pick that lowers g also
+    weighs the picks before it, on top of _PACK_OVERHEAD.
+    """
+    cands, gate = [], 0
+    for i, (kind, deg, mult) in enumerate(gens):
+        k = trunc // deg + 1
+        if kind.name != "poly":
+            k = min(k, kind.nilpotence)
+        if k <= 64 and mult < 64:
+            save = (2 if kind.name == "trunc" and kind.order > 2 else 1) * _PACK_ROUND - _ROUNDS[k]
+            if save > 0:
+                cands.append((-save / math.log2(k), i, k, k**mult, deg))
+                gate += save * mult
+    if gate * (trunc + 1) <= _PACK_OVERHEAD * _PACK_ROUND:
+        return plain
+    chosen, cuts, bound, g, gain = [], [], 1, 0, 0
+    for _, i, k, size, deg in sorted(cands):
+        if bound * size < 2**64:
+            if chosen and deg % g:
+                cuts.append((len(chosen), g, gain))
+            chosen.append((i, k))
+            bound *= size
+            g = math.gcd(g, deg)
+            gain += plain.steps[-1 - i].work
+    cuts.append((len(chosen), g, gain))
+    best = plain
+    for m, g, gain in reversed(cuts):
+        # the rest fold on lattices no coarser than unpacked: a floor
+        if m and plain.cost - gain + _PACK_OVERHEAD < best.cost:
+            packed = _packed(gens, trunc, chosen[:m], g)
+            if packed.cost < best.cost:
+                best = packed
+    return best
+
+
+def _packed(gens: list[Generator], trunc: int, chosen: list[tuple[int, int]], g: int) -> Plan:
+    """The plan that packs gens[i] as a truncated(k) factor for each (i, k)
+    in `chosen` and folds the rest from the lattice g."""
+    picked = [(gens[i].degree, gens[i].multiplicity, k) for i, k in sorted(chosen)]
+    taken = {i for i, _ in chosen}
+    rest = _steps([gen for i, gen in enumerate(gens) if i not in taken], trunc, g)
+    work = _pack_rounds(picked) * (trunc // g + 1) // _PACK_ROUND
+    return Plan(rest.cost + _PACK_OVERHEAD + work, g, picked, rest.steps)
+
+
+def _pack_rounds(picked: list[tuple[int, int, int]]) -> int:
+    """The shifted additions `_nilpotent_product` runs on `picked`."""
+    return sum(mult * _ROUNDS[k] for _, mult, k in picked)
+
+
+def _sparse_start(gens: list[Generator], trunc: int, plain: Plan, best: Plan) -> Plan:
+    """The cheapest of `best` and the plans that fold the K >= 1 largest
+    generators of the unpacked `plain` of `gens` in "sparse" steps, on the
+    dict of the nonzero terms (`series._fold_terms`).
 
     A sparse step's work is mult times the support of its product (see
     `_support`), priced at _SPARSE_TERM a term, plus _SPARSE_START once.
-    The walk ends once the start's cost alone reaches the best, since the
-    support only grows.  A polynomial step of lattice degree 1 fills its
-    lattice, so a fold of only such steps (a divisibility chain) is not
-    walked.
+    The support only grows, so the walk ends once the start's cost alone
+    reaches the best, or once _SPARSE_TERM terms of the support cost more
+    than the two passes of N + 1 additions a copy saves at most.  A
+    polynomial step of lattice degree 1 fills its lattice, so a fold of
+    only such steps (a divisibility chain) is not walked.
     """
-    cost, g, _, steps = plan
-    if cost <= _SPARSE_START or all(s.kind.name == "poly" and s.d == 1 for s in steps):
-        return plan
-    best, k, start, rest, bits, sparse = cost, 0, _SPARSE_START, cost, 1, []
+    cost, g, _, steps = plain
+    least = best.cost
+    if least <= _SPARSE_START or all(s.kind.name == "poly" and s.d == 1 for s in steps):
+        return best
+    k, start, rest, bits, terms, works = 0, _SPARSE_START, cost, 1, 1, []
     for step, gen in zip(steps, reversed(gens)):
-        if start >= best:
+        if start >= least or _SPARSE_TERM * terms >= 2 * (trunc + 1):
             break
         rest -= step.work
         bits = _support(bits, gen, trunc)
-        sparse.append(step._replace(kernel="sparse", work=step.mult * bits.bit_count()))
-        start += _SPARSE_TERM * sparse[-1].work
-        if start + rest < best:
-            best, k = start + rest, len(sparse)
-    return Plan(best, g, [], sparse[:k] + steps[k:])
+        terms = bits.bit_count()
+        works.append(step.mult * terms)
+        start += _SPARSE_TERM * works[-1]
+        if start + rest < least:
+            least, k = start + rest, len(works)
+    if not k:
+        return best
+    sparse = [step._replace(kernel="sparse", work=work) for step, work in zip(steps, works[:k])]
+    return Plan(least, g, [], sparse + steps[k:])
 
 
 def _support(bits: int, gen: Generator, trunc: int) -> int:
@@ -579,13 +638,14 @@ def _nilpotent_product(picked: list[tuple], g: int, trunc: int) -> list[int]:
 
     E is built in one int with a 64-bit slot per lattice coefficient.  A
     coefficient of a partial product of the picked factors is at most its
-    value at t = 1, at most B < 2^64 (see `_plan`), so no slot ever
+    value at t = 1, at most B < 2^64 (see `_packed_start`), so no slot ever
     carries into the next, and masking to n + 1 slots is exact truncation.
-    A copy of a truncated(k') generator in degree d multiplies by
-    Q_k' = 1 + t^d + ... + t^((k'-1)d) in at most 10 shifted additions, by
-    the binary digits of k': Q_2j = Q_j + t^(jd) Q_j and
-    Q_(j+1) = 1 + t^d Q_j.  Each costs about a tenth of a list pass, and
-    one C call unpacks the slots.
+    A copy of a truncated(k') generator in degree d (a polynomial one is
+    truncated(trunc // d + 1) below trunc) multiplies by
+    Q_k' = 1 + t^d + ... + t^((k'-1)d) in _ROUNDS[k'] <= 10 shifted
+    additions, by the binary digits of k': Q_2j = Q_j + t^(jd) Q_j and
+    Q_(j+1) = 1 + t^d Q_j.  The plan prices each at 1/_PACK_ROUND of a
+    pass of the slots, and one C call unpacks them.
     """
     n = trunc // g
     mask = (1 << 64 * (n + 1)) - 1

@@ -1,7 +1,9 @@
 import copy
 import hashlib
+import inspect
 import json
 import pickle
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -416,11 +418,23 @@ PACKED_CASES = [
      "gen poly deg = 4 mult = 2\ngen poly deg = 9\n", 200, 2, False),
     ("p = 2\ngen ext deg = 1 mult = 63\n", 0, 0, True),  # N = 0: no generator
     ("p = 5\ngen ext deg = 2 mult = 8\ngen trunc(4) deg = 3 mult = 2\n", 60, 2, True),
-    # trunc(1000) in degree 50 is trunc(3) below degree 120
-    ("p = 2\ngen trunc(1000) deg = 50 mult = 30\ngen ext deg = 1 mult = 10\n", 120, 2, False),
+    # trunc(1000) in degree 50 is trunc(3) below degree 120, but its 60
+    # rounds on the lattice 1 cost more than its power step on the lattice 50
+    ("p = 2\ngen trunc(1000) deg = 50 mult = 30\ngen ext deg = 1 mult = 10\n", 120, 0, False),
+    # trunc(1000) in degree 40 is trunc(4) below degree 120: packed
+    ("p = 2\ngen trunc(1000) deg = 40 mult = 5\ngen ext deg = 1 mult = 10\n", 120, 2, False),
     ("p = 2\ngen trunc(100) deg = 1\ngen poly deg = 5\n", 200, 0, False),  # k' > 64
     # packing would move every polynomial of the chain onto the lattice 1
     ("p = 2\ngen poly deg = 2^n for n = 0..inf\ngen ext deg = 3\n", 4096, 0, False),
+    # a polynomial generator above N/2 is truncated(2) below N: packed
+    ("p = 2\ngen ext deg = 3 mult = 20\ngen ext deg = 7 mult = 10\ngen poly deg = 150\n",
+     200, 3, False),
+    ("p = 2\ngen poly deg = 3\ngen ext deg = 1 mult = 20\n", 200, 1, False),  # poly k' = 67
+    ("p = 3\ngen poly deg = 120 mult = 64\ngen ext deg = 2 mult = 20\n", 200, 1, False),
+    # only polynomial generators, each truncated(2) below N
+    ("p = 2\ngen poly deg = 101\ngen poly deg = 103\ngen poly deg = 107\n"
+     "gen poly deg = 150 mult = 3\n", 200, 4, False),
+    ("p = 2\ngen trunc(100) deg = 1 mult = 11\n", 63, 0, False),  # 64^11 >= 2^64 alone
 ]
 
 
@@ -455,6 +469,7 @@ class TestPackedStart:
         ),
         st.integers(min_value=40, max_value=250),
     )
+    @example([("poly", 30, 1), ("ext", 2, 10), ("poly", 25, 2)], 40)  # packs both polys
     @settings(max_examples=60, deadline=None)
     def test_matches_log_derivative(self, families, trunc):
         text = "p = 3\n" + "".join(
@@ -486,8 +501,8 @@ def sparse_start_cases(draw):
     return "\n".join(lines) + "\n", trunc
 
 
-# every generator folds on the sparse start; N + 1 <= _PACK_OVERHEAD, so
-# the exterior one is not packed
+# every generator folds on the sparse start once _SPARSE_START is 0, which
+# then costs less than packing all three, each truncated(2) below N
 EVERY_GENERATOR_SPARSE = "p = 2\ngen poly deg = 199\ngen poly deg = 197\ngen ext deg = 160\n"
 # the two largest, of multiplicity 3 and 2, fold on the sparse start
 MULT_SPARSE = "p = 3\ngen poly deg = 101 mult = 3\ngen poly deg = 100 mult = 2\ngen poly deg = 7\n"
@@ -599,10 +614,9 @@ class TestStepCost:
 PLAN_TRUNCS = (0, 100, 1000, 2**12, 2**14)
 SPARSE_EXAMPLES = ((EVERY_GENERATOR_SPARSE, 290), (MULT_SPARSE, 200))
 # The SHA-256 of `plan_decisions` over `plan_cases`, then over the sparse
-# examples with _SPARSE_START = 0.  Computed while each step was a tuple
-# (spread, kind, d, mult, power), with power True, False and None read as
-# the kernels "power", "unit" and "sparse".
-PLAN_DIGEST = "0fa19abba0a3a460b286df6d450d2427870347c86769a88a0eb35728ec49d14f"
+# examples with _SPARSE_START = 0 (469 plans).  Pinned when polynomial
+# generators joined the packed start, whose rounds the plan prices.
+PLAN_DIGEST = "069df85083420e17ad6ff99dcc69193c879da96861c024f781d5c6993f7675b5"
 
 
 def plan_cases():
@@ -636,12 +650,40 @@ def test_plan_decisions_are_pinned():
     assert digest.hexdigest() == PLAN_DIGEST
 
 
+NILPOTENT_PRODUCT = algebra._nilpotent_product
+SHIFTED_ADDITIONS = frozenset(
+    start + offset
+    for lines, start in [inspect.getsourcelines(NILPOTENT_PRODUCT)]
+    for offset, line in enumerate(lines) if "<<" in line and "& mask" in line
+)
+
+
+def count_shifted_additions(*args):
+    """`_nilpotent_product(*args)`, and the shifted additions it ran: the
+    lines that shift and mask, counted as they execute under `sys.settrace`."""
+    code, count = NILPOTENT_PRODUCT.__code__, [0]
+
+    def lines(frame, event, arg):
+        if event == "line" and frame.f_lineno in SHIFTED_ADDITIONS:
+            count[0] += 1
+        return lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code is code else None)
+    try:
+        out = NILPOTENT_PRODUCT(*args)
+    finally:
+        sys.settrace(previous)
+    return out, count[0]
+
+
 def run_kernels(spec, trunc):
     """`hilbert(spec, trunc)` with its kernels wrapped: the list length
     times the passes of each `_fold` call, the size of each dict that
-    `_fold_terms` returns, and the arguments of each `factor_series` call."""
+    `_fold_terms` returns, the arguments of each `factor_series` call, and
+    the arguments and shifted additions of each `_nilpotent_product` call."""
     fold, fold_terms, factor = algebra._fold, algebra._fold_terms, algebra.factor_series
-    folds, sizes, factors = [], [], []
+    folds, sizes, factors, packs = [], [], [], []
 
     def count_fold(out, kind, d):
         folds.append(len(out) * (2 if kind.name == "trunc" and kind.order > 2 else 1))
@@ -656,19 +698,26 @@ def run_kernels(spec, trunc):
         factors.append(args)
         return factor(*args)
 
+    def count_pack(*args):
+        out, rounds = count_shifted_additions(*args)
+        packs.append((*args, rounds))
+        return out
+
     with mock.patch.object(algebra, "_fold", side_effect=count_fold), \
             mock.patch.object(algebra, "_fold_terms", side_effect=count_terms), \
-            mock.patch.object(algebra, "factor_series", side_effect=count_factor):
+            mock.patch.object(algebra, "factor_series", side_effect=count_factor), \
+            mock.patch.object(algebra, "_nilpotent_product", side_effect=count_pack):
         hilbert(spec, trunc)
-    return folds, sizes, factors
+    return folds, sizes, factors, packs
 
 
 class TestPlanPredictsWhatRuns:
-    """Each kernel runs as often, and on as much, as the plan's steps say."""
+    """Each kernel runs as often, and on as much, as the plan's steps say,
+    and the plan's cost is the sum of what it priced."""
 
     def check(self, spec, trunc):
         plan = _plan(instantiate(spec, trunc), trunc)
-        folds, sizes, factors = run_kernels(spec, trunc)
+        folds, sizes, factors, packs = run_kernels(spec, trunc)
         unit = [step for step in plan.steps if step.kernel == "unit"]
         assert len(folds) == sum(step.mult for step in unit)
         assert sum(folds) == sum(step.work for step in unit)
@@ -684,6 +733,19 @@ class TestPlanPredictsWhatRuns:
         for step in sparse:
             last = [next(passes) for _ in range(step.mult)][-1]
             assert last == step.work // step.mult
+        list_work = sum(step.work for step in plan.steps if step.kernel != "sparse")
+        if plan.picked:
+            assert packs == [(plan.picked, plan.g, trunc, algebra._pack_rounds(plan.picked))]
+            rounds = packs[0][-1]
+            assert plan.cost == (list_work + algebra._PACK_OVERHEAD
+                                 + rounds * (trunc // plan.g + 1) // algebra._PACK_ROUND)
+            return {"packed"} | {step.kernel for step in plan.steps}
+        assert packs == []
+        if sparse:
+            assert plan.cost == (list_work + algebra._SPARSE_START
+                                 + algebra._SPARSE_TERM * sum(step.work for step in sparse))
+        else:
+            assert plan.cost == list_work
         return {step.kernel for step in plan.steps}
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -704,6 +766,10 @@ class TestPlanPredictsWhatRuns:
         with mock.patch.object(algebra, "_SPARSE_START", 0):
             for text, trunc in SPARSE_EXAMPLES:
                 assert "sparse" in self.check(parse_spec(text), trunc)
+
+    @pytest.mark.parametrize("text, trunc, packed, walk", PACKED_CASES)
+    def test_packed_cases(self, text, trunc, packed, walk):
+        assert ("packed" in self.check(parse_spec(text), trunc)) == (packed > 0)
 
     @pytest.mark.parametrize("kind", ["poly", "ext", "trunc(3)"])
     @pytest.mark.parametrize("mult, kernels", [(68, {"unit"}), (69, {"power", "unit"})])

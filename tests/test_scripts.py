@@ -66,7 +66,7 @@ def test_performance_report_sparse_regime():
     trunc = 4096
     lines = run_performance_report(f"measure_sparse(trunc={trunc}, repeats=1)").splitlines()
     fields = re.compile(r": \d+\.\d ms CPU; (\d+) of (\d+) generators fold sparse on (\d+) support "
-                        r"terms; 0 of \2 generators packed, (\d+) unit passes, 0 power steps, "
+                        r"terms; (\d+) of \2 generators packed, (\d+) unit passes, 0 power steps, "
                         r"(\d+) coefficient additions$")
     assert len(lines) == 5
     presets = [("mrs_e2_model", {"h": 2}), ("dual_steenrod", {}), ("y_h_lifted", {"h": 2}),
@@ -74,12 +74,34 @@ def test_performance_report_sparse_regime():
     for (name, kwargs), line in zip(presets, lines):
         spec = preset(name, 2, **kwargs)
         assert line.startswith(f"sparse   {spec.label}, N = {trunc}: ")
-        sparse, count, terms, units, cost = map(int, fields.search(line).groups())
+        sparse, count, terms, packed, units, cost = map(int, fields.search(line).groups())
         gens = instantiate(spec, trunc)
         plan = _plan(gens, trunc)
-        assert 0 < sparse == sum(step.kernel == "sparse" for step in plan.steps)
-        assert (count, units, cost) == (len(gens), len(gens) - sparse, plan.cost)
-        assert 0 < terms <= sparse * (trunc + 1)
+        assert sparse == sum(step.kernel == "sparse" for step in plan.steps)
+        assert (count, packed, units, cost) == (
+            len(gens), len(plan.picked), len(gens) - sparse - packed, plan.cost)
+        # at N = 4096 the plan packs y_h_lifted (h = 2) and starts the others sparse
+        assert (packed > 0) == (spec.label == "y_h_lifted(p=2, h=2)") != (sparse > 0)
+        assert 0 < terms <= sparse * (trunc + 1) or sparse == terms == 0
+
+def test_performance_report_starts_regime(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from performance_report import starts_cases
+
+    lines = run_performance_report("measure_starts(trunc=200, repeats=1)").splitlines()
+    cases = starts_cases()
+    assert len(lines) == len(cases) == 10
+    line_re = re.compile(r"starts   (.+), N = 200: plan starts (packed|sparse|plain), (\d+) "
+                         r"coefficient additions; packed (n/a|\d+\.\d\d ms), "
+                         r"sparse (n/a|\d+\.\d\d ms), plain (\d+\.\d\d ms) CPU")
+    for (label, spec, _), line in zip(cases, lines):
+        match = line_re.fullmatch(line)
+        assert match and match[1] == label, line
+        plan = _plan(instantiate(spec, 200), 200)
+        assert int(match[3]) == plan.cost
+        assert match[2] == ("packed" if plan.picked else "plain")  # no sparse start at N = 200
+        assert match[2] == "plain" or match[4] != "n/a"  # the start taken was timed
+
 
 def test_performance_report_times_the_suite_checks():
     lines = run_performance_report("measure_verify(suites=('series',), repeats=1)").splitlines()
