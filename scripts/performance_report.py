@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Time the import and per-request fixed cost of the CLI, cumulative rank
-series at large truncations in three fold regimes and on the gcd lattice,
-and the EHP series A(n;t) and P(A;t).  Run with ``src`` on PYTHONPATH.
+"""Time the import and per-request fixed cost of the CLI, the verify suites,
+the fold in two tables (cumulative rank series at large truncations, and
+each start of the fold plan forced in turn), and the EHP series A(n;t) and
+P(A;t).  Every in-process time is the least CPU time of a few runs.  Run
+with ``src`` on PYTHONPATH.
 
 - import: `import stemsize.cli` in 15 fresh interpreters, by the thread
   time of the import, as median and quartiles; twice.  First with
@@ -10,8 +12,8 @@ and the EHP series A(n;t) and P(A;t).  Run with ``src`` on PYTHONPATH.
   with a warm bytecode cache under ``-X pycache_prefix`` in a temporary
   directory, so nothing is written into ``src``.  Last, each stemsize
   module's self time from one ``-X importtime`` run without a cache.
-- cli: 300 in-process `stemsize.cli.main` calls of
-  `torsion --p 3 --n 100` (one parser serves them all; the parser and the
+- cli: 300 in-process `stemsize.cli.main` calls of `torsion --p 3 --n 100`,
+  best of 3, per call (one parser serves them all; the parser and the
   Python import are the fixed costs of a request).  The torsion suite's
   three counting-lemma scans (p = 2, 3, 5, on prebuilt valuation sieves)
   are also timed alone, best of 5.
@@ -32,68 +34,55 @@ and the EHP series A(n;t) and P(A;t).  Run with ``src`` on PYTHONPATH.
 
 `hilbert` folds each generator on the multiples of the gcd of the degrees
 folded so far, largest degree first, so its cost depends on the degrees and
-on the generator kinds.  Each regime's line ends with totals read from the
-`Plan` that `algebra._plan` returns: generators folded on the sparse start
-and the support terms planned for them, generators packed, unit passes, power
-steps and the estimated list coefficient additions.
+on the generator kinds.  Two tables time it.
 
-- generic: the May E1 model (p = 2) at N = 2^18.  Its polynomial degrees
-  have gcd 1 and form no chain, so nearly every generator folds over all
-  N + 1 coefficients, by blocked or strided running sums.  This is the gate
-  case (under five minutes in `tests/test_acceptance.py`); N = 2^20 is a
-  stretch measurement, reported with --stretch but not gated.
-- trunc: a DSL spec of exterior and truncated(3), truncated(5) families in
-  degrees from 301 to 2296, all well above sqrt(N), at N = 2^16.  The 52
-  of lowest degree fill the 64-bit slots of the packed start (see
-  nilpotent); each of the other 398 folds over all N + 1 coefficients
-  through the exterior and truncated branches of the in-place kernel
-  `series._fold`, run on the working list that `hilbert` keeps for the
-  whole fold.
-- nilpotent: `hilbert` on two specs with many exterior and truncated
-  generators, best of 5 CPU times: NILPOTENT_SPEC, a spec of the shape of
-  the `generic_fold` benchmark workload's DSL requests with an exterior
-  and a truncated(3) family, at N = 4096, and may_e1 at p = 3,
-  N = 3^9, whose h_ij are exterior.  `hilbert` starts from the product of
-  the nilpotent generators the plan packs into one int of 64-bit slots.
-- sparse: `hilbert_cumulative` of the p = 2 presets whose largest degrees
-  are nearly coprime, such as 2^14 - 3 and 2^14 - 5, at N = 2^14, best of
-  5 CPU times: mrs_e2_model (h = 2), dual_steenrod, y_h_lifted (h = 2
-  and 3) and may_e1.  Past two such generators the gcd is 1 while the
-  series has a few nonzero terms, so the plan folds the largest
-  generators on the dict of those terms before the list.
-- starts: `hilbert` on eight specs between N = 300 and 2^14 (NILPOTENT_SPEC,
-  may_e1, dual_steenrod and mrs_e2_model at p = 3, TRUNC_SPEC) and two
-  DSL specs of the `generic_fold` pool at N = 4096: the start the plan
-  takes (packed, sparse or plain) with its predicted cost, then the best of
-  5 CPU times with each start forced in turn, by patching
-  `algebra._PACK_OVERHEAD` and `algebra._SPARSE_START`.
-- chain: the may_model algebra (p = 2), whose degrees 2^n form a
-  divisibility chain, so a generator of degree d folds on N // d + 1
-  coefficients.  Measured at N = 2^18 - 1 (the m = 18 upper bracketing
-  check) and at N = 1,490,853 = C(14, 2) (2^14 - 1) (the m = 14 lower check).
-- lattice: cumulative ranks of p-power chains, best of 5 CPU times.
-  `hilbert_cumulative` sums the fold's coefficients on the multiples of
-  the gcd g of the degrees and holds each sum over its block of g degrees;
-  `max_over_h` walks the runs on which each cumulative rank is constant.
-  Timed: `max_over_h` of r_h_einf at p = 2, N = 2^12 - 1 (the m = 12
-  bracketing check), and `hilbert_cumulative` of may_model at
-  N = 18396 = C(9, 2) (2^9 - 1) (the m = 9 lower check) and of s_k, k = 1,
-  at N = 2^13, each with its g.
+FOLD_CASES: `hilbert_cumulative` of each (regime, label, spec, N, repeats),
+best of `repeats` CPU times, with the top coefficient's bits and the totals
+of the `Plan` that `algebra._plan` returns: the lattice gcd g the fold ends
+on, generators folded on the sparse start and their planned support terms,
+generators packed, unit passes, power steps, and list coefficient additions.
+
+- generic: the May E1 model (p = 2) at N = 2^18, and at 2^20 with
+  --stretch.  Its degrees have gcd 1 and form no chain, so nearly every
+  generator folds over all N + 1 coefficients.  The gate case (under five
+  minutes in `tests/test_acceptance.py`); 2^20 is not gated.
+- trunc: TRUNC_SPEC at N = 2^16, 450 exterior, truncated(3) and
+  truncated(5) generators in degrees from 301 to 2296, well above sqrt(N).
+  Those the packed start leaves fold over all N + 1 coefficients through
+  the exterior and truncated branches of the in-place kernel `series._fold`.
+- chain: may_model (p = 2), whose degrees 2^n form a divisibility chain, so
+  a generator of degree d folds on N // d + 1 coefficients, at
+  N = 2^18 - 1 and 1,490,853 = C(14, 2) (2^14 - 1), the m = 18 upper and
+  m = 14 lower bracketing checks.
+- lattice: `hilbert_cumulative` sums the fold on the multiples of g and
+  holds each sum over its block of g degrees: may_model at
+  N = 18396 = C(9, 2) (2^9 - 1) (the m = 9 lower check), s_k (k = 1) at 2^13.
+
+`starts_cases()`: `hilbert` on each (label, spec, N), the start the plan
+takes (packed, sparse or plain) and its predicted cost, then the best of 5
+CPU times with each start forced in turn by patching `algebra._PACK_OVERHEAD`
+and `algebra._SPARSE_START`, or n/a where that start does not exist.  The
+cases: NILPOTENT_SPEC, shaped like the `generic_fold` workload's DSL
+requests, at N = 300, 1024 and 4096; may_e1 at p = 3 (its h_ij are
+exterior) at 3^6 and 3^9; dual_steenrod and mrs_e2_model (h = 2) at p = 3;
+TRUNC_SPEC at 2^14; two DSL specs of the `generic_fold` pool; and at 2^14
+the p = 2 presets whose largest degrees, such as 2^14 - 3 and 2^14 - 5, are
+nearly coprime, so that the gcd is 1 while the series has a few nonzero
+terms: mrs_e2_model (h = 2), dual_steenrod, y_h_lifted (h = 2, 3), may_e1.
+
+- lattice: `max_over_h` of r_h_einf at p = 2, N = 2^12 - 1 (the m = 12
+  bracketing check), best of 5 CPU times.  It walks the runs on which each
+  cumulative rank is constant.
 - ehp: A(1;t) at p = 2, N = 300 (3.0M sequences) and N = 20000, by the
   fold of `stemsize.ehp`, which adds the partial products of the dual
   Steenrod fold, shifted, so the time grows as N log N, not with the
   counts; best of 3 CPU times of the uncached fold, and the peak RSS of
   `stemsize ehp --p 2 --excess 1 --max-degree N` in a child interpreter,
-  read as in output below.  The O(N^2) chain census the fold replaced
-  took 0.64 s and peaked at 173 MB at N = 3000, and ran out of a 2 GB
-  address space at N = 20000; the fold takes 0.12 s and 16 MB there,
-  and 0.20 s and 19 MB at N = 20000, as whole CLI requests (2-vCPU VM,
-  Python 3.11.7).  Then P(A;t) at p = 2, N = 4000, twice: by
-  `admissible_series`, which folds the dual Steenrod algebra in `hilbert`
-  (Milnor's theorem), and by the admissible census
+  read as in output below.  Then P(A;t) at p = 2, N = 4000, twice, best
+  of 3 CPU times: by `admissible_series`, which folds the dual Steenrod
+  algebra in `hilbert` (Milnor's theorem), and by the admissible census
   `ehp._admissible_counts` that the tests and `verify` check it against,
-  whose O(N^2) rows took 1.1 s and a 310 MB RSS peak (2-vCPU VM,
-  Python 3.11.7) against about 2 ms for `hilbert`.
+  whose O(N^2) rows take 0.72 s against 0.9 ms for `hilbert` (2-vCPU VM).
 - presets: building every name of `PRESET_NAMES` at p = 2 and 3 with
   h = 2, k = 1 and drop_q0, best of 5 CPU times, once on an empty cache
   (each preset's DSL text parsed) and once warm (each text parsed once per
@@ -119,6 +108,7 @@ steps and the estimated list coefficient additions.
 import argparse
 import contextlib
 import io
+import math
 import os
 import random
 import statistics
@@ -151,43 +141,39 @@ gen poly deg = 11 mult = 2
 """
 
 
-def plan_totals(spec: AlgebraSpec, trunc: int) -> str:
-    """The totals of `hilbert`'s fold plan, from its steps' kernels and
-    work: generators folded on the sparse start and the support terms
-    planned for them, generators packed, unit passes, power steps and the
-    estimated list coefficient additions."""
-    gens = algebra.instantiate(spec, trunc)
-    plan = algebra._plan(gens, trunc)
-    sparse = [step.work for step in plan.steps if step.kernel == "sparse"]
-    units = sum(step.mult for step in plan.steps if step.kernel == "unit")
-    powers = sum(step.kernel == "power" for step in plan.steps)
-    return (f"{len(sparse)} of {len(gens)} generators fold sparse on {sum(sparse)} support "
-            f"terms; {len(plan.picked)} of {len(gens)} generators packed, {units} unit passes, "
-            f"{powers} power steps, {plan.cost} coefficient additions")
+MAY_E1 = preset("may_e1", 2, drop_q0=True)
+MAY_MODEL = preset("may_model", 2)
+
+# (regime, label, spec, N, repeats) of each `hilbert_cumulative` timed
+FOLD_CASES = (
+    ("generic", MAY_E1.label, MAY_E1, 2**18, 3),
+    ("trunc", "TRUNC_SPEC", parse_spec(TRUNC_SPEC), 2**16, 3),
+    ("chain", MAY_MODEL.label, MAY_MODEL, 2**18 - 1, 5),
+    ("chain", MAY_MODEL.label, MAY_MODEL, 14 * 13 // 2 * (2**14 - 1), 3),
+    ("lattice", MAY_MODEL.label, MAY_MODEL, 9 * 8 // 2 * (2**9 - 1), 5),
+    ("lattice", "s_k(p=2, k=1)", preset("s_k", 2, k=1), 2**13, 5),
+)
+STRETCH_CASE = ("generic", MAY_E1.label, MAY_E1, 2**20, 1)
 
 
-def measure(regime: str, label: str, spec: AlgebraSpec, trunc: int) -> None:
-    start = time.monotonic()
-    series = hilbert_cumulative(spec, trunc)
-    elapsed = time.monotonic() - start
-    top = series[trunc]
-    print(
-        f"{regime:8} {label}, N = {trunc}: {elapsed:.2f} s, "
-        f"top coefficient {top.bit_length()} bits "
-        f"(~10^{len(str(top)) - 1}); {plan_totals(spec, trunc)}"
-    )
-
-
-def measure_preset(regime: str, name: str, trunc: int, **kwargs) -> None:
-    spec = preset(name, 2, **kwargs)
-    measure(regime, spec.label, spec, trunc)
-
-
-def measure_census(label: str, series_fn, *args) -> None:
-    start = time.monotonic()
-    series = series_fn(*args)
-    elapsed = time.monotonic() - start
-    print(f"{'ehp':8} {label}: {elapsed * 1000:.1f} ms, {sum(series)} counted")
+def measure_folds(cases=FOLD_CASES, trunc: int | None = None, repeats: int | None = None) -> None:
+    """Each case's best CPU time, its top coefficient's bits and its plan's
+    totals; trunc and repeats, where given, replace every case's own."""
+    for regime, label, spec, n, reps in cases:
+        n = n if trunc is None else trunc
+        reps = reps if repeats is None else repeats
+        elapsed, series = best_cpu(hilbert_cumulative, spec, n, repeats=reps)
+        gens = algebra.instantiate(spec, n)
+        plan = algebra._plan(gens, n)
+        sparse = [step.work for step in plan.steps if step.kernel == "sparse"]
+        units = sum(step.mult for step in plan.steps if step.kernel == "unit")
+        powers = sum(step.kernel == "power" for step in plan.steps)
+        g = plan.g // math.prod(step.spread for step in plan.steps)
+        print(f"{regime:8} {label}, N = {n}: {elapsed * 1000:.1f} ms CPU, best of {reps}; "
+              f"top coefficient {series[n].bit_length()} bits; g = {g}; {len(sparse)} of "
+              f"{len(gens)} generators fold sparse on {sum(sparse)} support terms; "
+              f"{len(plan.picked)} of {len(gens)} generators packed, {units} unit passes, "
+              f"{powers} power steps, {plan.cost} coefficient additions")
 
 
 VERIFY_SUITES = ("series", "algebra", "presets", "torsion", "ehp")
@@ -237,6 +223,7 @@ def best_cpu(fn, *args, repeats: int = 5):
     last call's result."""
     best = float("inf")
     for _ in range(repeats):
+        result = None  # so that two results are never held at once
         start = time.process_time()
         result = fn(*args)
         best = min(best, time.process_time() - start)
@@ -246,11 +233,9 @@ def best_cpu(fn, *args, repeats: int = 5):
 def measure_cli(calls: int = 300) -> None:
     argv = ["torsion", "--p", "3", "--n", "100"]
     with contextlib.redirect_stdout(io.StringIO()):
-        start = time.monotonic()
-        for _ in range(calls):
-            cli.main(argv)
-        per_call = (time.monotonic() - start) / calls
-    print(f"{'cli':8} {' '.join(argv)}: {per_call * 1000:.3f} ms per call over {calls}")
+        elapsed, _ = best_cpu(lambda: [cli.main(argv) for _ in range(calls)], repeats=3)
+    print(f"{'cli':8} {' '.join(argv)}: {elapsed / calls * 1000:.3f} ms CPU per call "
+          f"over {calls}, best of 3")
     for p in (2, 3, 5):
         elapsed, (ok, _) = best_cpu(verify._counting_scan, p, verify._valuation_sieve(p))
         print(f"{'cli':8} counting-lemma scan, p = {p}: {elapsed * 1000:.2f} ms CPU, ok {ok}")
@@ -317,15 +302,6 @@ def measure_oracles() -> None:
         print(f"{'verify':8} may_e1, p = 2, N = 2048 by {name}: {elapsed * 1000:.1f} ms CPU")
 
 
-def measure_nilpotent(dsl_trunc: int = 4096, may_trunc: int = 3**9) -> None:
-    cases = (("generic_fold-shaped DSL spec", parse_spec(NILPOTENT_SPEC), dsl_trunc),
-             ("may_e1, p = 3", preset("may_e1", 3, drop_q0=True), may_trunc))
-    for label, spec, trunc in cases:
-        elapsed, _ = best_cpu(algebra.hilbert, spec, trunc)
-        print(f"{'nilpotent':8} {label}, N = {trunc}: {elapsed * 1000:.1f} ms CPU; "
-              f"{plan_totals(spec, trunc)}")
-
-
 # Two DSL specs of the generic_fold benchmark pool (generic_dsl-031 and
 # generic_dsl-011), one with an exterior family and one with a truncated(3)
 # family.
@@ -351,14 +327,16 @@ def start_of(plan: algebra.Plan) -> str:
 def starts_cases() -> list[tuple[str, AlgebraSpec, int]]:
     nilpotent = parse_spec(NILPOTENT_SPEC)
     may_e1 = preset("may_e1", 3, drop_q0=True)
+    dual, mrs = preset("dual_steenrod", 3), preset("mrs_e2_model", 3, h=2)
+    nearly_coprime = (preset("mrs_e2_model", 2, h=2), preset("dual_steenrod", 2),
+                      preset("y_h_lifted", 2, h=2), preset("y_h_lifted", 2, h=3), MAY_E1)
     return [
-        ("NILPOTENT_SPEC", nilpotent, 300), ("NILPOTENT_SPEC", nilpotent, 1024),
-        ("NILPOTENT_SPEC", nilpotent, 4096), ("may_e1, p = 3", may_e1, 3**6),
-        ("may_e1, p = 3", may_e1, 3**9), ("dual_steenrod, p = 3", preset("dual_steenrod", 3), 4096),
-        ("TRUNC_SPEC", parse_spec(TRUNC_SPEC), 2**14),
-        ("mrs_e2_model, p = 3, h = 2", preset("mrs_e2_model", 3, h=2), 3**8),
+        *(("NILPOTENT_SPEC", nilpotent, n) for n in (300, 1024, 4096)),
+        (may_e1.label, may_e1, 3**6), (may_e1.label, may_e1, 3**9), (dual.label, dual, 4096),
+        ("TRUNC_SPEC", parse_spec(TRUNC_SPEC), 2**14), (mrs.label, mrs, 3**8),
         *((f"generic_fold DSL spec {i}", parse_spec(text), 4096)
           for i, text in enumerate(GENERIC_SPECS, start=1)),
+        *((spec.label, spec, 2**14) for spec in nearly_coprime),
     ]
 
 
@@ -380,18 +358,6 @@ def measure_starts(trunc: int | None = None, repeats: int = 5) -> None:
             times.append(f"{name} {elapsed * 1000:.2f} ms")
         print(f"{'starts':8} {label}, N = {n}: plan starts {start_of(plan)}, "
               f"{plan.cost} coefficient additions; {', '.join(times)} CPU")
-
-
-SPARSE_PRESETS = (("mrs_e2_model", {"h": 2}), ("dual_steenrod", {}), ("y_h_lifted", {"h": 2}),
-                  ("y_h_lifted", {"h": 3}), ("may_e1", {"drop_q0": True}))
-
-
-def measure_sparse(trunc: int = 2**14, repeats: int = 5) -> None:
-    for name, kwargs in SPARSE_PRESETS:
-        spec = preset(name, 2, **kwargs)
-        elapsed, _ = best_cpu(hilbert_cumulative, spec, trunc, repeats=repeats)
-        print(f"{'sparse':8} {spec.label}, N = {trunc}: {elapsed * 1000:.1f} ms CPU; "
-              f"{plan_totals(spec, trunc)}")
 
 
 BIG_MULT_SPEC = "p = 2\ngen poly deg = 1 mult = 100000000\n"
@@ -449,16 +415,9 @@ def measure_output(trunc: int = 2**14, big_trunc: int = 2000) -> None:
                   f"above import, {written} bytes, exit {rc}")
 
 
-def measure_lattice(max_trunc: int = 2**12 - 1, may_trunc: int = 18396,
-                    s_trunc: int = 2**13, repeats: int = 5) -> None:
-    elapsed, _ = best_cpu(max_over_h, "r_h_einf", 2, max_trunc, repeats=repeats)
-    print(f"{'lattice':8} max_over_h r_h_einf, p = 2, N = {max_trunc}: "
-          f"{elapsed * 1000:.2f} ms CPU")
-    for spec, trunc in ((preset("may_model", 2), may_trunc), (preset("s_k", 2, k=1), s_trunc)):
-        elapsed, _ = best_cpu(hilbert_cumulative, spec, trunc, repeats=repeats)
-        _, g = algebra._lattice_fold(spec, trunc)
-        print(f"{'lattice':8} hilbert_cumulative {spec.label}, N = {trunc}: "
-              f"{elapsed * 1000:.2f} ms CPU, g = {g}")
+def measure_lattice(trunc: int = 2**12 - 1, repeats: int = 5) -> None:
+    elapsed, _ = best_cpu(max_over_h, "r_h_einf", 2, trunc, repeats=repeats)
+    print(f"{'lattice':8} max_over_h r_h_einf, p = 2, N = {trunc}: {elapsed * 1000:.2f} ms CPU")
 
 
 def measure_ehp(truncs=(300, 20000), repeats: int = 3) -> None:
@@ -469,6 +428,11 @@ def measure_ehp(truncs=(300, 20000), repeats: int = 3) -> None:
                                       "--max-degree", str(trunc)])
         print(f"{'ehp':8} A(1;t) by the fold, p = 2, N = {trunc}: {elapsed * 1000:.1f} ms "
               f"CPU, {sum(counts)} counted; stemsize ehp peak RSS {peak:.1f} MB, exit {rc}")
+
+
+def measure_census(label: str, series_fn, *args) -> None:
+    elapsed, series = best_cpu(series_fn, *args, repeats=3)
+    print(f"{'ehp':8} {label}: {elapsed * 1000:.1f} ms CPU, {sum(series)} counted")
 
 
 def build_catalog(primes: tuple[int, ...], cold: bool) -> int:
@@ -513,15 +477,8 @@ def main() -> None:
     measure_verify()
     measure_torsion_tables()
     measure_oracles()
-    measure_preset("generic", "may_e1", 2**18, drop_q0=True)
-    if args.stretch:
-        measure_preset("generic", "may_e1", 2**20, drop_q0=True)
-    measure("trunc", "ext/trunc(3)/trunc(5) families, p = 3", parse_spec(TRUNC_SPEC), 2**16)
-    measure_nilpotent()
-    measure_sparse()
+    measure_folds((*FOLD_CASES, STRETCH_CASE) if args.stretch else FOLD_CASES)
     measure_starts()
-    measure_preset("chain", "may_model", 2**18 - 1)
-    measure_preset("chain", "may_model", 14 * 13 // 2 * (2**14 - 1))
     measure_lattice()
     measure_presets()
     measure_ehp()

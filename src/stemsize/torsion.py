@@ -133,14 +133,14 @@ class TableCurve(VanishingCurve, Frozen):
 
 
 class TorsionReport(Frozen):
-    """curve is the vanishing curve's `to_json_obj()`."""
+    """curve is the `VanishingCurve` the bound was taken under."""
 
     __slots__ = ("p", "n", "exact_sum", "closed_form", "curve")
 
     def csv_rows(self):
         yield ("p", "n", "exact_sum", "closed_form", "curve")
         yield (str(self.p), str(self.n), str(self.exact_sum), repr(self.closed_form),
-               self.curve["model"])
+               self.curve.model)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -222,7 +222,7 @@ def stable_torsion_bound(p: int, n: int, curve: VanishingCurve) -> TorsionReport
         closed = math.inf
     if not math.isfinite(closed):
         raise TorsionError(f"n = {n} is too large: the closed form exceeds the float range")
-    return TorsionReport(p, n, exact, closed, curve.to_json_obj())
+    return TorsionReport(p, n, exact, closed, curve)
 
 
 def _closed_form_coefficients(p: int) -> tuple[float, int]:

@@ -4,6 +4,7 @@ hand-written serializers were replaced by the derived one."""
 
 import importlib
 import json
+import pickle
 import pkgutil
 
 import pytest
@@ -147,6 +148,16 @@ def test_torsion_report_json_and_csv(curve, n, text, row):
     assert report.to_json() == text
     assert report.to_json_obj() == json.loads(text)
     assert list(report.csv_rows()) == [("p", "n", "exact_sum", "closed_form", "curve"), row]
+
+
+@pytest.mark.parametrize("curve, n, text, row", _TORSION, ids=["linear", "sqrt", "table"])
+def test_torsion_report_hashes_and_pickles(curve, n, text, row):
+    report = stable_torsion_bound(3, n, curve)
+    again = pickle.loads(pickle.dumps(report))
+    assert again == report == stable_torsion_bound(3, n, curve)
+    assert again != stable_torsion_bound(3, n - 1, curve)
+    assert hash(again) == hash(report) and len({report, again}) == 1
+    assert again.curve == curve and again.to_json() == text
 
 
 def test_torsion_cli_writes_the_same_csv(tmp_path, capsys):

@@ -1,10 +1,11 @@
+import ast
 import os
 import pathlib
 import re
 import subprocess
 import sys
 
-from stemsize import verify
+from stemsize import algebra, verify
 from stemsize.algebra import _plan, hilbert, instantiate, parse_spec
 from stemsize.ehp import a_series
 from stemsize.presets import preset
@@ -45,62 +46,97 @@ def run_performance_report(call):
     return proc.stdout
 
 
-def test_performance_report_nilpotent_regime():
-    lines = run_performance_report("measure_nilpotent(dsl_trunc=200, may_trunc=81)").splitlines()
-    assert [line.split(",")[0] for line in lines] == [
-        "nilpotent generic_fold-shaped DSL spec", "nilpotent may_e1"]
-    assert all("generators packed" in line for line in lines)
-    fields = re.compile(r"; (\d+) of (\d+) generators packed, (\d+) unit passes, "
-                        r"(\d+) power steps, (\d+) coefficient additions$")
-    totals = [tuple(map(int, fields.search(line).groups())) for line in lines]
-    assert totals[0][0] > 0  # the DSL spec packs at N = 200
-    gens = instantiate(preset("may_e1", 3, drop_q0=True), 81)
-    plan = _plan(gens, 81)
-    assert totals[1] == (
-        len(plan.picked), len(gens), sum(s.mult for s in plan.steps if s.kernel != "power"),
-        sum(s.kernel == "power" for s in plan.steps), plan.cost,
-    )
+FOLD_LINE = re.compile(r"(\w+) +(.+), N = (\d+): \d+\.\d ms CPU, best of 1; top coefficient "
+                       r"(\d+) bits; g = (\d+); (\d+) of (\d+) generators fold sparse on (\d+) "
+                       r"support terms; (\d+) of \7 generators packed, (\d+) unit passes, "
+                       r"(\d+) power steps, (\d+) coefficient additions")
+
+
+def fold_totals(lines, cases):
+    """Checks each `measure_folds` line against its (regime, label, spec, N)
+    case; returns each line's (sparse, support terms, packed, power steps)."""
+    assert len(lines) == len(cases)
+    totals = []
+    for (regime, label, spec, trunc), line in zip(cases, lines):
+        match = FOLD_LINE.fullmatch(line)
+        assert match and match.groups()[:3] == (regime, label, str(trunc)), line
+        coeffs, g = algebra._lattice_fold(spec, trunc)
+        gens = instantiate(spec, trunc)
+        plan = _plan(gens, trunc)
+        sparse = [step.work for step in plan.steps if step.kernel == "sparse"]
+        assert tuple(map(int, match.groups()[3:])) == (
+            sum(coeffs).bit_length(), g, len(sparse), len(gens), sum(sparse), len(plan.picked),
+            sum(step.mult for step in plan.steps if step.kernel == "unit"),
+            sum(step.kernel == "power" for step in plan.steps), plan.cost)
+        totals.append((len(sparse), sum(sparse), len(plan.picked),
+                       sum(step.kernel == "power" for step in plan.steps)))
+    return totals
+
+
+def test_performance_report_fold_table(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from performance_report import FOLD_CASES
+
+    trunc = 2**14  # the cases fold sparse (may_e1), packed (TRUNC_SPEC) and by power steps
+    lines = run_performance_report(f"measure_folds(trunc={trunc}, repeats=1)").splitlines()
+    totals = fold_totals(lines, [(*case[:3], trunc) for case in FOLD_CASES])
+    assert all(any(row[i] for row in totals) for i in (0, 2, 3))  # sparse, packed, power
+
+
+def test_performance_report_nilpotent_regime(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from performance_report import NILPOTENT_SPEC
+
+    may_e1 = preset("may_e1", 3, drop_q0=True)
+    cases = [("nilpotent", "NILPOTENT_SPEC", parse_spec(NILPOTENT_SPEC), 200),
+             ("nilpotent", may_e1.label, may_e1, 81)]
+    lines = run_performance_report(
+        "measure_folds([('nilpotent', 'NILPOTENT_SPEC', report.parse_spec(report.NILPOTENT_SPEC), "
+        f"200, 1), ('nilpotent', {may_e1.label!r}, report.preset('may_e1', 3, drop_q0=True), "
+        "81, 1)])").splitlines()
+    totals = fold_totals(lines, cases)
+    assert totals[0][2] > 0  # the DSL spec packs at N = 200
 
 
 def test_performance_report_sparse_regime():
     trunc = 4096
-    lines = run_performance_report(f"measure_sparse(trunc={trunc}, repeats=1)").splitlines()
-    fields = re.compile(r": \d+\.\d ms CPU; (\d+) of (\d+) generators fold sparse on (\d+) support "
-                        r"terms; (\d+) of \2 generators packed, (\d+) unit passes, 0 power steps, "
-                        r"(\d+) coefficient additions$")
-    assert len(lines) == 5
     presets = [("mrs_e2_model", {"h": 2}), ("dual_steenrod", {}), ("y_h_lifted", {"h": 2}),
                ("y_h_lifted", {"h": 3}), ("may_e1", {"drop_q0": True})]
-    for (name, kwargs), line in zip(presets, lines):
-        spec = preset(name, 2, **kwargs)
-        assert line.startswith(f"sparse   {spec.label}, N = {trunc}: ")
-        sparse, count, terms, packed, units, cost = map(int, fields.search(line).groups())
-        gens = instantiate(spec, trunc)
-        plan = _plan(gens, trunc)
-        assert sparse == sum(step.kernel == "sparse" for step in plan.steps)
-        assert (count, packed, units, cost) == (
-            len(gens), len(plan.picked), len(gens) - sparse - packed, plan.cost)
+    specs = [preset(name, 2, **kwargs) for name, kwargs in presets]
+    calls = ", ".join(f"report.preset({name!r}, 2, **{kwargs!r})" for name, kwargs in presets)
+    lines = run_performance_report(
+        f"measure_folds([('sparse', s.label, s, {trunc}, 1) for s in ({calls},)])").splitlines()
+    totals = fold_totals(lines, [("sparse", spec.label, spec, trunc) for spec in specs])
+    for spec, (sparse, terms, packed, _) in zip(specs, totals):
         # at N = 4096 the plan packs y_h_lifted (h = 2) and starts the others sparse
         assert (packed > 0) == (spec.label == "y_h_lifted(p=2, h=2)") != (sparse > 0)
         assert 0 < terms <= sparse * (trunc + 1) or sparse == terms == 0
+
 
 def test_performance_report_starts_regime(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     from performance_report import starts_cases
 
-    lines = run_performance_report("measure_starts(trunc=200, repeats=1)").splitlines()
+    trunc = 4096
+    lines = run_performance_report(f"measure_starts(trunc={trunc}, repeats=1)").splitlines()
     cases = starts_cases()
-    assert len(lines) == len(cases) == 10
-    line_re = re.compile(r"starts   (.+), N = 200: plan starts (packed|sparse|plain), (\d+) "
+    assert len(lines) == len(cases) == 15
+    line_re = re.compile(rf"starts   (.+), N = {trunc}: plan starts (packed|sparse|plain), (\d+) "
                          r"coefficient additions; packed (n/a|\d+\.\d\d ms), "
                          r"sparse (n/a|\d+\.\d\d ms), plain (\d+\.\d\d ms) CPU")
+    starts = {}
     for (label, spec, _), line in zip(cases, lines):
         match = line_re.fullmatch(line)
         assert match and match[1] == label, line
-        plan = _plan(instantiate(spec, 200), 200)
+        plan = _plan(instantiate(spec, trunc), trunc)
         assert int(match[3]) == plan.cost
-        assert match[2] == ("packed" if plan.picked else "plain")  # no sparse start at N = 200
-        assert match[2] == "plain" or match[4] != "n/a"  # the start taken was timed
+        sparse = any(step.kernel == "sparse" for step in plan.steps)
+        assert match[2] == ("packed" if plan.picked else "sparse" if sparse else "plain")
+        assert match[4 + ("packed", "sparse", "plain").index(match[2])] != "n/a", line
+        starts[label] = match[2]
+    sparse_at_4096 = ("dual_steenrod(p=2)", "mrs_e2_model(p=2, h=2)", "y_h_lifted(p=2, h=3)",
+                      "may_e1(p=2, drop_q0)")
+    assert all(starts[label] == "sparse" for label in sparse_at_4096)
 
 
 def test_performance_report_times_the_suite_checks():
@@ -163,14 +199,21 @@ def test_performance_report_times_the_ehp_fold():
 
 
 def test_performance_report_times_the_lattice_regime():
-    lines = run_performance_report(
-        "measure_lattice(max_trunc=31, may_trunc=60, s_trunc=64, repeats=1)").splitlines()
-    assert len(lines) == 3
+    lines = run_performance_report("measure_lattice(trunc=31, repeats=1)").splitlines()
+    assert len(lines) == 1
     assert re.fullmatch(r"lattice  max_over_h r_h_einf, p = 2, N = 31: \d+\.\d\d ms CPU",
                         lines[0]), lines[0]
-    for label, trunc, line in (("may_model(p=2)", 60, lines[1]), ("s_k(p=2, k=1)", 64, lines[2])):
-        assert re.fullmatch(rf"lattice  hilbert_cumulative {re.escape(label)}, N = {trunc}: "
-                            r"\d+\.\d\d ms CPU, g = 2", line), line
+
+
+def test_performance_report_runs_every_measurement():
+    tree = ast.parse((SCRIPTS / "performance_report.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("measure_")}
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "main")
+    called = {node.func.id for node in ast.walk(main) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id.startswith("measure_")}
+    assert defined and defined == called, defined ^ called
 
 
 def test_performance_report_times_the_preset_catalog():
