@@ -12,9 +12,13 @@ with ``src`` on PYTHONPATH.
   with a warm bytecode cache under ``-X pycache_prefix`` in a temporary
   directory, so nothing is written into ``src``.  Last, each stemsize
   module's self time from one ``-X importtime`` run without a cache.
-- cli: 300 in-process `stemsize.cli.main` calls of `torsion --p 3 --n 100`,
-  best of 3, per call (one parser serves them all; the parser and the
-  Python import are the fixed costs of a request).  The torsion suite's
+- cli: one small request per subcommand, the README's examples (`verify`
+  with its presets suite, as `--suite all` takes about 0.1 s), each by
+  the CPU time per in-process `stemsize.cli.main` call over a batch of
+  calls, best of 3, beside the time its subcommand parser's `parse_args`
+  takes on the same arguments and that parse's share of the call (one
+  parser serves every call; the parse and the Python import are the fixed
+  costs of a request).  The torsion suite's
   three counting-lemma scans (p = 2, 3, 5, on prebuilt valuation sieves)
   are also timed alone, best of 5.
 - verify: each check of each suite the `cli_mix` benchmark workload runs
@@ -60,8 +64,10 @@ generators packed, unit passes, power steps, and list coefficient additions.
 
 `starts_cases()`: `hilbert` on each (label, spec, N), the start the plan
 takes (packed, sparse or plain) and its predicted cost, then the best of 5
-CPU times with each start forced in turn by patching `algebra._PACK_OVERHEAD`
-and `algebra._SPARSE_START`, or n/a where that start does not exist.  The
+CPU times with each start forced by patching `algebra._PACK_OVERHEAD` and
+`algebra._SPARSE_START`, or n/a where that start does not exist; the
+repeats go round-robin over the starts, so host drift is not read as a
+difference between starts.  The
 cases: NILPOTENT_SPEC, shaped like the `generic_fold` workload's DSL
 requests, at N = 300, 1024 and 4096; may_e1 at p = 3 (its h_ij are
 exterior) at 3^6 and 3^9; dual_steenrod and mrs_e2_model (h = 2) at p = 3;
@@ -230,12 +236,35 @@ def best_cpu(fn, *args, repeats: int = 5):
     return best, result
 
 
-def measure_cli(calls: int = 300) -> None:
-    argv = ["torsion", "--p", "3", "--n", "100"]
-    with contextlib.redirect_stdout(io.StringIO()):
-        elapsed, _ = best_cpu(lambda: [cli.main(argv) for _ in range(calls)], repeats=3)
-    print(f"{'cli':8} {' '.join(argv)}: {elapsed / calls * 1000:.3f} ms CPU per call "
-          f"over {calls}, best of 3")
+# (argv, calls per batch) of `measure_cli`: README's example of each
+# subcommand; {spec} is a file of the DSL line README shows.
+CLI_CASES = (
+    ("hilbert --spec {spec} --max-degree 100 --format csv", 100),
+    ("preset --name dual_steenrod --p 2 --max-degree 20 --cumulative", 300),
+    ("torsion --p 2 --n 16 --curve linear", 300),
+    ("ehp --p 2 --excess 1 --max-dim 10 --format json", 100),
+    ("asymptotics --p 2 --name may_model --n 8", 30),
+    ("verify --suite presets", 10),
+)
+
+
+def measure_cli(cases=CLI_CASES) -> None:
+    commands = cli._shared_parser().commands
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.txt")
+        with open(spec, "w", encoding="utf-8") as fh:
+            fh.write("p = 2\ngen poly deg = 2^i - 1 for i = 1..inf\n")
+        for text, calls in cases:
+            argv = text.format(spec=spec).split()
+            with contextlib.redirect_stdout(io.StringIO()):
+                elapsed, _ = best_cpu(lambda: [cli.main(argv) for _ in range(calls)], repeats=3)
+            parser = commands[argv[0]]
+            parse, _ = best_cpu(lambda: [parser.parse_args(argv[1:]) for _ in range(calls)],
+                                repeats=3)
+            print(f"{'cli':8} {text.format(spec='spec.txt')}: "
+                  f"{elapsed / calls * 1000:.3f} ms CPU per call, parse "
+                  f"{parse / calls * 1000:.3f} ms ({parse / elapsed:.0%}), "
+                  f"best of 3 over {calls}")
     for p in (2, 3, 5):
         elapsed, (ok, _) = best_cpu(verify._counting_scan, p, verify._valuation_sieve(p))
         print(f"{'cli':8} counting-lemma scan, p = {p}: {elapsed * 1000:.2f} ms CPU, ok {ok}")
@@ -263,14 +292,11 @@ def measure_verify(suites: tuple[str, ...] = VERIFY_SUITES, repeats: int = 5) ->
               f"best of {repeats} per check")
 
 
-TORSION_TABLES = (verify._log_table, verify._curve_table, verify._window_sums)
-
-
 def torsion_suite(cold: bool) -> int:
     """Run the torsion suite at the default seed, on empty table caches if
     cold; the number of checks it yields."""
     if cold:
-        for builder in TORSION_TABLES:
+        for builder in verify._TABLES:
             builder.cache_clear()
     return sum(1 for _ in verify.SUITES["torsion"](random.Random(verify.DEFAULT_SEED)))
 
@@ -343,19 +369,25 @@ def starts_cases() -> list[tuple[str, AlgebraSpec, int]]:
 def measure_starts(trunc: int | None = None, repeats: int = 5) -> None:
     """For each case: the start `algebra._plan` takes and its predicted
     cost, then `hilbert`'s best CPU time with each start forced, or n/a
-    where that start does not exist."""
+    where that start does not exist.  The repeats go round-robin over the
+    starts, so a drift in the host's speed falls on every start alike."""
     for label, spec, n in starts_cases():
         n = n if trunc is None else trunc
         plan = algebra._plan(algebra.instantiate(spec, n), n)
-        times = []
+        forced = {}  # start name -> its patch of the plan's constants
         for name, pack, sparse in STARTS:
-            with mock.patch.object(algebra, "_PACK_OVERHEAD", pack), \
-                    mock.patch.object(algebra, "_SPARSE_START", sparse):
-                if start_of(algebra._plan(algebra.instantiate(spec, n), n)) != name:
-                    times.append(f"{name} n/a")
-                    continue
-                elapsed, _ = best_cpu(algebra.hilbert, spec, n, repeats=repeats)
-            times.append(f"{name} {elapsed * 1000:.2f} ms")
+            patch = mock.patch.multiple(algebra, _PACK_OVERHEAD=pack, _SPARSE_START=sparse)
+            with patch:
+                if start_of(algebra._plan(algebra.instantiate(spec, n), n)) == name:
+                    forced[name] = patch
+        best = dict.fromkeys(forced, float("inf"))
+        for _ in range(repeats):
+            for name, patch in forced.items():
+                with patch:
+                    elapsed, _ = best_cpu(algebra.hilbert, spec, n, repeats=1)
+                best[name] = min(best[name], elapsed)
+        times = [f"{name} {best[name] * 1000:.2f} ms" if name in best else f"{name} n/a"
+                 for name, _, _ in STARTS]
         print(f"{'starts':8} {label}, N = {n}: plan starts {start_of(plan)}, "
               f"{plan.cost} coefficient additions; {', '.join(times)} CPU")
 

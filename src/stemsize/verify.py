@@ -21,9 +21,10 @@ p^k <= b^(p-1), which is raised by exact powers of p only at a b whose
 slack exceeds it.  The stable-bound scan to 10^4 runs on the exact window
 sums E(n), read off the prefix of the column exponents.  Those tables,
 with g(n) per vanishing curve and log_p(n) per p, depend on nothing a run
-decides, so they are built once per process (`functools.cache`) and kept
-as read-only views of compact arrays; a curve's 1 <= g(n) <= n check runs
-at that first build.  Every run still reads the closed form's coefficients
+decides, so they are built once per process (`functools.cache`, listed in
+`_TABLES`; the prefix once per p, whatever the curve) and kept as
+read-only views of compact arrays; a curve's 1 <= g(n) <= n check runs at
+that first build.  Every run still reads the closed form's coefficients
 and computes all of its margins.  The Goodwillie scan (s <= 8, n <= 2000)
 uses that its exact sum is constant on each block of n with the same
 (n - 1) // s while the linear envelope rises, so the first n of a block
@@ -297,15 +298,26 @@ def _curve_table(curve: torsion.VanishingCurve) -> memoryview:
 
 
 @functools.cache
+def _stable_prefix(p: int) -> memoryview:
+    """The column prefix of p to `_top_column(p)`, which every curve's
+    window sums read; built once per process."""
+    return _readonly("i", _column_prefix(p, _valuation_sieve(p), _top_column(p)))
+
+
+@functools.cache
 def _window_sums(p: int, curve: torsion.VanishingCurve) -> memoryview:
     """The exact sum E(n) of `stable_torsion_bound` at index n - 1 for
     1 <= n <= SCAN_LIMIT, as prefix[(n + g(n)) // span] - prefix[n // span]
     on the column prefix of p (g >= 1, so the window is at worst empty);
     built once per process."""
     span = _span(p)
-    prefix = _column_prefix(p, _valuation_sieve(p), _top_column(p))
+    prefix = _stable_prefix(p).tolist()  # a list indexes about twice as fast
     pairs = zip(range(1, SCAN_LIMIT + 1), _curve_table(curve))
     return _readonly("i", [prefix[(n + g) // span] - prefix[n // span] for n, g in pairs])
+
+
+# Every cached table builder of the torsion suite.
+_TABLES = (_log_table, _curve_table, _stable_prefix, _window_sums)
 
 
 def _counting_scan(p: int, vals: list[int]) -> tuple[bool, str]:

@@ -264,6 +264,80 @@ class TestPowerBudget:
         assert self.value(f"{base}^(2^(2^19))") == want
 
 
+def eval_expr_reference(expr, env):
+    """`eval_expr` as an isinstance ladder, the form it had before it
+    dispatched on the node type through an operator table."""
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Var):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise DslError(f"unknown identifier {expr.name!r}") from None
+    if isinstance(expr, Min):
+        return min(eval_expr_reference(expr.left, env), eval_expr_reference(expr.right, env))
+    left = eval_expr_reference(expr.left, env)
+    right = eval_expr_reference(expr.right, env)
+    if expr.op == "+":
+        return left + right
+    if expr.op == "-":
+        return left - right
+    if expr.op == "*":
+        return left * right
+    if right < 0:
+        raise DslError(f"negative exponent {right} in degree expression")
+    if abs(left) > 1 and right * abs(left).bit_length() > MAX_POWER_BITS:
+        raise ResourceLimitError(
+            f"a power in a degree expression would exceed the budget of {MAX_POWER_BITS} bits"
+        )
+    return left**right
+
+
+# Trees over small literals, a few past the power budget as exponents, and
+# the names of EVAL_ENV and two unbound ones, so that both operands of a
+# node often raise, with different messages.
+EVAL_ENV = {"p": 3, "i": 2, "j": 5}
+EXPR_TREES = st.recursive(
+    st.one_of(
+        st.builds(Lit, st.integers(-3, 12) | st.sampled_from([2**19, 2**20 + 1])),
+        st.builds(Var, st.sampled_from(["p", "i", "j", "k", "m"])),
+    ),
+    lambda kids: st.builds(BinOp, st.sampled_from("+-*^"), kids, kids) | st.builds(Min, kids, kids),
+    max_leaves=12,
+)
+
+
+def evaluation(fn, expr):
+    """fn's value on expr in EVAL_ENV, or the type and message it raised."""
+    try:
+        return fn(expr, EVAL_ENV)
+    except (DslError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+class TestEvaluatorReference:
+    @settings(max_examples=300, deadline=None)
+    @given(EXPR_TREES)
+    @example(BinOp("^", Var("p"), BinOp("-", Lit(1), Var("j"))))  # negative exponent
+    @example(BinOp("^", Lit(3), Lit(2**20 + 1)))  # past the power budget
+    @example(BinOp("-", Var("k"), BinOp("^", Lit(2), Lit(-1))))  # unknown name, left first
+    def test_matches_the_reference(self, expr):
+        assert evaluation(eval_expr, expr) == evaluation(eval_expr_reference, expr)
+
+    @pytest.mark.parametrize("expr, error", [
+        (BinOp("^", Var("p"), BinOp("-", Lit(1), Var("j"))),
+         (DslError, "negative exponent -4 in degree expression")),
+        (BinOp("^", Lit(3), Lit(2**20 + 1)),
+         (ResourceLimitError,
+          "a power in a degree expression would exceed the budget of 1048576 bits")),
+        (Min(Var("k"), BinOp("^", Lit(2), Lit(-1))), (DslError, "unknown identifier 'k'")),
+        (BinOp("+", BinOp("^", Lit(2), Lit(-1)), Var("k")),
+         (DslError, "negative exponent -1 in degree expression")),
+    ])
+    def test_each_error_as_before(self, expr, error):
+        assert evaluation(eval_expr, expr) == evaluation(eval_expr_reference, expr) == error
+
+
 class TestHilbert:
     def test_exterior_times_polynomial(self):
         spec = parse_spec("p = 2\ngen ext deg = 3\ngen poly deg = 2\n")

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import stemsize
-from stemsize import algebra, asymptotics, series, torsion
+from stemsize import algebra, asymptotics, cli, series, torsion
 from stemsize.algebra import hilbert, parse_spec
 from stemsize.cli import MAX_INPUT_BYTES, CliError, int_or_power, main, parse_points
 from stemsize.ehp import a_series
@@ -742,6 +742,122 @@ class TestSharedParser:
         assert first[1][2].startswith("stemsize: error: ")
         assert first[3][3].splitlines()[:3] == ["0,1", "1,1", "2,1"]
         assert run_round() == first
+
+
+# argv run through main on both parsing paths; {spec} is a small spec file
+PARITY_ARGV = {
+    "hilbert": [
+        "hilbert --spec {spec} --max-degree 10",
+        "hilbert --spec {spec} --max-degree 2^4 --cumulative --format csv",
+        "hilbert --spec {spec} --max-degree 10 --bogus",
+        "hilbert --max-degree 10",
+        "hilbert --spec {spec} --max-degree ten",
+        "hilbert --spec {spec} --max-degree 10 --format xml",
+        "hilbert --spec {spec} --max-deg 10",
+        "hilbert --help",
+    ],
+    "preset": [
+        "preset --name dual_steenrod --p 2 --max-degree 12 --cumulative",
+        "preset --name s_k --h 1 --max-degree 9 --format csv",
+        "preset --name dual_steenrod --max-degree 12 --bogus 1",
+        "preset --max-degree 12",
+        "preset --name dual_steenrod --p two --max-degree 12",
+        "preset --name nope --max-degree 12",
+        "preset --name dual_steenrod --max-deg 12",
+        "preset --help",
+    ],
+    "torsion": [
+        "torsion --p 3 --n 20",
+        "torsion --p 2 --n 16 --curve sqrt --format csv",
+        "torsion --p 2 --n 16 extra",
+        "torsion --p 2",
+        "torsion --p 2 --n x",
+        "torsion --n 16 --format xml",
+        "torsion --n 16 --form csv",
+        "torsion --help",
+    ],
+    "ehp": [
+        "ehp --p 2 --excess 1 --max-dim 10",
+        "ehp --p 3 --excess 1 --format csv",
+        "ehp --p 2 --excess 1 -x",
+        "ehp --p 2 --max-dim 10",
+        "ehp --p 2 --excess one",
+        "ehp --excess 1 --format xml",
+        "ehp --p 2 --excess 1 --max-dim 10 --max-degree 12",
+        "ehp --p 2 --excess 1 --max-deg 12",
+        "ehp --p 2 --excess 1 --max-d 12",
+        "ehp --help",
+    ],
+    "asymptotics": [
+        "asymptotics --p 2",
+        "asymptotics --p 2 --name may_model --n 8 --format csv",
+        "asymptotics --p 2 --name s_k --h 0 --points 2^6..2^8 --exponent 2",
+        "asymptotics --p 2 --bogus",
+        "asymptotics --p 2 --name may_model --n",
+        "asymptotics --p 2 --name may_model --n eight",
+        "asymptotics --p 2 --name s_k --h 0 --points 2^6..2^8 --exponent 4",
+        "asymptotics --p 2 --name s_k --h 0 --poi 2^6..2^8",
+        "asymptotics --help",
+    ],
+    "verify": [
+        "verify --suite presets",
+        "verify --suite nope",
+        "verify --suite presets --format csv",
+        "verify --suite",
+        "verify --suite presets --seed x",
+        "verify --su presets --seed 3",
+        "verify --help",
+    ],
+    "top level": ["", "--help", "-h", "nope", "hil --p 2", "--p 2 torsion --n 3", "-- torsion"],
+}
+
+
+def run_main(argv):
+    """main(argv)'s exit code, or how it exited: --help raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return f"SystemExit({exc.code})"
+
+
+class TestParserParity:
+    """A request whose first word names a subcommand is parsed by that
+    subcommand's parser alone; every request must exit, print and fail as
+    it does through the top-level parser."""
+
+    @pytest.mark.parametrize("argv", [
+        argv for table in PARITY_ARGV.values() for argv in table])
+    def test_same_result_as_the_top_level_parse(self, argv, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("p = 2\ngen poly deg = 2^i - 1 for i = 1..inf\n")
+        argv = argv.format(spec=spec).split()
+        fast = run_main(argv), *capsys.readouterr()
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert (run_main(argv), *capsys.readouterr()) == fast
+
+    def test_every_subcommand_has_a_table(self):
+        assert set(PARITY_ARGV) == {*cli.build_parser().commands, "top level"}
+
+    def test_argv_may_be_any_iterable(self, capsys):
+        argv = ["torsion", "--p", "2", "--n", "5"]
+        assert main(argv) == 0
+        want = capsys.readouterr()
+        assert main(iter(argv)) == 0
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("argv, top_level", [
+        (["torsion", "--p", "2", "--n", "3"], False),
+        (["verify", "--help"], False),
+        (["nope"], True),
+        (["--help"], True),
+        (["tors", "--n", "3"], True),
+    ])
+    def test_only_other_requests_reach_the_top_level(self, argv, top_level, monkeypatch, capsys):
+        seen = []
+        parser = cli._shared_parser()
+        monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(argv) or sys.exit(9))
+        run_main(argv)
+        assert seen == ([argv] if top_level else [])
 
 
 SMALL_SPEC = "p = 2\ngen poly deg = 1\ngen ext deg = 2\n"

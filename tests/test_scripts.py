@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 
-from stemsize import algebra, verify
+from stemsize import algebra, cli, verify
 from stemsize.algebra import _plan, hilbert, instantiate, parse_spec
 from stemsize.ehp import a_series
 from stemsize.presets import preset
@@ -137,6 +137,18 @@ def test_performance_report_starts_regime(monkeypatch):
     sparse_at_4096 = ("dual_steenrod(p=2)", "mrs_e2_model(p=2, h=2)", "y_h_lifted(p=2, h=3)",
                       "may_e1(p=2, drop_q0)")
     assert all(starts[label] == "sparse" for label in sparse_at_4096)
+
+
+def test_performance_report_cli_parse_share():
+    lines = run_performance_report(
+        "measure_cli(tuple((text, 1) for text, _ in report.CLI_CASES))").splitlines()
+    line_re = re.compile(r"cli      (\w+) .+: \d+\.\d{3} ms CPU per call, "
+                         r"parse \d+\.\d{3} ms \(\d+%\), best of 3 over 1")
+    matches = [line_re.fullmatch(line) for line in lines[:-3]]
+    assert all(matches), lines
+    assert [m[1] for m in matches] == list(cli.build_parser().commands)
+    assert "spec.txt --max-degree" in lines[0]  # the temporary path is not printed
+    assert all(line.endswith("ok True") for line in lines[-3:])
 
 
 def test_performance_report_times_the_suite_checks():

@@ -467,7 +467,18 @@ class TestExactScans:
             vals = verify._valuation_sieve(p)
             assert verify._goodwillie_scan(p, vals) == (1, verify.GOODWILLIE_N)
 
-    def test_suite_lines_fail_on_perturbed_sieve(self, monkeypatch):
+    @pytest.fixture
+    def fresh_tables(self):
+        """Empty table caches before and after: a run under a patched sieve
+        fills the process-wide caches with tables that later tests would
+        read as the real ones."""
+        for builder in verify._TABLES:
+            builder.cache_clear()
+        yield
+        for builder in verify._TABLES:
+            builder.cache_clear()
+
+    def test_suite_lines_fail_on_perturbed_sieve(self, monkeypatch, fresh_tables):
         real = verify._valuation_sieve
 
         def perturbed(p):

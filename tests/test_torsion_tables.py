@@ -13,7 +13,7 @@ from stemsize import torsion, verify
 from stemsize.torsion import LinearCurve, PowerLawCurve, stable_torsion_bound
 
 SUITE_CURVES = (LinearCurve(), PowerLawCurve(0.5, 1.0))
-BUILDERS = (verify._log_table, verify._curve_table, verify._window_sums)
+BUILDERS = verify._TABLES  # log_p(n), g(n), column prefix, E(n)
 STABLE_CHECKS = [f"stable_bound_exhaustive_p{p}_{label}"
                  for p in (2, 3, 5) for label in ("linear", "sqrt")]
 
@@ -47,7 +47,8 @@ def test_every_entry_equals_the_direct_formula(p, curve):
 
 @pytest.mark.parametrize("builder, args", [
     (verify._log_table, (3,)), (verify._curve_table, (LinearCurve(),)),
-    (verify._window_sums, (2, PowerLawCurve(0.5, 1.0)))], ids=["logs", "g", "sums"])
+    (verify._stable_prefix, (3,)), (verify._window_sums, (2, PowerLawCurve(0.5, 1.0)))],
+    ids=["logs", "g", "prefix", "sums"])
 def test_tables_are_read_only(builder, args):
     table = builder(*args)
     first = table[0]
@@ -61,19 +62,18 @@ def test_tables_are_read_only(builder, args):
 def test_import_builds_no_table_and_loads_no_array_module():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, stemsize.cli, stemsize.verify as v; "
-            "print([f.cache_info().currsize for f in "
-            "(v._log_table, v._curve_table, v._window_sums)], 'array' in sys.modules)")
+            "print([f.cache_info().currsize for f in v._TABLES], 'array' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert proc.stdout == "[0, 0, 0] False\n"
+    assert proc.stdout == "[0, 0, 0, 0] False\n"
 
 
 def test_a_suite_run_fills_each_table_once():
     clear_tables()
     verify.run_suite("torsion")
     verify.run_suite("torsion")
-    assert [b.cache_info().currsize for b in BUILDERS] == [3, 2, 6]
-    assert [b.cache_info().misses for b in BUILDERS] == [3, 2, 6]
+    assert [b.cache_info().currsize for b in BUILDERS] == [3, 2, 3, 6]
+    assert [b.cache_info().misses for b in BUILDERS] == [3, 2, 3, 6]
 
 
 def test_wrong_coefficients_fail_a_warm_run(monkeypatch):
